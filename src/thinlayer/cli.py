@@ -185,6 +185,13 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 
     n_pairs = cfg.solver_opt("n_eigenpairs", 6)
     spectrum = lowest_eigenpairs(op, n_pairs, **_solver_args(cfg, args.seed))
+    work = ("method", "shift", "inner_solve", "opinv_applications", "cg_iterations",
+            "cg_iterations_max")
+    log.info(
+        "eigensolve: %s max_residual=%.3e",
+        " ".join(f"{key}={spectrum.meta.get(key)}" for key in work),
+        float(np.max(spectrum.residuals)),
+    )
 
     outs = spec_cfg.get("outputs", {})
     csv_path = out / outs.get("csv", "spectrum.csv")

@@ -476,6 +476,7 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     if doubling_ok:
         fine_grid = tuple(2 * n for n in np.atleast_1d(spec.grid))
         patch_fine = build_patch(spec.family, fine_grid)
+    disc_failures = []  # {eps, reason} of rows whose estimate failed
 
     def one_row(eps: float) -> list[SweepRow]:
         emb = check_embedding(patch, eps)
@@ -533,8 +534,10 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
                 )
                 for a in range(spec.n_pairs):
                     disc[a] = abs(cluster_gap[a] - gaps_fine[a])
-            except Exception:
-                pass  # discretization estimate is advisory
+            except ThinLayerError as exc:
+                # the estimate is advisory: the row keeps a NaN, the summary
+                # says why
+                disc_failures.append({"eps": eps, "reason": f"{type(exc).__name__}: {exc}"})
 
         gap_floor = max(1e-10, 100.0 * spec.tol)
         rows = []
@@ -619,6 +622,8 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
             default=None,
         ),
     }
+    if disc_failures:
+        meta["disc_estimate_failures"] = sorted(disc_failures, key=lambda f: -f["eps"])
     return ConvergenceReport(rows=rows, fits=fits, k=k, meta=meta)
 
 

@@ -1,10 +1,26 @@
 """Lowest eigenpairs, resolvent application and operator-norm estimation.
 
 Dense solves below a size threshold (default 4000 dofs, override with the
-THINLAYER_DENSE_THRESHOLD environment variable or per call); above it,
-shift-invert Lanczos (ARPACK) on a sparse LU factorization with a
-deterministic seeded start vector. Factorizations are cached on the operator
-and reused across resolvent applications with the same shift.
+THINLAYER_DENSE_THRESHOLD environment variable or per call). Above it,
+shift-invert Lanczos (ARPACK) with a deterministic seeded start vector; its
+inverse (H - sigma)^-1 is applied by one of two inner solves, built afresh for
+each call:
+
+  * conjugate gradients for layer operators on a 2-D chart (operators that
+    carry the surface factor S of their decoupled comparison operator, whose
+    chart has two axes). The preconditioner is the exact inverse of
+    S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis splits it into
+    m_u surface-sized sparse LUs (fast diagonalization). The comparison
+    operators bound the layer operator with eps-uniform constants, so the
+    iteration counts do not grow as eps shrinks, while a sparse LU of the
+    whole layer fills super-linearly on a 2-D grid. A breakdown or a missed
+    iteration cap raises SolverError;
+  * a sparse LU of H - sigma for everything else: layers over curves, where
+    the LU stays banded and is cheaper, surface operators and explicit
+    matrices.
+
+Resolvent applications use cached sparse LU factorizations, reused across
+calls with the same shift.
 """
 from __future__ import annotations
 
@@ -15,12 +31,17 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dst
 
 from .errors import SolverError
-from .operators import AssembledOperator
+from .operators import AssembledOperator, transverse_energies
 
 DEFAULT_DENSE_THRESHOLD = 4000
 DEFAULT_TOL = 1e-10
+#: relative residual at which a PCG inner solve stops
+PCG_RTOL = 1e-12
+#: PCG iterations per inner solve before it raises
+PCG_MAXITER = 100
 
 
 def dense_threshold(override: int | None = None) -> int:
@@ -72,6 +93,102 @@ def _dense_pairs(op, n_pairs, tol, seed):
     )
 
 
+@dataclass
+class _SolveWork:
+    """Work of the inner solves of one shift-invert eigensolve."""
+
+    applications: int = 0
+    cg_iterations: int = 0
+    cg_iterations_max: int = 0
+
+
+def _lu_inverse(A, sigma, work):
+    ident = sp.eye_array(A.shape[0], format="csc", dtype=A.dtype)
+    lu = spla.splu((A - sigma * ident).tocsc())
+
+    def solve(b):
+        work.applications += 1
+        return lu.solve(b)
+
+    return solve
+
+
+def _decoupled_inverse(op, sigma, dtype):
+    """Exact inverse of the decoupled operator S (x) I + I (x) T/eps^2 - c.
+
+    The sampled sine modes diagonalize the transverse factor, and the
+    orthonormal DST-I is the transform to them. That leaves one
+    surface-sized solve per transverse mode j with S + (E_j/eps^2 - c) I,
+    c = renormalization shift + sigma (fast diagonalization). Each diagonal
+    shift is raised to at least 1 - floor(S), so every mode block, and the
+    preconditioner, is Hermitian positive definite whatever sigma is.
+    """
+    block = op.surface_block
+    m = op.dofmap.m_u
+    shifts = np.maximum(
+        transverse_energies(m) / op.eps**2
+        - op.meta.get("renormalization_shift", 0.0)
+        - sigma,
+        1.0 - block.floor,
+    )
+    ident = sp.eye_array(block.matrix.shape[0], format="csc")
+    lus = [spla.splu((block.matrix + d * ident).astype(dtype).tocsc()) for d in shifts]
+
+    def apply(r):
+        modes = dst(r.reshape(-1, m).T, type=1, norm="ortho", axis=0)
+        for j, lu in enumerate(lus):
+            modes[j] = lu.solve(modes[j])
+        return dst(modes, type=1, norm="ortho", axis=0).T.reshape(-1)
+
+    return apply
+
+
+def _pcg_inverse(op, sigma, work):
+    """(H - sigma)^-1 by conjugate gradients preconditioned with the exact
+    inverse of the decoupled comparison operator; raises SolverError on a
+    breakdown or when the iteration cap is reached."""
+    H = op.matrix
+    precond = _decoupled_inverse(op, sigma, H.dtype)
+
+    def solve(b):
+        work.applications += 1
+        bnorm = np.sqrt(np.vdot(b, b).real)
+        x = np.zeros_like(b)
+        if bnorm == 0.0:
+            return x
+        r = b.copy()
+        z = precond(r)
+        rz = np.vdot(r, z).real
+        p = z
+        rel = 1.0
+        for it in range(1, PCG_MAXITER + 1):
+            q = H @ p - sigma * p
+            pq = np.vdot(p, q).real
+            if not (rz > 0.0 and pq > 0.0):
+                raise SolverError(
+                    f"PCG broke down at shift {sigma:.17g} after {it - 1} "
+                    f"iterations (relative residual {rel:.3e})"
+                )
+            alpha = rz / pq
+            x += alpha * p
+            r -= alpha * q
+            rel = np.sqrt(np.vdot(r, r).real) / bnorm
+            if rel <= PCG_RTOL:
+                work.cg_iterations += it
+                work.cg_iterations_max = max(work.cg_iterations_max, it)
+                return x
+            z = precond(r)
+            rz_next = np.vdot(r, z).real
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+        raise SolverError(
+            f"PCG did not converge at shift {sigma:.17g} in {PCG_MAXITER} "
+            f"iterations (relative residual {rel:.3e} > {PCG_RTOL:g})"
+        )
+
+    return solve
+
+
 def _shift_invert_pairs(op, n_pairs, tol, seed):
     A = op.matrix.tocsc()
     n = A.shape[0]
@@ -81,16 +198,20 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
     else:
         sigma = gershgorin_bounds(A)[0] - 1.0
     rng = np.random.default_rng(seed)
-    ident = sp.eye_array(n, format="csc", dtype=A.dtype)
+    # PCG for layer operators on a 2-D chart, where an LU of H - sigma fills
+    # super-linearly; on a curve the LU stays banded and beats PCG
+    pcg = op.surface_block is not None and len(op.dofmap.grid_shape) >= 2
+    work = _SolveWork()
 
     def factor(s):
-        return spla.splu((A - s * ident).tocsc())
+        solve = _pcg_inverse(op, s, work) if pcg else _lu_inverse(A, s, work)
+        return spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype)
 
-    lu = None
+    opinv = None
     attempts = 0
-    while lu is None:
+    while opinv is None:
         try:
-            lu = factor(sigma)
+            opinv = factor(sigma)
         except RuntimeError as exc:
             attempts += 1
             if attempts > 3:
@@ -107,9 +228,8 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
         # margin proportional to the Lanczos tolerance cannot cross lambda_1.
         est_tol = 1e-3
         try:
-            opinv0 = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
             top = spla.eigsh(
-                opinv0,
+                opinv,
                 k=1,
                 which="LA",
                 v0=v0,
@@ -125,14 +245,13 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
                 if span > 50.0 * max(1.0, abs(lam1_est)):
                     refined = lam1_est - max(1.0, 4.0 * est_tol * span)
                     try:
-                        lu = factor(refined)
+                        opinv = factor(refined)
                         sigma = refined
                     except RuntimeError:
                         pass  # keep the guaranteed-deep factorization
         except (spla.ArpackNoConvergence, spla.ArpackError):
             pass  # fall back to the deep shift (slower but safe)
 
-    opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
     last_exc = None
     for attempt in range(3):
         try:
@@ -160,14 +279,17 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
                     "tol": tol,
                     "seed": seed,
                     "retries": attempt,
+                    "inner_solve": "pcg" if pcg else "lu",
+                    "opinv_applications": work.applications,
+                    "cg_iterations": work.cg_iterations,
+                    "cg_iterations_max": work.cg_iterations_max,
                 },
             )
         except spla.ArpackNoConvergence as exc:
             last_exc = exc
             sigma -= 0.25 * (1.0 + abs(sigma))
             try:
-                lu = factor(sigma)
-                opinv = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype)
+                opinv = factor(sigma)
             except RuntimeError:
                 continue
     partial = getattr(last_exc, "eigenvalues", None)
@@ -247,8 +369,8 @@ def nearest_eigenvalue(op: AssembledOperator, target: float) -> float:
             v0=np.ones(op.n_dof, dtype=op.matrix.dtype),
         )
         return float(val[0])
-    except Exception:  # diagnosis only
-        return float("nan")
+    except (spla.ArpackNoConvergence, spla.ArpackError, RuntimeError):
+        return float("nan")  # diagnosis only
 
 
 @dataclass

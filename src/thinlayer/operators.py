@@ -127,9 +127,27 @@ class DofMap:
         return rec
 
 
+@dataclass(frozen=True)
+class SurfaceBlock:
+    """Surface factor S of a decoupled layer operator S (x) I + I (x) T/eps^2.
+
+    floor bounds the spectrum of S from below: the kinetic part is
+    nonnegative, so it is the smallest value of the diagonal potential.
+    """
+
+    matrix: sp.csr_array
+    floor: float
+
+
 @dataclass
 class AssembledOperator:
-    """Hermitian sparse operator with its inner-product weights and metadata."""
+    """Hermitian sparse operator with its inner-product weights and metadata.
+
+    Layer operators keep the surface factor of their decoupled comparison
+    operator (exact for the comparison operators themselves), which the
+    eigensolver uses as a preconditioner; surface and explicit operators
+    carry None.
+    """
 
     matrix: sp.csr_array
     weights: np.ndarray
@@ -139,6 +157,7 @@ class AssembledOperator:
     geometry: str
     field_label: str
     meta: dict = field(default_factory=dict)
+    surface_block: SurfaceBlock | None = field(default=None, repr=False)
     _factors: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -620,6 +639,18 @@ def comparison_constants(
 # ---------------------------------------------------------------------------
 
 
+def _surface_block(layer, pot, electric, order) -> SurfaceBlock:
+    """Effective surface operator with the trace link phases a_surf0: the
+    surface factor of the decoupled comparison operators."""
+    patch = layer.patch
+    alpha0 = None if not np.any(pot.a_surf0) else pot.a_surf0
+    S = _surface_operator(patch, patch.metric_inv, alpha0, 1, order=order)
+    V = v_eff(patch.kappa)
+    if electric is not None:
+        V = V + electric.on_surface(patch)
+    return SurfaceBlock(S + sp.csr_array(sp.diags_array(V.reshape(-1))), float(np.min(V)))
+
+
 def _check_hermitian(op: AssembledOperator):
     res = op.hermiticity_residual()
     if res > HERMITICITY_TOL:
@@ -703,6 +734,7 @@ def assemble_full(
             "spectral_lower_bound": float(np.min(V))
             + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
         },
+        surface_block=_surface_block(layer, pot, electric, order),
     )
     _check_hermitian(op)
     return op
@@ -769,13 +801,10 @@ def assemble_comparison(
     pots = potentials if potentials is not None else potential_grids(layer)
     consts = comparison_constants(layer, pots, pot)
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
-    alpha0 = None if not np.any(pot.a_surf0) else pot.a_surf0
-    S = _surface_operator(patch, patch.metric_inv, alpha0, 1, order=order)
-    V = v_eff(patch.kappa)
-    if electric is not None:
-        V = V + electric.on_surface(patch)
-    Ssurf = S + sp.csr_array(sp.diags_array(V.reshape(-1)))
-    H = sp.csr_array(sp.kron(scale * Ssurf, sp.eye_array(m, format="csr"), format="csr"))
+    base = _surface_block(layer, pot, electric, order)
+    H = sp.csr_array(
+        sp.kron(scale * base.matrix, sp.eye_array(m, format="csr"), format="csr")
+    )
     T = transverse_matrix(m) / layer.eps**2
     H = H + sp.csr_array(
         sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
@@ -800,10 +829,17 @@ def assemble_comparison(
             "scale": scale,
             "offset": consts.offset,
             "weights_cell": patch.cell_area * layer.h_u,
-            "spectral_lower_bound": scale * min(0.0, float(np.min(V)))
+            "spectral_lower_bound": scale * min(0.0, base.floor)
             + TRANSVERSE_GROUND_ENERGY / layer.eps**2
             + sign * consts.offset,
         },
+        surface_block=SurfaceBlock(
+            sp.csr_array(
+                scale * base.matrix
+                + sign * consts.offset * sp.eye_array(patch.n_nodes, format="csr")
+            ),
+            scale * base.floor + sign * consts.offset,
+        ),
     )
     _check_hermitian(op)
     return op, consts
@@ -837,6 +873,7 @@ def renormalize(op: AssembledOperator) -> AssembledOperator:
         geometry=op.geometry,
         field_label=op.field_label,
         meta=meta,
+        surface_block=op.surface_block,
     )
 
 

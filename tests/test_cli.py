@@ -146,6 +146,24 @@ def test_spectrum_circle_effective(tmp_path):
     assert np.max(np.abs(data[:, 1] - [-0.25, 0.75, 0.75])) < 5e-4
 
 
+def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
+    cfg = _config(
+        {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 12]},
+        field={"kind": "constant", "b": [0.0, 0.0, 1.0]},
+        solver={"n_eigenpairs": 2, "tol": 1e-10, "dense_threshold": 100},
+        spectrum={"operator": "full-H-renormalized", "epsilon": 0.05, "m_u": 5},
+    )
+    caplog.set_level("INFO", logger="thinlayer")
+    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg),
+               "--out", str(tmp_path), "--verbose"])
+    assert rc == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eigensolve")]
+    assert len(lines) == 1
+    assert "method=shift-invert-lanczos" in lines[0] and "inner_solve=pcg" in lines[0]
+    assert "cg_iterations_max=" in lines[0] and "max_residual=" in lines[0]
+    assert (tmp_path / "spectrum.csv").read_text().splitlines()[0] == "n,eigenvalue,residual"
+
+
 def test_spectrum_sphere_effective(tmp_path):
     cfg = _config(
         {"family": "full-sphere", "params": {"radius": 1.0}, "grid": [200, 400]},

@@ -4,6 +4,7 @@ import pytest
 from thinlayer import (
     FitError,
     GeometryFamily,
+    SolverError,
     SweepSpec,
     ThinLayerError,
     TransverseMode,
@@ -238,6 +239,41 @@ def test_sweep_skips_rows_where_embedding_fails(monkeypatch):
     assert len(skipped) == 1 and skipped[0].eps == 0.1
     assert "staged overlap" in skipped[0].reason
     assert "skipped:staged overlap" in report.to_csv()
+
+
+def test_failed_discretization_estimate_is_recorded(monkeypatch):
+    import thinlayer.convergence as conv
+
+    real_gaps = conv._compute_gaps_only
+
+    def staged(patch, fieldspec, electric, eps, *args):
+        if abs(eps - 0.1) < 1e-12:
+            raise SolverError("staged doubled-grid failure")
+        return real_gaps(patch, fieldspec, electric, eps, *args)
+
+    base = dict(
+        family=GeometryFamily("circle", {"radius": 1.0}),
+        grid=(48,),
+        field=zero_field(2),
+        epsilons=(0.2, 0.1),
+        m_u=9,
+        grid_doubling=True,
+    )
+    assert "disc_estimate_failures" not in run_sweep(SweepSpec(**base)).summary()["meta"]
+    monkeypatch.setattr(conv, "_compute_gaps_only", staged)
+    report = run_sweep(SweepSpec(**base, threads=2))
+    rows = {r.eps: r for r in report.rows}
+    assert np.isfinite(rows[0.2].disc_est) and np.isnan(rows[0.1].disc_est)
+    assert report.summary()["meta"]["disc_estimate_failures"] == [
+        {"eps": 0.1, "reason": "SolverError: staged doubled-grid failure"}
+    ]
+
+    def broken(*args):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(conv, "_compute_gaps_only", broken)
+    with pytest.raises(ValueError):
+        run_sweep(SweepSpec(**base))
 
 
 def test_sweep_threads_match_sequential():

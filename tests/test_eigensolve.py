@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,15 +11,19 @@ from thinlayer import (
     assemble_effective,
     assemble_full,
     build_patch,
+    constant_field,
+    gauge_fix,
     gershgorin_bounds,
     layer_geometry,
     lowest_eigenpairs,
     opnorm_estimate,
+    pullback,
     renormalize,
     resolvent_apply,
     zero_layer_potential,
 )
 from thinlayer.convergence import TransverseMode
+from thinlayer.operators import SurfaceBlock
 
 
 def test_interval_laplacian_classical_value():
@@ -69,6 +75,105 @@ def test_residuals_and_orthonormality(sphere_patch):
     gram = spec.vectors.conj().T @ spec.vectors
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
     assert np.isrealobj(spec.values)
+
+
+# ---------------------------------------------------------------------------
+# inner solves of shift-invert: sparse LU and PCG on 2-D layers
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_torus():
+    return build_patch(GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (16, 16))
+
+
+def _torus_layer(patch, eps, m_u=9):
+    lay = layer_geometry(patch, eps, m_u)
+    pot = gauge_fix(pullback(constant_field(3, [0.0, 0.0, 1.0]), lay))
+    return renormalize(assemble_full(lay, pot))
+
+
+def test_pcg_and_lu_paths_agree_on_complex_torus_layer(small_torus):
+    op = _torus_layer(small_torus, 0.05)
+    assert op.is_complex and op.n_dof > 100
+    pcg = lowest_eigenpairs(op, 4, dense_cutoff=100)
+    # the same matrix without its decoupled factor takes the sparse LU
+    lu = lowest_eigenpairs(dataclasses.replace(op, surface_block=None), 4, dense_cutoff=100)
+    assert pcg.meta["inner_solve"] == "pcg" and lu.meta["inner_solve"] == "lu"
+    assert pcg.meta["method"] == lu.meta["method"] == "shift-invert-lanczos"
+    assert np.max(np.abs(pcg.values - lu.values)) < 1e-9
+    assert np.max(pcg.residuals) < 1e-8
+    assert pcg.meta["opinv_applications"] > 0
+    assert 0 < pcg.meta["cg_iterations_max"] <= pcg.meta["cg_iterations"]
+    assert lu.meta["cg_iterations"] == 0
+
+
+def test_pcg_iterations_do_not_grow_as_eps_halves(small_torus):
+    # the comparison operators bound the layer operator with eps-uniform
+    # constants, so the preconditioned iteration counts stay flat (or fall)
+    per_solve, worst = [], []
+    for eps in (0.05, 0.025, 0.0125):
+        meta = lowest_eigenpairs(_torus_layer(small_torus, eps), 4, dense_cutoff=100).meta
+        assert meta["inner_solve"] == "pcg"
+        per_solve.append(meta["cg_iterations"] / meta["opinv_applications"])
+        worst.append(meta["cg_iterations_max"])
+    assert all(b <= a for a, b in zip(per_solve, per_solve[1:])), per_solve
+    assert all(b <= a for a, b in zip(worst, worst[1:])), worst
+
+
+def test_circle_layer_stays_on_lu(circle_patch):
+    lay = layer_geometry(circle_patch, 0.1, 9)
+    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    assert H.surface_block is not None
+    spec = lowest_eigenpairs(H, 3, dense_cutoff=100)
+    assert spec.meta["inner_solve"] == "lu"
+    assert spec.meta["cg_iterations"] == 0
+
+
+def test_decoupled_preconditioner_is_positive_definite_at_any_shift(small_torus):
+    from thinlayer.eigensolve import _decoupled_inverse
+
+    op = _torus_layer(small_torus, 0.05, m_u=5)
+    rng = np.random.default_rng(0)
+    for sigma in (-1e3, 0.0, 1e6):  # below, inside and far above the spectrum
+        apply = _decoupled_inverse(op, sigma, op.matrix.dtype)
+        for _ in range(3):
+            r = rng.standard_normal(op.n_dof) + 1j * rng.standard_normal(op.n_dof)
+            assert np.vdot(r, apply(r)).real > 0
+
+
+@pytest.mark.parametrize(
+    "factor,failure",
+    [(1e-6, "did not converge"), (-1.0, "broke down")],  # weak / indefinite
+)
+def test_pcg_raises_on_wrong_surface_block(small_torus, factor, failure):
+    op = _torus_layer(small_torus, 0.025)
+    block = op.surface_block
+    wrong = dataclasses.replace(
+        op, surface_block=SurfaceBlock(factor * block.matrix, block.floor)
+    )
+    pattern = rf"PCG {failure} at shift -?\d.* iterations \(relative residual"
+    with pytest.raises(SolverError, match=pattern):
+        lowest_eigenpairs(wrong, 4, dense_cutoff=100)
+
+
+def test_nearest_eigenvalue_swallows_only_solver_failures(monkeypatch):
+    import thinlayer.eigensolve as es
+
+    op = AssembledOperator.from_matrix(sp.csr_array(np.diag([1.0, 2.0, 3.0, 4.0])))
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(es.spla, "eigsh", singular)
+    assert np.isnan(es.nearest_eigenvalue(op, 2.0))
+
+    def broken(*args, **kwargs):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(es.spla, "eigsh", broken)
+    with pytest.raises(TypeError):
+        es.nearest_eigenvalue(op, 2.0)
 
 
 def test_too_many_pairs_rejected():
