@@ -39,6 +39,7 @@ from .magnetics import (
     effective_field,
     effective_field_from_chart,
     gauge_fix,
+    layer_potential,
     polynomial_field,
     polynomial_potential,
     pullback,

@@ -31,7 +31,7 @@ from .geometry import (
     layer_geometry,
     v_eff,
 )
-from .magnetics import effective_field, gauge_fix, pullback, zero_layer_potential
+from .magnetics import effective_field, layer_potential
 from .operators import (
     assemble_comparison,
     assemble_effective,
@@ -72,12 +72,6 @@ def _solver_args(cfg: RunConfig, seed_override):
         "seed": seed_override if seed_override is not None else cfg.solver_opt("seed", 42),
         "dense_cutoff": cfg.solver_opt("dense_threshold", None),
     }
-
-
-def _build_layer_potential(field, layer):
-    if field.kind == "zero":
-        return zero_layer_potential(layer)
-    return gauge_fix(pullback(field, layer))
 
 
 def cmd_geometry(cfg: RunConfig, out: Path, args) -> int:
@@ -171,7 +165,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
             raise ConfigError("spectrum of a layer operator needs spectrum.epsilon")
         m_u = spec_cfg.get("m_u", 17)
         layer = layer_geometry(patch, float(eps), int(m_u))
-        pot = _build_layer_potential(field, layer)
+        pot = layer_potential(field, layer)
         if kind in ("full-H", "full-H-renormalized"):
             op = assemble_full(layer, pot, electric, order=order)
             if kind == "full-H-renormalized":

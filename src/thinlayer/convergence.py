@@ -23,10 +23,8 @@ from .geometry import (
 from .magnetics import (
     AmbientField,
     ScalarPotential,
-    gauge_fix,
     effective_field,
-    pullback,
-    zero_layer_potential,
+    layer_potential,
 )
 from .operators import (
     AssembledOperator,
@@ -362,12 +360,6 @@ class ConvergenceReport:
         return json.dumps(self.summary(), indent=1, sort_keys=True) + "\n"
 
 
-def _layer_potential(fieldspec, layer):
-    if fieldspec.kind == "zero":
-        return zero_layer_potential(layer)
-    return gauge_fix(pullback(fieldspec, layer))
-
-
 def _cluster_indices(values, rtol=1e-8):
     clusters = []
     for i, v in enumerate(values):
@@ -406,38 +398,51 @@ def _match_pairs(overlaps, eff_vals, full_vals, n_pairs):
     return assignment, ambiguous
 
 
-def _compute_gaps_only(patch, fieldspec, electric, eps, m_u, n_pairs, tol, seed,
-                       dense_cutoff, order):
-    """Eigenvalue gaps |lambda_n - mu_n| on a given patch (used at the doubled
-    grid for the discretization estimate)."""
-    eff = effective_field(fieldspec, patch)
-    heff = assemble_effective(patch, eff, electric, order)
-    n_solve = min(n_pairs + 3, heff.n_dof)
-    eff_spec = lowest_eigenpairs(heff, n_solve, tol=tol, seed=seed,
-                                 dense_cutoff=dense_cutoff)
+def _solve_row(patch, eff_spec, fieldspec, electric, eps, m_u, n_pairs, tol, seed,
+               dense_cutoff, order):
+    """Renormalized layer operator at one width, its lowest eigenpairs and
+    their matching to the effective eigenpairs eff_spec.
+
+    Returns (hren, full_spec, overlaps, assignment, ambiguous, cluster_gap);
+    cluster_gap[a] (a < n_pairs) is the distance from mu_a to the mean of the
+    layer eigenvalues matched to mu_a's degenerate cluster.
+    """
     layer = layer_geometry(patch, eps, m_u)
-    pot = _layer_potential(fieldspec, layer)
+    pot = layer_potential(fieldspec, layer)
     pots = potential_grids(layer)
     hren = renormalize(assemble_full(layer, pot, electric, pots, order))
     mode = TransverseMode.from_count(m_u)
-    full_solve = min(n_solve + 3, hren.n_dof)
+    full_solve = min(eff_spec.n_pairs + 3, hren.n_dof)
     full_spec = lowest_eigenpairs(hren, full_solve, tol=tol, seed=seed,
                                   dense_cutoff=dense_cutoff)
     emb = (eff_spec.vectors[:, None, :] * mode.chi_scaled[None, :, None]).reshape(
         hren.n_dof, -1
     )
     overlaps = np.abs(emb.conj().T @ full_spec.vectors)
-    assignment, _ = _match_pairs(overlaps, eff_spec.values, full_spec.values, n_pairs)
-    clusters = _cluster_indices(eff_spec.values)
-    gaps = np.full(n_pairs, np.nan)
-    for cl in clusters:
+    assignment, ambiguous = _match_pairs(
+        overlaps, eff_spec.values, full_spec.values, n_pairs
+    )
+    cluster_gap = np.full(n_pairs, np.nan)
+    for cl in _cluster_indices(eff_spec.values):
         members = [a for a in cl if a < n_pairs]
         if not members:
             continue
         lam_mean = float(np.mean([full_spec.values[assignment[a]] for a in members]))
         for a in members:
-            gaps[a] = abs(lam_mean - eff_spec.values[a])
-    return gaps
+            cluster_gap[a] = abs(lam_mean - eff_spec.values[a])
+    return hren, full_spec, overlaps, assignment, ambiguous, cluster_gap
+
+
+def _compute_gaps_only(patch, fieldspec, electric, eps, m_u, n_pairs, tol, seed,
+                       dense_cutoff, order):
+    """Eigenvalue gaps |lambda_n - mu_n| on a given patch (used at the doubled
+    grid for the discretization estimate)."""
+    eff = effective_field(fieldspec, patch)
+    heff = assemble_effective(patch, eff, electric, order)
+    eff_spec = lowest_eigenpairs(heff, min(n_pairs + 3, heff.n_dof), tol=tol,
+                                 seed=seed, dense_cutoff=dense_cutoff)
+    return _solve_row(patch, eff_spec, fieldspec, electric, eps, m_u, n_pairs,
+                      tol, seed, dense_cutoff, order)[-1]
 
 
 def run_sweep(spec: SweepSpec) -> ConvergenceReport:
@@ -455,15 +460,14 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     mode = TransverseMode.from_count(spec.m_u)
     eff = effective_field(spec.field, patch)
     heff = assemble_effective(patch, eff, spec.electric, spec.order)
-    n_solve = min(spec.n_pairs + 3, heff.n_dof)
     eff_spec = lowest_eigenpairs(
-        heff, n_solve, tol=spec.tol, seed=spec.seed, dense_cutoff=spec.dense_cutoff
+        heff, min(spec.n_pairs + 3, heff.n_dof), tol=spec.tol, seed=spec.seed,
+        dense_cutoff=spec.dense_cutoff,
     )
-    clusters = _cluster_indices(eff_spec.values)
 
     # k policy: evaluated at the largest width, shared across the sweep
     layer0 = layer_geometry(patch, eps_list[0], spec.m_u)
-    pot0 = _layer_potential(spec.field, layer0)
+    pot0 = layer_potential(spec.field, layer0)
     pots0 = potential_grids(layer0)
     consts0 = comparison_constants(layer0, pots0, pot0)
     if spec.k_override is not None:
@@ -485,20 +489,9 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
                 SweepRow(eps=eps, n=n + 1, skipped=True, reason=emb.reason or "embedding")
                 for n in range(spec.n_pairs)
             ]
-        layer = layer_geometry(patch, eps, spec.m_u)
-        pot = _layer_potential(spec.field, layer)
-        pots = potential_grids(layer)
-        hren = renormalize(assemble_full(layer, pot, spec.electric, pots, spec.order))
-        full_solve = min(n_solve + 3, hren.n_dof)
-        full_spec = lowest_eigenpairs(
-            hren, full_solve, tol=spec.tol, seed=spec.seed, dense_cutoff=spec.dense_cutoff
-        )
-        emb_vecs = (
-            eff_spec.vectors[:, None, :] * mode.chi_scaled[None, :, None]
-        ).reshape(hren.n_dof, -1)
-        overlaps = np.abs(emb_vecs.conj().T @ full_spec.vectors)
-        assignment, ambiguous = _match_pairs(
-            overlaps, eff_spec.values, full_spec.values, spec.n_pairs
+        hren, full_spec, overlaps, assignment, ambiguous, cluster_gap = _solve_row(
+            patch, eff_spec, spec.field, spec.electric, eps, spec.m_u, spec.n_pairs,
+            spec.tol, spec.seed, spec.dense_cutoff, spec.order,
         )
 
         def mv(v):
@@ -513,17 +506,6 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
             seed=spec.seed,
             is_complex=hren.is_complex or heff.is_complex,
         ).value
-
-        cluster_gap = np.full(n_solve, np.nan)
-        for cl in clusters:
-            members = [a for a in cl if a < spec.n_pairs]
-            if not members:
-                continue
-            lam_mean = float(
-                np.mean([full_spec.values[assignment[a]] for a in members])
-            )
-            for a in members:
-                cluster_gap[a] = abs(lam_mean - eff_spec.values[a])
 
         disc = np.full(spec.n_pairs, np.nan)
         if patch_fine is not None:
@@ -579,32 +561,6 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
         chunks = [one_row(e) for e in eps_list]
     rows = [r for chunk in chunks for r in chunk]
 
-    scalar_tol = max(1e-10, 100.0 * spec.tol)
-    # eigenfunction-type observables sit at the square root of round-off when
-    # the discrete operators coincide (norms of nearly identical unit vectors)
-    exact_tols = {
-        "cluster_gap": scalar_tol,
-        "efunc": max(1e-7, np.sqrt(scalar_tol)),
-        "leakage": max(1e-7, np.sqrt(scalar_tol)),
-        "resolvent": scalar_tol,
-    }
-    fits = {}
-    for name in ("cluster_gap", "efunc", "leakage", "resolvent"):
-        eps_v, vals = [], []
-        for r in rows:
-            if r.n != 1 or r.skipped or r.flags:
-                continue
-            eps_v.append(r.eps)
-            vals.append(getattr(r, name))
-        vals = np.asarray(vals)
-        if vals.size and np.all(np.abs(vals) <= exact_tols[name]):
-            fits[name] = EXACT_TAG
-            continue
-        try:
-            fits[name] = fit_rate(np.asarray(eps_v), vals)
-        except FitError:
-            fits[name] = INSUFFICIENT_TAG
-
     meta = {
         "geometry": patch.label(),
         "field": spec.field.label,
@@ -624,7 +580,27 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     }
     if disc_failures:
         meta["disc_estimate_failures"] = sorted(disc_failures, key=lambda f: -f["eps"])
-    return ConvergenceReport(rows=rows, fits=fits, k=k, meta=meta)
+    report = ConvergenceReport(rows=rows, fits={}, k=k, meta=meta)
+
+    scalar_tol = max(1e-10, 100.0 * spec.tol)
+    # eigenfunction-type observables sit at the square root of round-off when
+    # the discrete operators coincide (norms of nearly identical unit vectors)
+    exact_tols = {
+        "cluster_gap": scalar_tol,
+        "efunc": max(1e-7, np.sqrt(scalar_tol)),
+        "leakage": max(1e-7, np.sqrt(scalar_tol)),
+        "resolvent": scalar_tol,
+    }
+    for name in ("cluster_gap", "efunc", "leakage", "resolvent"):
+        eps_v, vals = report.observable_values(name)
+        if vals.size and np.all(np.abs(vals) <= exact_tols[name]):
+            report.fits[name] = EXACT_TAG
+            continue
+        try:
+            report.fits[name] = fit_rate(eps_v, vals)
+        except FitError:
+            report.fits[name] = INSUFFICIENT_TAG
+    return report
 
 
 def sweep_acceptance(report: ConvergenceReport) -> tuple[bool, list[str]]:

@@ -1,7 +1,7 @@
 """Lowest eigenpairs, resolvent application and operator-norm estimation.
 
-Dense solves below a size threshold (default 4000 dofs, override with the
-THINLAYER_DENSE_THRESHOLD environment variable or per call). Above it,
+Dense solves below a size threshold (default 4000 dofs, override per call
+with dense_cutoff; the CLI passes solver.dense_threshold). Above it,
 shift-invert Lanczos (ARPACK) with a deterministic seeded start vector; its
 inverse (H - sigma)^-1 is applied by one of two inner solves, built afresh for
 each call:
@@ -24,7 +24,6 @@ calls with the same shift.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +41,6 @@ DEFAULT_TOL = 1e-10
 PCG_RTOL = 1e-12
 #: PCG iterations per inner solve before it raises
 PCG_MAXITER = 100
-
-
-def dense_threshold(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("THINLAYER_DENSE_THRESHOLD", "")
-    if env:
-        return int(env)
-    return DEFAULT_DENSE_THRESHOLD
 
 
 @dataclass
@@ -311,7 +301,7 @@ def lowest_eigenpairs(
     n = op.n_dof
     if n_pairs > n:
         raise SolverError(f"requested {n_pairs} pairs from a {n}-dof operator")
-    cutoff = dense_threshold(dense_cutoff)
+    cutoff = DEFAULT_DENSE_THRESHOLD if dense_cutoff is None else int(dense_cutoff)
     if n <= cutoff or n_pairs >= n - 1:
         spec = _dense_pairs(op, n_pairs, tol, seed)
     else:

@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .errors import EmbeddingError, GeometryError
 
 PERIODIC = "periodic"
@@ -424,12 +423,6 @@ class HypersurfacePatch:
         """Node weights of the discrete surface measure, flattened."""
         return (self.sqrt_g * self.cell_area).reshape(-1)
 
-    def has_mixed_metric(self) -> bool:
-        if self.dim < 2:
-            return False
-        off = self.metric[..., 0, 1]
-        return bool(np.any(np.abs(off) > 1e-14 * (1.0 + np.abs(self.metric).max())))
-
     def label(self) -> str:
         return f"{self.family.label()}[{'x'.join(str(n) for n in self.grid_shape)}]"
 
@@ -598,8 +591,6 @@ class LayerGeometry:
     det_ratio_sqrt: np.ndarray  # (*grid, m): sqrt(det G_surf) / sqrt(det g)
     log_jac: np.ndarray  # (*grid, m)
     dlog_jac_du: np.ndarray
-    d2log_jac_du2: np.ndarray
-    dlog_jac_dx: np.ndarray  # (*grid, m, dim)
 
     @property
     def m_u(self) -> int:
@@ -658,15 +649,7 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
     J = 0.5 * np.sum(np.log(fac), axis=-1)
     ek = eps * patch.kappa[..., None, :]
     dJ = -0.5 * np.sum(ek / fac, axis=-1)
-    d2J = -0.5 * np.sum((ek / fac) ** 2, axis=-1)
-    dJx = np.stack(
-        [
-            grid_deriv1(J, k, patch.axes[k].h, patch.axes[k].periodic)
-            for k in range(len(patch.axes))
-        ],
-        axis=-1,
-    )
-    _freeze(fac, G, G_inv, det_ratio, J, dJ, d2J, dJx)
+    _freeze(fac, G, G_inv, det_ratio, J, dJ)
     return LayerGeometry(
         patch=patch,
         eps=float(eps),
@@ -678,8 +661,6 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
         det_ratio_sqrt=det_ratio,
         log_jac=J,
         dlog_jac_du=dJ,
-        d2log_jac_du2=d2J,
-        dlog_jac_dx=dJx,
     )
 
 
@@ -729,6 +710,44 @@ def _chart_arclengths(patch):
     return coords.reshape(-1, naxes), periods
 
 
+def _clearance(schart, period, plo, phi, cutoff):
+    """Minimum layer clearance over chart-separated node pairs.
+
+    For every node pair whose chart distance exceeds `cutoff`, the smallest
+    ambient distance between their extreme layer points plo, phi (the offsets
+    x -/+ eps*n). Returns (clearance, i, j); clearance is inf when no pair
+    passes the cutoff.
+    """
+    n, naxes = schart.shape
+    best = np.inf
+    bi = bj = -1
+    block = max(1, int(2.0e6 // max(n, 1)))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        dk = np.abs(schart[start:stop, None, :] - schart[None, :, :])
+        for k in range(naxes):
+            if period[k] > 0.0:
+                dk[..., k] = np.minimum(dk[..., k], period[k] - dk[..., k])
+        chart2 = np.sum(dk * dk, axis=-1)
+        mask = chart2 > cutoff * cutoff
+        iu = np.arange(start, stop)[:, None] < np.arange(n)[None, :]
+        mask &= iu
+        if not mask.any():
+            continue
+        m = np.full(mask.shape, np.inf)
+        for pa in (plo[start:stop], phi[start:stop]):
+            for pb in (plo, phi):
+                dd = pa[:, None, :] - pb[None, :, :]
+                np.minimum(m, np.sum(dd * dd, axis=-1), out=m)
+        m[~mask] = np.inf
+        idx = np.unravel_index(np.argmin(m), m.shape)
+        if m[idx] < best:
+            best = m[idx]
+            bi = start + idx[0]
+            bj = int(idx[1])
+    return (np.sqrt(best) if bi >= 0 else np.inf), bi, bj
+
+
 def check_embedding(
     patch: HypersurfacePatch,
     eps: float,
@@ -768,9 +787,7 @@ def check_embedding(
     sel = np.arange(0, ns, stride)
     plo = x[sel] - eps * n[sel]
     phi = x[sel] + eps * n[sel]
-    clearance, bi, bj = kernels.min_clearance(
-        schart[sel], periods, plo, phi, cutoff
-    )
+    clearance, bi, bj = _clearance(schart[sel], periods, plo, phi, cutoff)
     ok = clearance >= margin
     pair = None
     if not ok:

@@ -268,10 +268,6 @@ class GaugeFixedPotential:
     sup_quad: float
     field_label: str = "unknown"
 
-    @property
-    def is_fixed(self) -> bool:
-        return True
-
     def is_zero(self) -> bool:
         # tolerate round-off left behind by the gauge-fix differentiation
         return (
@@ -370,6 +366,13 @@ def zero_layer_potential(layer: LayerGeometry) -> GaugeFixedPotential:
         sup_quad=0.0,
         field_label="zero",
     )
+
+
+def layer_potential(field: AmbientField, layer: LayerGeometry) -> GaugeFixedPotential:
+    """Gauge-fixed layer potential of an ambient field (zero field: all zeros)."""
+    if field.kind == "zero":
+        return zero_layer_potential(layer)
+    return gauge_fix(pullback(field, layer))
 
 
 # ---------------------------------------------------------------------------

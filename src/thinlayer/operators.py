@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import kernels
 from .errors import AssemblyError
 from .geometry import (
     DIRICHLET,
@@ -310,6 +309,42 @@ class _TripletBag:
         )
 
 
+# ---------------------------------------------------------------------------
+# divergence-form edge triplets
+#
+# One edge couples dofs gi <-> gj with off-diagonal magnitude coff (already
+# weight-normalized) and diagonal additions di, dj. theta is the line integral
+# of the vector potential along the edge; the off-diagonal entry picks up the
+# unit phase exp(-i theta).
+# ---------------------------------------------------------------------------
+
+
+def _diag_triplets(gi, gj, coff, di, dj, theta):
+    n = gi.size
+    rows = np.empty(4 * n, np.int64)
+    cols = np.empty(4 * n, np.int64)
+    rows[0::4] = gi
+    cols[0::4] = gj
+    rows[1::4] = gj
+    cols[1::4] = gi
+    rows[2::4] = gi
+    cols[2::4] = gi
+    rows[3::4] = gj
+    cols[3::4] = gj
+    if theta is None:
+        vals = np.empty(4 * n, np.float64)
+        vals[0::4] = -coff
+        vals[1::4] = -coff
+    else:
+        vals = np.empty(4 * n, np.complex128)
+        off = -coff * np.exp(-1j * theta)
+        vals[0::4] = off
+        vals[1::4] = np.conj(off)
+    vals[2::4] = di
+    vals[3::4] = dj
+    return rows, cols, vals
+
+
 def _surface_operator(patch, inv, alpha, m, order=None):
     """Scaled surface stencil on (chart grid) x (m transverse slabs).
 
@@ -353,7 +388,7 @@ def _surface_operator(patch, inv, alpha, m, order=None):
         di = (c * (si * si)[..., None]).reshape(-1)
         dj = (c * (sj * sj)[..., None]).reshape(-1)
         th = None if theta is None else theta.reshape(-1)
-        bag.add(*kernels.diag_triplets(gi, gj, coff, di, dj, th))
+        bag.add(*_diag_triplets(gi, gj, coff, di, dj, th))
 
     for k in range(naxes):
         ax = patch.axes[k]
@@ -496,6 +531,50 @@ def _edge_theta_maps(patch, alpha_k, k):
     return tp, tm
 
 
+# ---------------------------------------------------------------------------
+# mixed-derivative (off-diagonal metric) triplets
+#
+# Centered covariant differences in two chart directions multiplied under a
+# real node coefficient. Per node: 8 entries coupling the four neighbours
+# (missing neighbours are marked -1 and emit inert zero slots at (0, 0)).
+# base = sqrt|g| * G^{01} / (4 h0 h1); isw[g] = 1 / sqrt(node weight density).
+# t0p is the phase angle for the hop node -> node+e0, t0m for node -> node-e0.
+# ---------------------------------------------------------------------------
+
+
+def _mixed_triplets(gp0, gm0, gp1, gm1, base, isw, t0p, t0m, t1p, t1m):
+    n = base.size
+    rows = np.empty(8 * n, np.int64)
+    cols = np.empty(8 * n, np.int64)
+    cplx = t0p is not None
+    vals = np.empty(8 * n, np.complex128 if cplx else np.float64)
+
+    def emit(slot, a, b, sign, pa, pb):
+        ok = (a >= 0) & (b >= 0)
+        aa = np.where(ok, a, 0)
+        bb = np.where(ok, b, 0)
+        v = sign * base * isw[aa] * isw[bb]
+        if cplx:
+            v = v * np.exp(1j * (pa - pb))
+        v = np.where(ok, v, 0)
+        rows[slot::8] = np.where(ok, aa, 0)
+        cols[slot::8] = np.where(ok, bb, 0)
+        vals[slot::8] = v
+        rows[slot + 1 :: 8] = np.where(ok, bb, 0)
+        cols[slot + 1 :: 8] = np.where(ok, aa, 0)
+        vals[slot + 1 :: 8] = np.conj(v) if cplx else v
+
+    z = np.zeros(n) if t0p is None else None
+    a0p, a0m, a1p, a1m = (
+        (t0p, t0m, t1p, t1m) if cplx else (z, z, z, z)
+    )
+    emit(0, gp0, gp1, 1.0, a0p, a1p)
+    emit(2, gp0, gm1, -1.0, a0p, a1m)
+    emit(4, gm0, gp1, -1.0, a0m, a1p)
+    emit(6, gm0, gm1, 1.0, a0m, a1m)
+    return rows, cols, vals
+
+
 def _emit_mixed(patch, inv, alpha, m, I, sg_m, isqrt_sg, bag):
     for ax in patch.axes:
         if ax.closure in (POLE_POLE, POLE_DIRICHLET):
@@ -521,7 +600,7 @@ def _emit_mixed(patch, inv, alpha, m, I, sg_m, isqrt_sg, bag):
         t1p, t1m = _edge_theta_maps(patch, alpha[..., 1], 1)
         th = (t0p.reshape(-1), t0m.reshape(-1), t1p.reshape(-1), t1m.reshape(-1))
     bag.add(
-        *kernels.mixed_triplets(gp0, gm0, gp1, gm1, base.reshape(-1), isw, *th)
+        *_mixed_triplets(gp0, gm0, gp1, gm1, base.reshape(-1), isw, *th)
     )
 
 

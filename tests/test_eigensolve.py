@@ -281,11 +281,14 @@ def test_dense_and_iterative_agree_on_comparison_operator(circle_patch):
     assert np.max(np.abs(dense.values - sparse.values)) < 1e-8
 
 
-def test_dense_threshold_env_override(monkeypatch):
-    from thinlayer.eigensolve import dense_threshold
+def test_dense_threshold_env_override(segment_patch):
+    """The dense cutoff is set per call only; sizes at or below it go dense."""
+    from thinlayer.eigensolve import DEFAULT_DENSE_THRESHOLD
 
-    monkeypatch.delenv("THINLAYER_DENSE_THRESHOLD", raising=False)
-    assert dense_threshold() == 4000
-    monkeypatch.setenv("THINLAYER_DENSE_THRESHOLD", "123")
-    assert dense_threshold() == 123
-    assert dense_threshold(77) == 77  # explicit argument wins
+    assert DEFAULT_DENSE_THRESHOLD == 4000
+    op = assemble_effective(segment_patch)
+    n = op.n_dof
+    below = lowest_eigenpairs(op, 2, dense_cutoff=n - 1)
+    assert below.meta["method"] == "shift-invert-lanczos"
+    for cutoff in (n, n + 1):
+        assert lowest_eigenpairs(op, 2, dense_cutoff=cutoff).meta["method"] == "dense"
