@@ -73,7 +73,7 @@ from .eigensolve import (
     gershgorin_bounds,
     lowest_eigenpairs,
     opnorm_estimate,
-    resolvent_apply,
+    resolvent,
 )
 from .convergence import (
     ConvergenceReport,

@@ -269,27 +269,29 @@ def load_sampled_geometry(path, n_index_cols=None) -> np.ndarray:
     return pos.reshape(shape + (d,))
 
 
-def load_sampled_field_csv(path, dim) -> tuple[list, np.ndarray]:
-    """Sampled potential from CSV rows (ambient point, potential components)."""
+def load_sampled_grid_csv(path, dim, n_values) -> tuple[list, np.ndarray]:
+    """Values on a rectangular grid from CSV rows (ambient point, n_values
+    values); every grid node must appear exactly once."""
     data = _load_numeric_csv(path)
-    if data.shape[1] != 2 * dim:
+    if data.shape[1] != dim + n_values:
         raise ConfigError(
-            f"sampled field CSV needs {2 * dim} columns (point, components), "
-            f"got {data.shape[1]}"
+            f"sampled CSV {path} needs {dim + n_values} columns ({dim} point "
+            f"coordinates, {n_values} values), got {data.shape[1]}"
         )
-    axes = []
-    idx_cols = []
-    for k in range(dim):
-        vals = np.unique(data[:, k])
-        axes.append(vals)
-        idx_cols.append(np.searchsorted(vals, data[:, k]))
+    axes = [np.unique(data[:, k]) for k in range(dim)]
     shape = tuple(a.size for a in axes)
-    if data.shape[0] != int(np.prod(shape)):
-        raise ConfigError("sampled field CSV is not a full rectangular grid")
-    lin = np.ravel_multi_index(tuple(idx_cols), shape)
-    values = np.empty((int(np.prod(shape)), dim))
+    n = int(np.prod(shape))
+    lin = np.ravel_multi_index(
+        tuple(np.searchsorted(a, data[:, k]) for k, a in enumerate(axes)), shape
+    )
+    if not np.array_equal(np.sort(lin), np.arange(n)):
+        raise ConfigError(
+            f"sampled CSV {path} does not list every node of its "
+            f"{'x'.join(map(str, shape))} grid exactly once"
+        )
+    values = np.empty((n, n_values))
     values[lin] = data[:, dim:]
-    return axes, values.reshape(shape + (dim,))
+    return axes, values.reshape(shape + (n_values,))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def build_field(cfg: RunConfig, dim: int) -> AmbientField:
     if kind == "sampled":
         if "csv" not in f:
             raise ConfigError("sampled field needs a csv entry")
-        axes, values = load_sampled_field_csv(Path(cfg.path).parent / f["csv"], dim)
+        axes, values = load_sampled_grid_csv(Path(cfg.path).parent / f["csv"], dim, dim)
         return sampled_field(dim, axes, values)
     raise ConfigError(f"unknown field kind {kind!r}")
 
@@ -352,20 +354,6 @@ def build_electric(cfg: RunConfig, dim: int) -> ScalarPotential | None:
     if kind == "sampled":
         if "csv" not in e:
             raise ConfigError("sampled electric potential needs a csv entry")
-        data = _load_numeric_csv(Path(cfg.path).parent / e["csv"])
-        if data.shape[1] != dim + 1:
-            raise ConfigError(
-                f"sampled electric CSV needs {dim + 1} columns, got {data.shape[1]}"
-            )
-        axes = []
-        idx_cols = []
-        for k in range(dim):
-            vals = np.unique(data[:, k])
-            axes.append(vals)
-            idx_cols.append(np.searchsorted(vals, data[:, k]))
-        shape = tuple(a.size for a in axes)
-        lin = np.ravel_multi_index(tuple(idx_cols), shape)
-        values = np.empty(int(np.prod(shape)))
-        values[lin] = data[:, dim]
-        return sampled_potential(axes, values.reshape(shape))
+        axes, values = load_sampled_grid_csv(Path(cfg.path).parent / e["csv"], dim, 1)
+        return sampled_potential(axes, values[..., 0])
     raise ConfigError(f"unknown electric potential kind {kind!r}")

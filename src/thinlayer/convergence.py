@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.stats import t as student_t
 
-from .eigensolve import lowest_eigenpairs, opnorm_estimate, resolvent_apply
+from .eigensolve import lowest_eigenpairs, opnorm_estimate, resolvent
 from .errors import EmbeddingError, FitError, ThinLayerError
 from .geometry import (
     GeometryFamily,
@@ -433,16 +433,20 @@ def _solve_row(patch, eff_spec, fieldspec, electric, eps, m_u, n_pairs, tol, see
     return hren, full_spec, overlaps, assignment, ambiguous, cluster_gap
 
 
-def _compute_gaps_only(patch, fieldspec, electric, eps, m_u, n_pairs, tol, seed,
-                       dense_cutoff, order):
-    """Eigenvalue gaps |lambda_n - mu_n| on a given patch (used at the doubled
-    grid for the discretization estimate)."""
-    eff = effective_field(fieldspec, patch)
-    heff = assemble_effective(patch, eff, electric, order)
-    eff_spec = lowest_eigenpairs(heff, min(n_pairs + 3, heff.n_dof), tol=tol,
-                                 seed=seed, dense_cutoff=dense_cutoff)
-    return _solve_row(patch, eff_spec, fieldspec, electric, eps, m_u, n_pairs,
-                      tol, seed, dense_cutoff, order)[-1]
+def _effective_pairs(spec: SweepSpec, patch):
+    """Effective operator on a patch and its n_pairs + 3 lowest pairs."""
+    heff = assemble_effective(
+        patch, effective_field(spec.field, patch), spec.electric, spec.order
+    )
+    eff_spec = lowest_eigenpairs(
+        heff, min(spec.n_pairs + 3, heff.n_dof), tol=spec.tol, seed=spec.seed,
+        dense_cutoff=spec.dense_cutoff,
+    )
+    return heff, eff_spec
+
+
+def _failure(exc: ThinLayerError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec) -> ConvergenceReport:
@@ -458,12 +462,7 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
             f"(pair {emb0.offending_pair})"
         )
     mode = TransverseMode.from_count(spec.m_u)
-    eff = effective_field(spec.field, patch)
-    heff = assemble_effective(patch, eff, spec.electric, spec.order)
-    eff_spec = lowest_eigenpairs(
-        heff, min(spec.n_pairs + 3, heff.n_dof), tol=spec.tol, seed=spec.seed,
-        dense_cutoff=spec.dense_cutoff,
-    )
+    heff, eff_spec = _effective_pairs(spec, patch)
 
     # k policy: evaluated at the largest width, shared across the sweep
     layer0 = layer_geometry(patch, eps_list[0], spec.m_u)
@@ -475,29 +474,36 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     else:
         k = max(1.0, 2.0 * abs(float(np.min(pots0.veff))) + 1.0 + consts0.offset)
 
-    doubling_ok = spec.grid_doubling and spec.family.kind != "user-sampled"
-    patch_fine = None
-    if doubling_ok:
+    # everything the rows share is built here, before the rows run, and only
+    # read afterwards
+    heff_resolvent = resolvent(heff, k, eff_spec.values[0])
+    patch_fine = eff_spec_fine = fine_failure = None
+    if spec.grid_doubling and spec.family.kind != "user-sampled":
         fine_grid = tuple(2 * n for n in np.atleast_1d(spec.grid))
         patch_fine = build_patch(spec.family, fine_grid)
-    disc_failures = []  # {eps, reason} of rows whose estimate failed
+        try:
+            eff_spec_fine = _effective_pairs(spec, patch_fine)[1]
+        except ThinLayerError as exc:
+            fine_failure = _failure(exc)
 
-    def one_row(eps: float) -> list[SweepRow]:
+    def one_row(eps: float) -> tuple[list[SweepRow], dict | None]:
+        """The rows at one width, and {eps, reason} when the grid-doubling
+        estimate failed."""
         emb = check_embedding(patch, eps)
         if not emb.passed:
             return [
                 SweepRow(eps=eps, n=n + 1, skipped=True, reason=emb.reason or "embedding")
                 for n in range(spec.n_pairs)
-            ]
+            ], None
         hren, full_spec, overlaps, assignment, ambiguous, cluster_gap = _solve_row(
             patch, eff_spec, spec.field, spec.electric, eps, spec.m_u, spec.n_pairs,
             spec.tol, spec.seed, spec.dense_cutoff, spec.order,
         )
+        hren_resolvent = resolvent(hren, k, full_spec.values[0])
 
         def mv(v):
-            x = resolvent_apply(hren, k, v)
-            y = resolvent_apply(heff, k, mode.project_ground(v))
-            return x - mode.embed(y)
+            y = heff_resolvent(mode.project_ground(v))
+            return hren_resolvent(v) - mode.embed(y)
 
         res_norm = opnorm_estimate(
             mv,
@@ -507,19 +513,20 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
             is_complex=hren.is_complex or heff.is_complex,
         ).value
 
+        # the estimate is advisory: on a failure the row keeps a NaN and the
+        # summary says why
         disc = np.full(spec.n_pairs, np.nan)
-        if patch_fine is not None:
+        failure = fine_failure
+        if eff_spec_fine is not None:
             try:
-                gaps_fine = _compute_gaps_only(
-                    patch_fine, spec.field, spec.electric, eps, spec.m_u,
-                    spec.n_pairs, spec.tol, spec.seed, spec.dense_cutoff, spec.order,
-                )
-                for a in range(spec.n_pairs):
-                    disc[a] = abs(cluster_gap[a] - gaps_fine[a])
+                gaps_fine = _solve_row(
+                    patch_fine, eff_spec_fine, spec.field, spec.electric, eps,
+                    spec.m_u, spec.n_pairs, spec.tol, spec.seed, spec.dense_cutoff,
+                    spec.order,
+                )[-1]
+                disc = np.abs(cluster_gap - gaps_fine)
             except ThinLayerError as exc:
-                # the estimate is advisory: the row keeps a NaN, the summary
-                # says why
-                disc_failures.append({"eps": eps, "reason": f"{type(exc).__name__}: {exc}"})
+                failure = _failure(exc)
 
         gap_floor = max(1e-10, 100.0 * spec.tol)
         rows = []
@@ -552,14 +559,15 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
                     flags=flags,
                 )
             )
-        return rows
+        return rows, None if failure is None else {"eps": eps, "reason": failure}
 
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             chunks = list(pool.map(one_row, eps_list))
     else:
         chunks = [one_row(e) for e in eps_list]
-    rows = [r for chunk in chunks for r in chunk]
+    rows = [r for chunk, _ in chunks for r in chunk]
+    disc_failures = [f for _, f in chunks if f is not None]
 
     meta = {
         "geometry": patch.label(),
@@ -579,7 +587,7 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
         ),
     }
     if disc_failures:
-        meta["disc_estimate_failures"] = sorted(disc_failures, key=lambda f: -f["eps"])
+        meta["disc_estimate_failures"] = disc_failures
     report = ConvergenceReport(rows=rows, fits={}, k=k, meta=meta)
 
     scalar_tol = max(1e-10, 100.0 * spec.tol)

@@ -19,8 +19,8 @@ each call:
     the LU stays banded and is cheaper, surface operators and explicit
     matrices.
 
-Resolvent applications use cached sparse LU factorizations, reused across
-calls with the same shift.
+resolvent(op, k, lambda_min) factors H + k once by sparse LU and returns the
+solve; the caller owns it, and nothing is stored on the operator.
 """
 from __future__ import annotations
 
@@ -41,6 +41,8 @@ DEFAULT_TOL = 1e-10
 PCG_RTOL = 1e-12
 #: PCG iterations per inner solve before it raises
 PCG_MAXITER = 100
+#: relative residual a resolvent solve must meet
+RESOLVENT_RTOL = 1e-10
 
 
 @dataclass
@@ -92,15 +94,9 @@ class _SolveWork:
     cg_iterations_max: int = 0
 
 
-def _lu_inverse(A, sigma, work):
+def _lu_inverse(A, sigma):
     ident = sp.eye_array(A.shape[0], format="csc", dtype=A.dtype)
-    lu = spla.splu((A - sigma * ident).tocsc())
-
-    def solve(b):
-        work.applications += 1
-        return lu.solve(b)
-
-    return solve
+    return spla.splu((A - sigma * ident).tocsc()).solve
 
 
 def _decoupled_inverse(op, sigma, dtype):
@@ -141,7 +137,6 @@ def _pcg_inverse(op, sigma, work):
     precond = _decoupled_inverse(op, sigma, H.dtype)
 
     def solve(b):
-        work.applications += 1
         bnorm = np.sqrt(np.vdot(b, b).real)
         x = np.zeros_like(b)
         if bnorm == 0.0:
@@ -194,8 +189,13 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
     work = _SolveWork()
 
     def factor(s):
-        solve = _pcg_inverse(op, s, work) if pcg else _lu_inverse(A, s, work)
-        return spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype)
+        solve = _pcg_inverse(op, s, work) if pcg else _lu_inverse(A, s)
+
+        def counted(b):
+            work.applications += 1
+            return solve(b)
+
+        return spla.LinearOperator(A.shape, matvec=counted, dtype=A.dtype)
 
     opinv = None
     attempts = 0
@@ -209,39 +209,6 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
             sigma -= 0.5 * (1.0 + abs(sigma))
 
     v0 = rng.standard_normal(n).astype(A.dtype)
-    if certified is None:
-        # A Gershgorin shift can sit orders of magnitude below the spectrum
-        # (stiff blocks inflate row sums), which clusters the inverted
-        # spectrum and stalls Lanczos. Estimate the bottom eigenvalue with a
-        # budgeted Lanczos pass on the factorized inverse, then refactor at a
-        # safer shift. All targets stay above sigma, so the estimate minus a
-        # margin proportional to the Lanczos tolerance cannot cross lambda_1.
-        est_tol = 1e-3
-        try:
-            top = spla.eigsh(
-                opinv,
-                k=1,
-                which="LA",
-                v0=v0,
-                tol=est_tol,
-                ncv=min(n - 1, 40),
-                maxiter=10,
-                return_eigenvectors=False,
-            )
-            theta = float(top[0])
-            if theta > 0.0:
-                lam1_est = sigma + 1.0 / theta
-                span = lam1_est - sigma
-                if span > 50.0 * max(1.0, abs(lam1_est)):
-                    refined = lam1_est - max(1.0, 4.0 * est_tol * span)
-                    try:
-                        opinv = factor(refined)
-                        sigma = refined
-                    except RuntimeError:
-                        pass  # keep the guaranteed-deep factorization
-        except (spla.ArpackNoConvergence, spla.ArpackError):
-            pass  # fall back to the deep shift (slower but safe)
-
     last_exc = None
     for attempt in range(3):
         try:
@@ -303,49 +270,43 @@ def lowest_eigenpairs(
         raise SolverError(f"requested {n_pairs} pairs from a {n}-dof operator")
     cutoff = DEFAULT_DENSE_THRESHOLD if dense_cutoff is None else int(dense_cutoff)
     if n <= cutoff or n_pairs >= n - 1:
-        spec = _dense_pairs(op, n_pairs, tol, seed)
-    else:
-        spec = _shift_invert_pairs(op, n_pairs, tol, seed)
-    op.meta.setdefault("lambda_min", float(spec.values[0]))
-    return spec
+        return _dense_pairs(op, n_pairs, tol, seed)
+    return _shift_invert_pairs(op, n_pairs, tol, seed)
 
 
-def resolvent_apply(
-    op: AssembledOperator, k: float, v: np.ndarray, rtol: float = 1e-10
-) -> np.ndarray:
-    """Solve (H + k) x = v by cached sparse factorization.
+def resolvent(op: AssembledOperator, k: float, lambda_min: float):
+    """The map v -> (H + k)^-1 v, factored once by sparse LU.
 
-    -k must lie in the resolvent set; when the operator's smallest eigenvalue
-    is known it is checked directly, otherwise a residual test on the solve
-    guards against a (near-)singular shift.
+    -k must lie below lambda_min, the smallest eigenvalue of H. Each solve is
+    checked by its residual, which catches a factorization that lost accuracy
+    because the shift sits too close to the spectrum.
     """
     k = float(k)
-    lam_min = op.meta.get("lambda_min")
-    if lam_min is not None and k <= -lam_min + 1e-12:
+    if k <= -lambda_min + 1e-12:
         raise SolverError(
-            f"shift k={k:g} is not in the resolvent set (lambda_min={lam_min:g})"
+            f"shift k={k:g} is not in the resolvent set (lambda_min={lambda_min:g})"
         )
-    fac = op._factors.get(k)
-    if fac is None:
-        M = (op.matrix + k * sp.eye_array(op.n_dof, dtype=op.matrix.dtype, format="csr")).tocsc()
-        try:
-            fac = spla.splu(M)
-        except RuntimeError as exc:
+    try:
+        solve = _lu_inverse(op.matrix.tocsc(), -k)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"factorization of H + {k:g} failed (shift at or near an "
+            f"eigenvalue): {exc}"
+        )
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v)
+        x = solve(v.astype(op.matrix.dtype, copy=False))
+        res = np.linalg.norm(op.matrix @ x + k * x - v)
+        if res > RESOLVENT_RTOL * max(np.linalg.norm(v), 1e-300):
+            near = nearest_eigenvalue(op, -k)
             raise SolverError(
-                f"factorization of H + {k:g} failed (shift at or near an "
-                f"eigenvalue): {exc}"
+                f"resolvent solve at k={k:g} lost accuracy (residual {res:.2e}); "
+                f"nearest eigenvalue ~ {near:.6g}"
             )
-        op._factors[k] = fac
-    v = np.asarray(v)
-    x = fac.solve(v.astype(fac.U.dtype, copy=False))
-    res = np.linalg.norm(op.matrix @ x + k * x - v)
-    if res > rtol * max(np.linalg.norm(v), 1e-300):
-        near = nearest_eigenvalue(op, -k)
-        raise SolverError(
-            f"resolvent solve at k={k:g} lost accuracy (residual {res:.2e}); "
-            f"nearest eigenvalue ~ {near:.6g}"
-        )
-    return x
+        return x
+
+    return apply
 
 
 def nearest_eigenvalue(op: AssembledOperator, target: float) -> float:

@@ -30,9 +30,6 @@ DIRICHLET = "dirichlet"
 POLE_POLE = "pole-pole"
 POLE_DIRICHLET = "pole-dirichlet"
 
-_CLOSURES = (PERIODIC, DIRICHLET, POLE_POLE, POLE_DIRICHLET)
-
-
 @dataclass(frozen=True)
 class ChartAxis:
     """One chart direction: node layout plus boundary behaviour."""
@@ -585,7 +582,6 @@ class LayerGeometry:
     eps: float
     u: np.ndarray  # (m,)
     h_u: float
-    factors: np.ndarray  # (*grid, m, dim)
     metric: np.ndarray  # (*grid, m, dim, dim), surface block of the layer metric
     metric_inv: np.ndarray
     det_ratio_sqrt: np.ndarray  # (*grid, m): sqrt(det G_surf) / sqrt(det g)
@@ -649,13 +645,12 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
     J = 0.5 * np.sum(np.log(fac), axis=-1)
     ek = eps * patch.kappa[..., None, :]
     dJ = -0.5 * np.sum(ek / fac, axis=-1)
-    _freeze(fac, G, G_inv, det_ratio, J, dJ)
+    _freeze(G, G_inv, det_ratio, J, dJ)
     return LayerGeometry(
         patch=patch,
         eps=float(eps),
         u=u,
         h_u=h_u,
-        factors=fac,
         metric=G,
         metric_inv=G_inv,
         det_ratio_sqrt=det_ratio,

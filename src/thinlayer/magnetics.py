@@ -17,8 +17,6 @@ from scipy.interpolate import RegularGridInterpolator
 from .errors import FieldError
 from .geometry import HypersurfacePatch, LayerGeometry, grid_deriv1
 
-FIELD_KINDS = ("zero", "constant", "linear-gauge", "sampled")
-
 
 def _eval_polynomial(components, pts):
     out = np.zeros_like(pts)

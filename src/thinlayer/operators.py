@@ -49,16 +49,6 @@ from .magnetics import EffectiveField, GaugeFixedPotential, ScalarPotential
 #: diverging offset removed by renormalization
 TRANSVERSE_GROUND_ENERGY = (np.pi / 2.0) ** 2
 
-OPERATOR_KINDS = (
-    "full-H",
-    "full-H-renormalized",
-    "h-eff",
-    "H0+",
-    "H0-",
-    "H0+-renormalized",
-    "H0--renormalized",
-)
-
 HERMITICITY_TOL = 1e-12
 
 
@@ -157,7 +147,6 @@ class AssembledOperator:
     field_label: str
     meta: dict = field(default_factory=dict)
     surface_block: SurfaceBlock | None = field(default=None, repr=False)
-    _factors: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_dof(self) -> int:
@@ -173,10 +162,6 @@ class AssembledOperator:
             return 0.0
         scale = max(float(np.abs(self.matrix.data).max()), 1e-300)
         return float(np.abs(d.data).max()) / scale
-
-    def to_physical(self, coeff: np.ndarray) -> np.ndarray:
-        """Convert a coefficient vector of the scaled problem to node values."""
-        return coeff / np.sqrt(self.weights)
 
     @staticmethod
     def from_matrix(matrix, weights=None, kind="custom", eps=None) -> "AssembledOperator":
@@ -718,16 +703,20 @@ def comparison_constants(
 # ---------------------------------------------------------------------------
 
 
-def _surface_block(layer, pot, electric, order) -> SurfaceBlock:
-    """Effective surface operator with the trace link phases a_surf0: the
-    surface factor of the decoupled comparison operators."""
-    patch = layer.patch
-    alpha0 = None if not np.any(pot.a_surf0) else pot.a_surf0
-    S = _surface_operator(patch, patch.metric_inv, alpha0, 1, order=order)
+def _surface_block(patch, alpha, electric, order) -> SurfaceBlock:
+    """Magnetic Laplace-Beltrami operator with link phases from alpha (None
+    for no field) plus v_eff and the surface trace of the electric potential:
+    the effective operator, and with the trace phases a_surf0 the surface
+    factor of the decoupled comparison operators."""
+    S = _surface_operator(patch, patch.metric_inv, alpha, 1, order=order)
     V = v_eff(patch.kappa)
     if electric is not None:
         V = V + electric.on_surface(patch)
     return SurfaceBlock(S + sp.csr_array(sp.diags_array(V.reshape(-1))), float(np.min(V)))
+
+
+def _trace_phases(pot: GaugeFixedPotential):
+    return pot.a_surf0 if np.any(pot.a_surf0) else None
 
 
 def _check_hermitian(op: AssembledOperator):
@@ -813,7 +802,7 @@ def assemble_full(
             "spectral_lower_bound": float(np.min(V))
             + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
         },
-        surface_block=_surface_block(layer, pot, electric, order),
+        surface_block=_surface_block(patch, _trace_phases(pot), electric, order),
     )
     _check_hermitian(op)
     return op
@@ -832,14 +821,10 @@ def assemble_effective(
     if eff is not None and not eff.is_zero():
         alpha = eff.alpha
         label = "alpha-eff"
-    S = _surface_operator(patch, patch.metric_inv, alpha, 1, order=order)
-    V = v_eff(patch.kappa)
-    if electric is not None:
-        V = V + electric.on_surface(patch)
-    H = S + sp.csr_array(sp.diags_array(V.reshape(-1)))
+    block = _surface_block(patch, alpha, electric, order)
     dof = DofMap(patch.grid_shape, 1, patch.closures, tuple(ax.name for ax in patch.axes))
     op = AssembledOperator(
-        matrix=H,
+        matrix=block.matrix,
         weights=patch.surface_weights(),
         dofmap=dof,
         kind="h-eff",
@@ -851,7 +836,7 @@ def assemble_effective(
             "m_u": 1,
             "electric": None if electric is None else electric.label,
             "weights_cell": patch.cell_area,
-            "spectral_lower_bound": float(np.min(V)),
+            "spectral_lower_bound": block.floor,
         },
     )
     _check_hermitian(op)
@@ -880,7 +865,7 @@ def assemble_comparison(
     pots = potentials if potentials is not None else potential_grids(layer)
     consts = comparison_constants(layer, pots, pot)
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
-    base = _surface_block(layer, pot, electric, order)
+    base = _surface_block(patch, _trace_phases(pot), electric, order)
     H = sp.csr_array(
         sp.kron(scale * base.matrix, sp.eye_array(m, format="csr"), format="csr")
     )
@@ -941,8 +926,6 @@ def renormalize(op: AssembledOperator) -> AssembledOperator:
     meta["renormalization_shift"] = shift
     if meta.get("spectral_lower_bound") is not None:
         meta["spectral_lower_bound"] = meta["spectral_lower_bound"] - shift
-    if meta.get("lambda_min") is not None:
-        meta["lambda_min"] = meta["lambda_min"] - shift
     return AssembledOperator(
         matrix=sp.csr_array(H),
         weights=op.weights,

@@ -330,3 +330,34 @@ def test_sampled_field_csv_spectrum(tmp_path):
     _, data = _read_csv(tmp_path / "spectrum.csv")
     # flux pi through the unit circle shifts the ground state to zero
     assert abs(data[0, 1]) < 5e-3
+
+
+def _grid_rows(values):
+    """CSV rows (y1, y2, values...) on the 3x3 grid with axes -2, 0, 2."""
+    axis = (-2.0, 0.0, 2.0)
+    return [
+        ",".join(format(v, ".17g") for v in (y1, y2, *values(y1, y2)))
+        for y1 in axis
+        for y2 in axis
+    ]
+
+
+@pytest.mark.parametrize("kind", ["electric", "field"])
+def test_sampled_csv_must_cover_the_grid(tmp_path, capsys, kind):
+    if kind == "electric":
+        rows = _grid_rows(lambda y1, y2: (1.0,))[:-1]  # node (2, 2) missing
+        field = {"kind": "zero", "electric": {"kind": "sampled", "csv": "s.csv"}}
+    else:
+        rows = _grid_rows(lambda y1, y2: (-0.1 * y2, 0.2 * y1))
+        rows[-1] = rows[0]  # node (-2, -2) twice, node (2, 2) missing
+        field = {"kind": "sampled", "csv": "s.csv"}
+    (tmp_path / "s.csv").write_text("\n".join(rows) + "\n")
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [64]},
+        field=field,
+        solver={"n_eigenpairs": 1},
+        spectrum={"operator": "h-eff"},
+    )
+    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "exactly once" in capsys.readouterr().err

@@ -244,12 +244,12 @@ def test_sweep_skips_rows_where_embedding_fails(monkeypatch):
 def test_failed_discretization_estimate_is_recorded(monkeypatch):
     import thinlayer.convergence as conv
 
-    real_gaps = conv._compute_gaps_only
+    real_row = conv._solve_row
 
-    def staged(patch, fieldspec, electric, eps, *args):
-        if abs(eps - 0.1) < 1e-12:
+    def staged(patch, eff_spec, fieldspec, electric, eps, *args):
+        if patch.grid_shape == (96,) and abs(eps - 0.1) < 1e-12:
             raise SolverError("staged doubled-grid failure")
-        return real_gaps(patch, fieldspec, electric, eps, *args)
+        return real_row(patch, eff_spec, fieldspec, electric, eps, *args)
 
     base = dict(
         family=GeometryFamily("circle", {"radius": 1.0}),
@@ -260,7 +260,7 @@ def test_failed_discretization_estimate_is_recorded(monkeypatch):
         grid_doubling=True,
     )
     assert "disc_estimate_failures" not in run_sweep(SweepSpec(**base)).summary()["meta"]
-    monkeypatch.setattr(conv, "_compute_gaps_only", staged)
+    monkeypatch.setattr(conv, "_solve_row", staged)
     report = run_sweep(SweepSpec(**base, threads=2))
     rows = {r.eps: r for r in report.rows}
     assert np.isfinite(rows[0.2].disc_est) and np.isnan(rows[0.1].disc_est)
@@ -268,15 +268,73 @@ def test_failed_discretization_estimate_is_recorded(monkeypatch):
         {"eps": 0.1, "reason": "SolverError: staged doubled-grid failure"}
     ]
 
-    def broken(*args):
-        raise ValueError("programming error")
+    def broken(patch, *args):
+        if patch.grid_shape == (96,):
+            raise ValueError("programming error")
+        return real_row(patch, *args)
 
-    monkeypatch.setattr(conv, "_compute_gaps_only", broken)
+    monkeypatch.setattr(conv, "_solve_row", broken)
     with pytest.raises(ValueError):
         run_sweep(SweepSpec(**base))
 
 
-def test_sweep_threads_match_sequential():
+def test_doubled_grid_effective_solve_runs_once(monkeypatch):
+    import thinlayer.convergence as conv
+
+    real_solve = conv.lowest_eigenpairs
+    doubled = []
+
+    def counting(op, *args, **kwargs):
+        if op.kind == "h-eff" and op.n_dof == 96:
+            doubled.append(op.n_dof)
+        return real_solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(conv, "lowest_eigenpairs", counting)
+    report = run_sweep(
+        SweepSpec(
+            family=GeometryFamily("circle", {"radius": 1.0}),
+            grid=(48,),
+            field=zero_field(2),
+            epsilons=(0.2, 0.1, 0.05, 0.025),
+            m_u=9,
+            grid_doubling=True,
+        )
+    )
+    assert all(np.isfinite(r.disc_est) for r in report.rows)
+    assert len(doubled) == 1
+
+
+def test_effective_resolvent_factored_once_with_threads(monkeypatch):
+    import time
+
+    import thinlayer.eigensolve as es
+
+    real_splu = es.spla.splu
+    heff_factors = []
+
+    def slow_splu(A, *args, **kwargs):
+        if A.shape[0] == 48:  # the 48-node h-eff; layer operators are larger
+            heff_factors.append(A.shape)
+            time.sleep(0.2)  # widen the window in which rows could race
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(es.spla, "splu", slow_splu)
+    run_sweep(
+        SweepSpec(
+            family=GeometryFamily("circle", {"radius": 1.0}),
+            grid=(48,),
+            field=zero_field(2),
+            epsilons=(0.2, 0.1, 0.05, 0.025),
+            m_u=9,
+            grid_doubling=False,
+            threads=2,
+        )
+    )
+    assert len(heff_factors) == 1
+
+
+@pytest.mark.parametrize("grid_doubling", [False, True])
+def test_sweep_threads_match_sequential(grid_doubling):
     base = dict(
         family=GeometryFamily("circle", {"radius": 1.0}),
         grid=(64,),
@@ -284,12 +342,14 @@ def test_sweep_threads_match_sequential():
         epsilons=(0.2, 0.1),
         m_u=9,
         n_pairs=1,
-        grid_doubling=False,
+        grid_doubling=grid_doubling,
     )
     seq = run_sweep(SweepSpec(**base, threads=1))
     par = run_sweep(SweepSpec(**base, threads=2))
     for a, b in zip(seq.rows, par.rows):
         assert a.lam == b.lam and a.gap == b.gap and a.resolvent == b.resolvent
+        np.testing.assert_equal(a.disc_est, b.disc_est)
+    assert all(np.isfinite(r.disc_est) == grid_doubling for r in par.rows)
 
 
 def test_eigen_shift_exactness_on_sweep_operator(circle_patch):

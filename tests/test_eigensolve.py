@@ -19,7 +19,7 @@ from thinlayer import (
     opnorm_estimate,
     pullback,
     renormalize,
-    resolvent_apply,
+    resolvent,
     zero_layer_potential,
 )
 from thinlayer.convergence import TransverseMode
@@ -50,9 +50,12 @@ def test_dense_and_iterative_paths_agree(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
     H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
     assert H.n_dof < 4000
+    meta = dict(H.meta)
     dense = lowest_eigenpairs(H, 5, dense_cutoff=10_000)
+    assert H.meta == meta  # the solver writes nothing onto its operator
     sparse = lowest_eigenpairs(H, 5, dense_cutoff=100)
     assert sparse.meta["method"] == "shift-invert-lanczos"
+    assert H.meta == meta
     assert np.max(np.abs(dense.values - sparse.values)) < 1e-8
 
 
@@ -190,32 +193,43 @@ def test_too_many_pairs_rejected():
 def test_resolvent_trivial_cases():
     zero = AssembledOperator.from_matrix(sp.csr_array((2, 2)))
     v = np.array([1.0, 2.0])
-    assert np.allclose(resolvent_apply(zero, 2.0, v), v / 2.0, atol=1e-14)
+    assert np.allclose(resolvent(zero, 2.0, 0.0)(v), v / 2.0, atol=1e-14)
     diag = AssembledOperator.from_matrix(sp.csr_array(np.diag([1.0, 3.0])))
-    out = resolvent_apply(diag, 1.0, np.array([1.0, 1.0]))
+    out = resolvent(diag, 1.0, 1.0)(np.array([1.0, 1.0]))
     assert np.allclose(out, [0.5, 0.25], atol=1e-14)
 
 
-def test_resolvent_residual_and_cache(circle_patch):
+def test_resolvent_residual_and_one_factorization(circle_patch, monkeypatch):
+    import thinlayer.eigensolve as es
+
     lay = layer_geometry(circle_patch, 0.1, 9)
     H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    lam_min = lowest_eigenpairs(H, 1).values[0]
+    factored = []
+    real_splu = es.spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(es.spla, "splu", counting_splu)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(H.n_dof)
-    x = resolvent_apply(H, 2.0, v)
-    res = np.linalg.norm(H.matrix @ x + 2.0 * x - v)
-    assert res <= 1e-10 * np.linalg.norm(v)
-    assert len(H._factors) == 1
-    resolvent_apply(H, 2.0, v)
-    assert len(H._factors) == 1  # factorization reused
-    resolvent_apply(H, 3.0, v)
-    assert len(H._factors) == 2
+    solve = resolvent(H, 2.0, lam_min)
+    for _ in range(2):
+        x = solve(v)
+        res = np.linalg.norm(H.matrix @ x + 2.0 * x - v)
+        assert res <= 1e-10 * np.linalg.norm(v)
+    assert len(factored) == 1  # one factorization serves every solve
+    resolvent(H, 3.0, lam_min)
+    assert len(factored) == 2
 
 
 def test_resolvent_rejects_shift_at_eigenvalue():
     diag = AssembledOperator.from_matrix(sp.csr_array(np.diag([1.0, 3.0])))
-    lowest_eigenpairs(diag, 1)  # caches lambda_min
+    lam_min = lowest_eigenpairs(diag, 1).values[0]
     with pytest.raises(SolverError, match="resolvent set"):
-        resolvent_apply(diag, -1.0, np.array([1.0, 1.0]))
+        resolvent(diag, -1.0, lam_min)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +258,11 @@ def test_opnorm_difference_map_against_dense(circle_patch):
     heff = assemble_effective(p)
     mode = TransverseMode.from_count(9)
     k = 2.0
+    hren_solve = resolvent(Hren, k, lowest_eigenpairs(Hren, 1).values[0])
+    heff_solve = resolvent(heff, k, lowest_eigenpairs(heff, 1).values[0])
 
     def mv(v):
-        x = resolvent_apply(Hren, k, v)
-        y = resolvent_apply(heff, k, mode.project_ground(v))
-        return x - mode.embed(y)
+        return hren_solve(v) - mode.embed(heff_solve(mode.project_ground(v)))
 
     n = Hren.n_dof
     M = np.zeros((n, n))
