@@ -154,11 +154,10 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     electric = build_electric(cfg, dim)
     spec_cfg = cfg.spectrum
     kind = spec_cfg.get("operator", "h-eff")
-    order = cfg.solver_opt("scheme_order", None)
 
     if kind == "h-eff":
         eff = effective_field(field, patch)
-        op = assemble_effective(patch, eff, electric, order)
+        op = assemble_effective(patch, eff, electric)
     else:
         eps = spec_cfg.get("epsilon")
         if eps is None:
@@ -167,13 +166,11 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
         layer = layer_geometry(patch, float(eps), int(m_u))
         pot = layer_potential(field, layer)
         if kind in ("full-H", "full-H-renormalized"):
-            op = assemble_full(layer, pot, electric, order=order)
+            op = assemble_full(layer, pot, electric)
             if kind == "full-H-renormalized":
                 op = renormalize(op)
         elif kind in ("H0+", "H0-"):
-            op, _ = assemble_comparison(
-                layer, pot, 1 if kind == "H0+" else -1, electric, order=order
-            )
+            op, _ = assemble_comparison(layer, pot, 1 if kind == "H0+" else -1, electric)
         else:
             raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -234,12 +231,7 @@ def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
         tol=cfg.solver_opt("tol", 1e-11),
         seed=args.seed if args.seed is not None else cfg.solver_opt("seed", 42),
         dense_cutoff=cfg.solver_opt("dense_threshold", None),
-        k_override=sw.get("k"),
-        order=cfg.solver_opt("scheme_order", None),
-        slope_window=tuple(sw.get("slope_window", (0.9, 2.3))),
-        slope_min=float(sw.get("slope_min", 0.9)),
         grid_doubling=bool(sw.get("grid_doubling", True)),
-        resolvent_iters=int(sw.get("resolvent_iters", 60)),
         threads=args.threads if args.threads else 1,
     )
     report = run_sweep(spec)

@@ -54,6 +54,9 @@ _OUTPUTS = {
     },
 }
 
+# odd, so that a transverse node sits at u = 0
+_M_U = {"type": "integer", "minimum": 3, "not": {"multipleOf": 2}}
+
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -121,7 +124,6 @@ SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "dense_threshold": {"type": "integer", "minimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
-                "scheme_order": {"enum": [2, 4]},
             },
         },
         "sweep": {
@@ -134,17 +136,8 @@ SCHEMA = {
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1,
                 },
-                "m_u": {"type": "integer", "minimum": 3},
-                "k": {"type": "number"},
-                "slope_window": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "slope_min": {"type": "number"},
+                "m_u": _M_U,
                 "grid_doubling": {"type": "boolean"},
-                "resolvent_iters": {"type": "integer", "minimum": 5},
                 "outputs": _OUTPUTS,
             },
         },
@@ -162,7 +155,7 @@ SCHEMA = {
                     ]
                 },
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "m_u": {"type": "integer", "minimum": 3},
+                "m_u": _M_U,
                 "dump_operator": {"type": "boolean"},
                 "dump_eigenvectors": {"type": "boolean"},
                 "outputs": _OUTPUTS,
@@ -254,7 +247,10 @@ def load_sampled_geometry(path, n_index_cols=None) -> np.ndarray:
             f"sampled geometry CSV must have index columns + d coordinates "
             f"(2d: 1+2, 3d: 2+3 columns), got {ncols} columns"
         )
-    idx = data[:, :n_index_cols].astype(int)
+    idx = data[:, :n_index_cols]
+    if not np.all((idx >= 0) & (np.mod(idx, 1) == 0)):
+        raise ConfigError("sampled geometry CSV chart indices must be non-negative integers")
+    idx = idx.astype(int)
     shape = tuple(int(idx[:, k].max()) + 1 for k in range(n_index_cols))
     expected = int(np.prod(shape))
     if data.shape[0] != expected:

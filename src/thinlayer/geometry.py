@@ -743,24 +743,25 @@ def _clearance(schart, period, plo, phi, cutoff):
     return (np.sqrt(best) if bi >= 0 else np.inf), bi, bj
 
 
-def check_embedding(
-    patch: HypersurfacePatch,
-    eps: float,
-    margin: float | None = None,
-    chart_cutoff: float | None = None,
-    max_nodes: int = 4096,
-) -> EmbeddingReport:
+#: injectivity heuristic of check_embedding, in units of eps: nodes farther
+#: apart in chart distance than the cutoff must keep their layer points the
+#: margin apart; at most the sample count of nodes (by a fixed stride) is probed
+EMBEDDING_MARGIN = 0.5
+EMBEDDING_CHART_CUTOFF = 3.0
+EMBEDDING_SAMPLES = 4096
+
+
+def check_embedding(patch: HypersurfacePatch, eps: float) -> EmbeddingReport:
     """Diagnose whether the layer of half-width eps can be embedded.
 
     The eps < rho_m condition is exact; global injectivity is probed by a
-    sampling heuristic: any two nodes whose chart distance exceeds the cutoff
-    (default 3*eps) must keep their extreme layer points at least `margin`
-    (default eps/2) apart in ambient space.
+    sampling heuristic: any two sampled nodes whose chart distance exceeds
+    3*eps must keep their extreme layer points at least eps/2 apart in
+    ambient space.
     """
     if eps <= 0:
         raise EmbeddingError(f"layer half-width must be positive, got {eps}")
-    margin = 0.5 * eps if margin is None else float(margin)
-    cutoff = 3.0 * eps if chart_cutoff is None else float(chart_cutoff)
+    margin = EMBEDDING_MARGIN * eps
     rho_ok = eps < patch.rho_m
     if not rho_ok:
         return EmbeddingReport(
@@ -778,11 +779,13 @@ def check_embedding(
     x = patch.x.reshape(-1, patch.ambient_dim)
     n = patch.normal.reshape(-1, patch.ambient_dim)
     ns = x.shape[0]
-    stride = max(1, int(np.ceil(ns / max_nodes)))
+    stride = max(1, int(np.ceil(ns / EMBEDDING_SAMPLES)))
     sel = np.arange(0, ns, stride)
     plo = x[sel] - eps * n[sel]
     phi = x[sel] + eps * n[sel]
-    clearance, bi, bj = _clearance(schart[sel], periods, plo, phi, cutoff)
+    clearance, bi, bj = _clearance(
+        schart[sel], periods, plo, phi, EMBEDDING_CHART_CUTOFF * eps
+    )
     ok = clearance >= margin
     pair = None
     if not ok:

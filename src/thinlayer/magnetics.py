@@ -55,26 +55,22 @@ class AmbientField:
     _bfield: object  # d=3: (N,)->(N,3); d=2: (N,)->(N,)
 
     def vector_potential(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        try:
-            return self._potential(pts)
-        except ValueError as exc:
-            bad = _first_outside(pts, exc)
-            raise FieldError(f"vector potential undefined at ambient point {bad}") from exc
+        return self._potential(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def field_strength(self, pts: np.ndarray) -> np.ndarray:
         """Magnetic field: a 3-vector field for d=3, a scalar for d=2."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        try:
-            return self._bfield(pts)
-        except ValueError as exc:
-            bad = _first_outside(pts, exc)
-            raise FieldError(f"field undefined at ambient point {bad}") from exc
+        return self._bfield(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
-def _first_outside(pts, exc):
-    msg = str(exc)
-    return pts[0] if pts.size else msg
+def _require_inside(axes, pts, what, pad=0.0):
+    """Raise a FieldError naming the first point p for which p - pad or
+    p + pad leaves the box of a sampled grid."""
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    outside = np.any((pts - pad < lo) | (pts + pad > hi), axis=1)
+    if np.any(outside):
+        bad = pts[int(np.argmax(outside))]
+        raise FieldError(f"{what} undefined at ambient point {bad}")
 
 
 def zero_field(dim: int) -> AmbientField:
@@ -158,9 +154,13 @@ def sampled_field(dim: int, grid_axes, values) -> AmbientField:
     delta = 0.25 * min(float(np.min(np.diff(a))) for a in axes)
 
     def pot(p):
+        _require_inside(axes, p, "vector potential")
         return interp(p)
 
     def bfield(p):
+        # the centered differences reach delta beyond p
+        _require_inside(axes, p, "field", delta)
+
         def partial(j):
             lo = p.copy()
             hi = p.copy()
@@ -194,10 +194,7 @@ class ScalarPotential:
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        try:
-            vals = self._func(pts)
-        except ValueError as exc:
-            raise FieldError(f"scalar potential undefined at {pts[0]}") from exc
+        vals = self._func(pts)
         if not np.all(np.isfinite(vals)):
             bad = pts[int(np.argmax(~np.isfinite(vals)))]
             raise FieldError(f"singular scalar potential at ambient point {bad}")
@@ -229,7 +226,12 @@ def sampled_potential(grid_axes, values) -> ScalarPotential:
     interp = RegularGridInterpolator(
         axes, np.asarray(values, dtype=float), method="linear", bounds_error=True
     )
-    return ScalarPotential("sampled", "sampled", lambda p: interp(p))
+
+    def func(p):
+        _require_inside(axes, p, "scalar potential")
+        return interp(p)
+
+    return ScalarPotential("sampled", "sampled", func)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +292,7 @@ def pullback(field: AmbientField, layer: LayerGeometry) -> RawLayerPotential:
     M = eye - layer.eps * layer.u[:, None, None] * patch.weingarten[..., None, :, :]
     a_surf = np.einsum("...mnk,...mn->...mk", M, p_nu)
     a_trans = layer.eps * np.einsum("...d,...md->...m", patch.normal, A)
-    A0 = field.vector_potential(patch.x.reshape(-1, patch.ambient_dim)).reshape(
-        patch.x.shape
-    )
-    a_surf0 = np.einsum("...nd,...d->...n", patch.tangents, A0)
+    a_surf0 = surface_trace_potential(field, patch)
     return RawLayerPotential(layer, a_surf, a_trans, a_surf0, field.label)
 
 

@@ -213,14 +213,8 @@ class AssembledOperator:
 # ---------------------------------------------------------------------------
 
 
-def _axis_orders(patch, order):
-    out = []
-    for ax in patch.axes:
-        if ax.closure in (POLE_POLE, POLE_DIRICHLET):
-            out.append(2)
-        else:
-            out.append(4 if order in (None, 4) else 2)
-    return out
+def _axis_orders(patch):
+    return [2 if ax.closure in (POLE_POLE, POLE_DIRICHLET) else 4 for ax in patch.axes]
 
 
 def _interp_edges_periodic(F, axis, order):
@@ -330,7 +324,7 @@ def _diag_triplets(gi, gj, coff, di, dj, theta):
     return rows, cols, vals
 
 
-def _surface_operator(patch, inv, alpha, m, order=None):
+def _surface_operator(patch, inv, alpha, m):
     """Scaled surface stencil on (chart grid) x (m transverse slabs).
 
     inv: (*grid, dim, dim) or (*grid, m, dim, dim) inverse-metric coefficients;
@@ -353,7 +347,7 @@ def _surface_operator(patch, inv, alpha, m, order=None):
             alpha = None
     cplx = alpha is not None
 
-    orders = _axis_orders(patch, order)
+    orders = _axis_orders(patch)
     I = np.arange(ns, dtype=np.int64).reshape(gshape)
     sg_m = np.broadcast_to(sg[..., None], gshape + (m,))
     isqrt_sg = 1.0 / np.sqrt(sg)
@@ -703,12 +697,12 @@ def comparison_constants(
 # ---------------------------------------------------------------------------
 
 
-def _surface_block(patch, alpha, electric, order) -> SurfaceBlock:
+def _surface_block(patch, alpha, electric) -> SurfaceBlock:
     """Magnetic Laplace-Beltrami operator with link phases from alpha (None
     for no field) plus v_eff and the surface trace of the electric potential:
     the effective operator, and with the trace phases a_surf0 the surface
     factor of the decoupled comparison operators."""
-    S = _surface_operator(patch, patch.metric_inv, alpha, 1, order=order)
+    S = _surface_operator(patch, patch.metric_inv, alpha, 1)
     V = v_eff(patch.kappa)
     if electric is not None:
         V = V + electric.on_surface(patch)
@@ -735,12 +729,39 @@ def _u_independent(arr, naxes, m):
     return bool(np.all(view == view[:1]))
 
 
+def _dofmap(patch, m) -> DofMap:
+    return DofMap(patch.grid_shape, m, patch.closures, tuple(ax.name for ax in patch.axes))
+
+
+def _layer_operator(layer, Hsurf, V, kind, field_label, meta, block) -> AssembledOperator:
+    """Hsurf + I (x) T/eps^2 + diag(V) on the product grid, checked Hermitian;
+    meta gets the transverse node count and the weight cell."""
+    patch = layer.patch
+    m = layer.m_u
+    T = transverse_matrix(m) / layer.eps**2
+    Ht = sp.csr_array(
+        sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
+    )
+    op = AssembledOperator(
+        matrix=Hsurf + Ht + sp.csr_array(sp.diags_array(V.reshape(-1))),
+        weights=layer.full_weights(),
+        dofmap=_dofmap(patch, m),
+        kind=kind,
+        eps=layer.eps,
+        geometry=patch.label(),
+        field_label=field_label,
+        meta={"m_u": m, "weights_cell": patch.cell_area * layer.h_u, **meta},
+        surface_block=block,
+    )
+    _check_hermitian(op)
+    return op
+
+
 def assemble_full(
     layer: LayerGeometry,
     pot: GaugeFixedPotential,
     electric: ScalarPotential | None = None,
     potentials: PotentialGrids | None = None,
-    order: int | None = None,
 ) -> AssembledOperator:
     """Transformed layer operator on the product grid.
 
@@ -768,51 +789,28 @@ def assemble_full(
             layer.metric_inv[..., 0, :, :],
             None if alpha is None else alpha[..., 0, :],
             1,
-            order=order,
         )
         Hsurf = sp.csr_array(sp.kron(S, sp.eye_array(m, format="csr"), format="csr"))
     else:
-        Hsurf = _surface_operator(patch, layer.metric_inv, alpha, m, order=order)
-    T = transverse_matrix(m) / layer.eps**2
-    Ht = sp.csr_array(
-        sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
-    )
+        Hsurf = _surface_operator(patch, layer.metric_inv, alpha, m)
     V = pots.v
     if electric is not None:
         V = V + electric.on_layer(layer)
-    H = Hsurf + Ht + sp.csr_array(sp.diags_array(V.reshape(-1)))
-    dof = DofMap(
-        patch.grid_shape, m, patch.closures, tuple(ax.name for ax in patch.axes)
-    )
-    op = AssembledOperator(
-        matrix=H,
-        weights=layer.full_weights(),
-        dofmap=dof,
-        kind="full-H",
-        eps=layer.eps,
-        geometry=patch.label(),
-        field_label=pot.field_label,
-        meta={
-            "order": order,
-            "m_u": m,
-            "electric": None if electric is None else electric.label,
-            "weights_cell": patch.cell_area * layer.h_u,
-            # kinetic part is nonnegative, transverse block bounded below by
-            # the ground energy: a cheap certified spectral floor
-            "spectral_lower_bound": float(np.min(V))
-            + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
-        },
-        surface_block=_surface_block(patch, _trace_phases(pot), electric, order),
-    )
-    _check_hermitian(op)
-    return op
+    meta = {
+        "electric": None if electric is None else electric.label,
+        # kinetic part is nonnegative, transverse block bounded below by
+        # the ground energy: a cheap certified spectral floor
+        "spectral_lower_bound": float(np.min(V))
+        + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
+    }
+    block = _surface_block(patch, _trace_phases(pot), electric)
+    return _layer_operator(layer, Hsurf, V, "full-H", pot.field_label, meta, block)
 
 
 def assemble_effective(
     patch: HypersurfacePatch,
     eff: EffectiveField | None = None,
     electric: ScalarPotential | None = None,
-    order: int | None = None,
 ) -> AssembledOperator:
     """Effective surface Hamiltonian: magnetic Laplace-Beltrami plus the
     curvature potential (plus the surface trace of the electric potential)."""
@@ -821,18 +819,16 @@ def assemble_effective(
     if eff is not None and not eff.is_zero():
         alpha = eff.alpha
         label = "alpha-eff"
-    block = _surface_block(patch, alpha, electric, order)
-    dof = DofMap(patch.grid_shape, 1, patch.closures, tuple(ax.name for ax in patch.axes))
+    block = _surface_block(patch, alpha, electric)
     op = AssembledOperator(
         matrix=block.matrix,
         weights=patch.surface_weights(),
-        dofmap=dof,
+        dofmap=_dofmap(patch, 1),
         kind="h-eff",
         eps=None,
         geometry=patch.label(),
         field_label=label,
         meta={
-            "order": order,
             "m_u": 1,
             "electric": None if electric is None else electric.label,
             "weights_cell": patch.cell_area,
@@ -849,7 +845,6 @@ def assemble_comparison(
     sign: int,
     electric: ScalarPotential | None = None,
     potentials: PotentialGrids | None = None,
-    order: int | None = None,
 ) -> tuple[AssembledOperator, ComparisonConstants]:
     """Decoupled comparison operator bounding the layer operator from one side.
 
@@ -861,51 +856,36 @@ def assemble_comparison(
     if sign not in (1, -1):
         raise AssemblyError("comparison sign must be +1 or -1")
     patch = layer.patch
-    m = layer.m_u
     pots = potentials if potentials is not None else potential_grids(layer)
     consts = comparison_constants(layer, pots, pot)
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
-    base = _surface_block(patch, _trace_phases(pot), electric, order)
-    H = sp.csr_array(
-        sp.kron(scale * base.matrix, sp.eye_array(m, format="csr"), format="csr")
+    base = _surface_block(patch, _trace_phases(pot), electric)
+    Hsurf = sp.csr_array(
+        sp.kron(scale * base.matrix, sp.eye_array(layer.m_u, format="csr"), format="csr")
     )
-    T = transverse_matrix(m) / layer.eps**2
-    H = H + sp.csr_array(
-        sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
-    )
-    H = H + sp.csr_array(
-        sp.diags_array(np.full(H.shape[0], float(sign) * consts.offset))
-    )
-    dof = DofMap(
-        patch.grid_shape, m, patch.closures, tuple(ax.name for ax in patch.axes)
-    )
-    op = AssembledOperator(
-        matrix=H,
-        weights=layer.full_weights(),
-        dofmap=dof,
-        kind="H0+" if sign > 0 else "H0-",
-        eps=layer.eps,
-        geometry=patch.label(),
-        field_label=pot.field_label,
-        meta={
-            "order": order,
-            "m_u": m,
-            "scale": scale,
-            "offset": consts.offset,
-            "weights_cell": patch.cell_area * layer.h_u,
-            "spectral_lower_bound": scale * min(0.0, base.floor)
-            + TRANSVERSE_GROUND_ENERGY / layer.eps**2
-            + sign * consts.offset,
-        },
-        surface_block=SurfaceBlock(
-            sp.csr_array(
-                scale * base.matrix
-                + sign * consts.offset * sp.eye_array(patch.n_nodes, format="csr")
-            ),
-            scale * base.floor + sign * consts.offset,
+    meta = {
+        "scale": scale,
+        "offset": consts.offset,
+        "spectral_lower_bound": scale * min(0.0, base.floor)
+        + TRANSVERSE_GROUND_ENERGY / layer.eps**2
+        + sign * consts.offset,
+    }
+    block = SurfaceBlock(
+        sp.csr_array(
+            scale * base.matrix
+            + sign * consts.offset * sp.eye_array(patch.n_nodes, format="csr")
         ),
+        scale * base.floor + sign * consts.offset,
     )
-    _check_hermitian(op)
+    op = _layer_operator(
+        layer,
+        Hsurf,
+        np.full(Hsurf.shape[0], float(sign) * consts.offset),
+        "H0+" if sign > 0 else "H0-",
+        pot.field_label,
+        meta,
+        block,
+    )
     return op, consts
 
 

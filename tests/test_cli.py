@@ -32,6 +32,27 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("solver", "scheme_order", 4),
+        ("sweep", "k", 2.0),
+        ("sweep", "slope_window", [0.9, 2.3]),
+        ("sweep", "slope_min", 0.9),
+        ("sweep", "resolvent_iters", 60),
+    ],
+)
+def test_fixed_scheme_and_sweep_policy_keys_rejected(tmp_path, capsys, block, key, value):
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [64]},
+        sweep={"epsilons": [0.2, 0.1]},
+    )
+    cfg.setdefault(block, {})[key] = value
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_invalid_json_reports_line(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text('{"schema": 1,\n  "geometry": }')
@@ -204,6 +225,18 @@ def test_spectrum_solver_failure_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_even_transverse_node_count_is_a_config_error(tmp_path, command):
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [32]},
+        field={"kind": "zero"},
+        spectrum={"operator": "full-H", "epsilon": 0.1, "m_u": 8},
+        sweep={"epsilons": [0.2, 0.1], "m_u": 8},
+    )
+    rc = main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+
+
 # ---------------------------------------------------------------------------
 # converge command
 # ---------------------------------------------------------------------------
@@ -309,6 +342,27 @@ def test_user_sampled_geometry_csv(tmp_path):
     header, data = _read_csv(tmp_path / "geometry.csv")
     kap = data[:, header.index("kappa_1")]
     assert np.max(np.abs(kap - 1.0)) < 1e-4  # sampled unit circle
+
+
+@pytest.mark.parametrize("bad_index", ["-1", "1.5"])
+def test_user_sampled_geometry_index_must_be_nonnegative_integer(tmp_path, capsys, bad_index):
+    n = 16
+    t = 2 * np.pi * np.arange(n) / n
+    index = [str(i) for i in range(n)]
+    index[0 if bad_index == "-1" else 1] = bad_index
+    rows = [f"{index[i]},{np.cos(t[i]):.17g},{np.sin(t[i]):.17g}" for i in range(n)]
+    (tmp_path / "curve.csv").write_text("\n".join(rows) + "\n")
+    cfg = _config(
+        {
+            "family": "user-sampled",
+            "params": {"h1": float(2 * np.pi / n)},
+            "csv": "curve.csv",
+            "closure": ["periodic"],
+        }
+    )
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "non-negative integers" in capsys.readouterr().err
 
 
 def test_sampled_field_csv_spectrum(tmp_path):

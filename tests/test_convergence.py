@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from thinlayer import (
+    ConvergenceReport,
     FitError,
+    FitResult,
     GeometryFamily,
     SolverError,
+    SweepRow,
     SweepSpec,
     ThinLayerError,
     TransverseMode,
@@ -209,8 +212,8 @@ def test_sweep_skips_rows_where_embedding_fails(monkeypatch):
 
     real_check = conv.check_embedding
 
-    def staged(patch, eps, **kw):
-        rep = real_check(patch, eps, **kw)
+    def staged(patch, eps):
+        rep = real_check(patch, eps)
         if abs(eps - 0.1) < 1e-12:
             return type(rep)(
                 passed=False,
@@ -241,15 +244,42 @@ def test_sweep_skips_rows_where_embedding_fails(monkeypatch):
     assert "skipped:staged overlap" in report.to_csv()
 
 
+def test_sweep_acceptance_slope_windows_and_tags():
+    def fit(slope):
+        return FitResult(slope, 0.0, 0.0, (slope, slope), 0.0, 4, ())
+
+    def verdict(**fits):
+        good = {"cluster_gap": fit(2.0), "efunc": fit(3.0), "resolvent": fit(0.95)}
+        return sweep_acceptance(ConvergenceReport([], {**good, **fits}, 1.0, {}))
+
+    assert verdict() == (True, [])
+    assert verdict(cluster_gap=fit(2.5)) == (
+        False, ["cluster_gap: slope 2.500 outside [0.9, 2.3]"]
+    )
+    assert verdict(cluster_gap=fit(0.85)) == (
+        False, ["cluster_gap: slope 0.850 outside [0.9, 2.3]"]
+    )
+    assert verdict(resolvent=fit(0.5)) == (False, ["resolvent: slope 0.500 below 0.9"])
+    # the window bounds only the cluster gap; the other slopes only have a floor
+    assert verdict(efunc=fit(3.5), resolvent=fit(2.6)) == (True, [])
+    assert verdict(cluster_gap="exact", resolvent="exact") == (True, [])
+    assert verdict(efunc="insufficient") == (
+        False, ["efunc: not enough usable points for a rate fit"]
+    )
+    flagged = SweepRow(eps=0.1, n=1, flags=["discretization"])
+    report = ConvergenceReport([flagged], {"cluster_gap": fit(2.0)}, 1.0, {})
+    assert sweep_acceptance(report) == (False, ["1 flagged or skipped rows"])
+
+
 def test_failed_discretization_estimate_is_recorded(monkeypatch):
     import thinlayer.convergence as conv
 
     real_row = conv._solve_row
 
-    def staged(patch, eff_spec, fieldspec, electric, eps, *args):
+    def staged(spec, patch, eff_spec, eps):
         if patch.grid_shape == (96,) and abs(eps - 0.1) < 1e-12:
             raise SolverError("staged doubled-grid failure")
-        return real_row(patch, eff_spec, fieldspec, electric, eps, *args)
+        return real_row(spec, patch, eff_spec, eps)
 
     base = dict(
         family=GeometryFamily("circle", {"radius": 1.0}),
@@ -268,10 +298,10 @@ def test_failed_discretization_estimate_is_recorded(monkeypatch):
         {"eps": 0.1, "reason": "SolverError: staged doubled-grid failure"}
     ]
 
-    def broken(patch, *args):
+    def broken(spec, patch, *args):
         if patch.grid_shape == (96,):
             raise ValueError("programming error")
-        return real_row(patch, *args)
+        return real_row(spec, patch, *args)
 
     monkeypatch.setattr(conv, "_solve_row", broken)
     with pytest.raises(ValueError):

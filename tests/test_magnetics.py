@@ -14,6 +14,7 @@ from thinlayer import (
     polynomial_potential,
     pullback,
     sampled_field,
+    sampled_potential,
     surface_trace_potential,
     zero_field,
 )
@@ -200,6 +201,19 @@ def test_sampled_field_interpolation_and_bounds():
     assert np.allclose(f.field_strength(pts), 1.0, atol=1e-8)
     with pytest.raises(FieldError, match="undefined at"):
         f.vector_potential(np.array([[5.0, 0.0]]))
+
+
+def test_out_of_grid_error_names_the_offending_point():
+    axes = [np.linspace(-1, 1, 5)] * 2
+    f = sampled_field(2, axes, np.zeros((5, 5, 2)))
+    w = sampled_potential(axes, np.zeros((5, 5)))
+    pts = np.array([[0.0, 0.0], [0.5, 0.5], [3.0, 0.0]])
+    for call in (f.vector_potential, f.field_strength, w):
+        with pytest.raises(FieldError, match=r"undefined at ambient point \[3\. 0\.\]"):
+            call(pts)
+    # the field's centered differences leave the grid from its edge
+    with pytest.raises(FieldError, match=r"field undefined at ambient point \[1\. 0\.\]"):
+        f.field_strength(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_polynomial_electric_potential_on_layer(segment_patch):
