@@ -43,16 +43,15 @@ _ELECTRIC = {
     },
 }
 
-_OUTPUTS = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "csv": {"type": "string"},
-        "json": {"type": "string"},
-        "eigenvectors": {"type": "string"},
-        "matrix": {"type": "string"},
-    },
-}
+
+def _outputs(*names):
+    """Output file names a command writes: only the keys it reads."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {name: {"type": "string"} for name in names},
+    }
+
 
 # odd, so that a transverse node sits at u = 0
 _M_U = {"type": "integer", "minimum": 3, "not": {"multipleOf": 2}}
@@ -138,7 +137,7 @@ SCHEMA = {
                 },
                 "m_u": _M_U,
                 "grid_doubling": {"type": "boolean"},
-                "outputs": _OUTPUTS,
+                "outputs": _outputs("csv", "json"),
             },
         },
         "spectrum": {
@@ -158,10 +157,10 @@ SCHEMA = {
                 "m_u": _M_U,
                 "dump_operator": {"type": "boolean"},
                 "dump_eigenvectors": {"type": "boolean"},
-                "outputs": _OUTPUTS,
+                "outputs": _outputs("csv", "eigenvectors", "matrix"),
             },
         },
-        "geometry_outputs": _OUTPUTS,
+        "geometry_outputs": _outputs("csv", "json"),
     },
 }
 

@@ -3,7 +3,6 @@ convergence of the renormalized layer operator toward the effective surface
 Hamiltonian, plus the transverse spectral-gap check and rate fitting."""
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -353,9 +352,6 @@ class ConvergenceReport:
             "rows": len(self.rows),
             "flagged_rows": sum(1 for r in self.rows if r.flags or r.skipped),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=1, sort_keys=True) + "\n"
 
 
 def _cluster_indices(values, rtol=1e-8):

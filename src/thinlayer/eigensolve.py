@@ -187,71 +187,47 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
     # super-linearly; on a curve the LU stays banded and beats PCG
     pcg = op.surface_block is not None and len(op.dofmap.grid_shape) >= 2
     work = _SolveWork()
+    # sigma is a certified lower bound minus 1, so H - sigma >= I: one
+    # factorization at one shift, no retries
+    solve = _pcg_inverse(op, sigma, work) if pcg else _lu_inverse(A, sigma)
 
-    def factor(s):
-        solve = _pcg_inverse(op, s, work) if pcg else _lu_inverse(A, s)
+    def counted(b):
+        work.applications += 1
+        return solve(b)
 
-        def counted(b):
-            work.applications += 1
-            return solve(b)
-
-        return spla.LinearOperator(A.shape, matvec=counted, dtype=A.dtype)
-
-    opinv = None
-    attempts = 0
-    while opinv is None:
-        try:
-            opinv = factor(sigma)
-        except RuntimeError as exc:
-            attempts += 1
-            if attempts > 3:
-                raise SolverError(f"factorization failed at shift {sigma}: {exc}")
-            sigma -= 0.5 * (1.0 + abs(sigma))
-
-    v0 = rng.standard_normal(n).astype(A.dtype)
-    last_exc = None
-    for attempt in range(3):
-        try:
-            vals, vecs = spla.eigsh(
-                A,
-                k=n_pairs,
-                sigma=sigma,
-                which="LM",
-                OPinv=opinv,
-                v0=v0,
-                tol=tol,
-                ncv=min(n - 1, max(40, 4 * n_pairs + 1)),
-                maxiter=max(4000, 40 * n_pairs),
-            )
-            order = np.argsort(vals)
-            vals = vals[order]
-            vecs = vecs[:, order]
-            return Spectrum(
-                values=np.asarray(vals, float),
-                vectors=vecs,
-                residuals=_residuals(op.matrix, np.asarray(vals, float), vecs),
-                meta={
-                    "method": "shift-invert-lanczos",
-                    "shift": sigma,
-                    "tol": tol,
-                    "seed": seed,
-                    "retries": attempt,
-                    "inner_solve": "pcg" if pcg else "lu",
-                    "opinv_applications": work.applications,
-                    "cg_iterations": work.cg_iterations,
-                    "cg_iterations_max": work.cg_iterations_max,
-                },
-            )
-        except spla.ArpackNoConvergence as exc:
-            last_exc = exc
-            sigma -= 0.25 * (1.0 + abs(sigma))
-            try:
-                opinv = factor(sigma)
-            except RuntimeError:
-                continue
-    partial = getattr(last_exc, "eigenvalues", None)
-    raise SolverError(
-        f"shift-invert Lanczos did not converge: {last_exc}", residuals=partial
+    try:
+        vals, vecs = spla.eigsh(
+            A,
+            k=n_pairs,
+            sigma=sigma,
+            which="LM",
+            OPinv=spla.LinearOperator(A.shape, matvec=counted, dtype=A.dtype),
+            v0=rng.standard_normal(n).astype(A.dtype),
+            tol=tol,
+            ncv=min(n - 1, max(40, 4 * n_pairs + 1)),
+            maxiter=max(4000, 40 * n_pairs),
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"shift-invert Lanczos did not converge: {exc}", residuals=exc.eigenvalues
+        )
+    order = np.argsort(vals)
+    vals = np.asarray(vals[order], float)
+    vecs = vecs[:, order]
+    return Spectrum(
+        values=vals,
+        vectors=vecs,
+        residuals=_residuals(op.matrix, vals, vecs),
+        meta={
+            "method": "shift-invert-lanczos",
+            "shift": sigma,
+            "tol": tol,
+            "seed": seed,
+            "inner_solve": "pcg" if pcg else "lu",
+            "opinv_applications": work.applications,
+            "cg_iterations": work.cg_iterations,
+            "cg_iterations_max": work.cg_iterations_max,
+        },
     )
 
 

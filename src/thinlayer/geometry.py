@@ -357,22 +357,11 @@ def _curvatures_from_forms(g, hform):
 
 def _mean_curvatures(kappa):
     """Binomial-normalized elementary symmetric functions of the principal
-    curvatures."""
-    dim = kappa.shape[-1]
-    if dim == 1:
+    curvatures of a curve (one) or a surface (two)."""
+    if kappa.shape[-1] == 1:
         return kappa.copy()
-    if dim == 2:
-        k1, k2 = kappa[..., 0], kappa[..., 1]
-        return np.stack([0.5 * (k1 + k2), k1 * k2], -1)
-    from math import comb
-
-    n = kappa.shape[-1]
-    es = np.zeros(kappa.shape[:-1] + (n + 1,))
-    es[..., 0] = 1.0
-    for k in range(n):
-        for j in range(k + 1, 0, -1):
-            es[..., j] += kappa[..., k] * es[..., j - 1]
-    return np.stack([es[..., mu] / comb(n, mu) for mu in range(1, n + 1)], -1)
+    k1, k2 = kappa[..., 0], kappa[..., 1]
+    return np.stack([0.5 * (k1 + k2), k1 * k2], -1)
 
 
 @dataclass(frozen=True)

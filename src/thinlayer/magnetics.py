@@ -279,10 +279,7 @@ class GaugeFixedPotential:
 def pullback(field: AmbientField, layer: LayerGeometry) -> RawLayerPotential:
     """Chart components (D L)^T A(L(x, u)) of the ambient potential."""
     patch = layer.patch
-    if field.dim != patch.ambient_dim:
-        raise FieldError(
-            f"field dimension {field.dim} != ambient dimension {patch.ambient_dim}"
-        )
+    a_surf0 = surface_trace_potential(field, patch)
     pts = layer.ambient_points()
     flat = pts.reshape(-1, patch.ambient_dim)
     A = field.vector_potential(flat).reshape(pts.shape)
@@ -292,12 +289,15 @@ def pullback(field: AmbientField, layer: LayerGeometry) -> RawLayerPotential:
     M = eye - layer.eps * layer.u[:, None, None] * patch.weingarten[..., None, :, :]
     a_surf = np.einsum("...mnk,...mn->...mk", M, p_nu)
     a_trans = layer.eps * np.einsum("...d,...md->...m", patch.normal, A)
-    a_surf0 = surface_trace_potential(field, patch)
     return RawLayerPotential(layer, a_surf, a_trans, a_surf0, field.label)
 
 
 def surface_trace_potential(field: AmbientField, patch: HypersurfacePatch) -> np.ndarray:
     """Chart components of the potential restricted to the surface (u = 0)."""
+    if field.dim != patch.ambient_dim:
+        raise FieldError(
+            f"field dimension {field.dim} != ambient dimension {patch.ambient_dim}"
+        )
     A0 = field.vector_potential(patch.x.reshape(-1, patch.ambient_dim)).reshape(
         patch.x.shape
     )

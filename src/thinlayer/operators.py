@@ -40,7 +40,6 @@ from .geometry import (
     LayerGeometry,
     surface_gradient_sq,
     surface_laplacian,
-    transverse_nodes,
     v_eff,
 )
 from .magnetics import EffectiveField, GaugeFixedPotential, ScalarPotential
@@ -213,16 +212,19 @@ class AssembledOperator:
 # ---------------------------------------------------------------------------
 
 
-def _axis_orders(patch):
-    return [2 if ax.closure in (POLE_POLE, POLE_DIRICHLET) else 4 for ax in patch.axes]
+#: chart-axis ends that are eliminated Dirichlet boundaries (0 left, 1 right);
+#: pole ends carry zero flux and periodic axes have no ends
+_DIRICHLET_ENDS = {PERIODIC: (), DIRICHLET: (0, 1), POLE_POLE: (), POLE_DIRICHLET: (1,)}
 
 
-def _interp_edges_periodic(F, axis, order):
-    if order == 4:
-        return (
-            -np.roll(F, 1, axis) + 9.0 * F + 9.0 * np.roll(F, -1, axis) - np.roll(F, -2, axis)
-        ) / 16.0
-    return 0.5 * (F + np.roll(F, -1, axis))
+def _is_pole_axis(ax):
+    return ax.closure in (POLE_POLE, POLE_DIRICHLET)
+
+
+def _interp_edges_periodic(F, axis):
+    return (
+        -np.roll(F, 1, axis) + 9.0 * F + 9.0 * np.roll(F, -1, axis) - np.roll(F, -2, axis)
+    ) / 16.0
 
 
 def _interp_edges_bounded(F, axis, order):
@@ -240,13 +242,14 @@ def _take(arr, axis, sl):
     return arr[tuple(idx)]
 
 
+#: per end (0 left, 1 right): indices of the end node and its inner neighbour
+_END_NODES = ((0, 1), (-1, -2))
+
+
 def _ghost_coef(F, axis, side):
     """Edge coefficient at an eliminated Dirichlet boundary (2-pt extrapolation,
     clamped to stay positive)."""
-    if side == 0:
-        f0, f1 = _take(F, axis, 0), _take(F, axis, 1)
-    else:
-        f0, f1 = _take(F, axis, -1), _take(F, axis, -2)
+    f0, f1 = (_take(F, axis, i) for i in _END_NODES[side])
     val = 1.5 * f0 - 0.5 * f1
     return np.where(val > 0, val, f0)
 
@@ -327,39 +330,30 @@ def _diag_triplets(gi, gj, coff, di, dj, theta):
 def _surface_operator(patch, inv, alpha, m):
     """Scaled surface stencil on (chart grid) x (m transverse slabs).
 
-    inv: (*grid, dim, dim) or (*grid, m, dim, dim) inverse-metric coefficients;
-    alpha: chart components of the potential, (*grid, dim) / (*grid, m, dim) /
-    None. Returns a csr_array of size (n_surface * m).
+    inv: (*grid, m, dim, dim) inverse-metric coefficients; alpha: chart
+    components of the potential, (*grid, m, dim) or None. Returns a csr_array
+    of size (n_surface * m).
     """
     gshape = patch.grid_shape
-    naxes = len(gshape)
     ns = patch.n_nodes
-    sg = patch.sqrt_g
-
-    inv = np.asarray(inv)
-    if inv.ndim == naxes + 2:  # broadcast single-slab coefficients
-        inv = np.broadcast_to(inv[..., None, :, :], gshape + (m, patch.dim, patch.dim))
-    if alpha is not None:
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.ndim == naxes + 1:
-            alpha = np.broadcast_to(alpha[..., None, :], gshape + (m, patch.dim))
-        if not np.any(alpha):
-            alpha = None
+    if alpha is not None and not np.any(alpha):
+        alpha = None
     cplx = alpha is not None
 
-    orders = _axis_orders(patch)
     I = np.arange(ns, dtype=np.int64).reshape(gshape)
-    sg_m = np.broadcast_to(sg[..., None], gshape + (m,))
-    isqrt_sg = 1.0 / np.sqrt(sg)
+    sg_m = np.broadcast_to(patch.sqrt_g[..., None], gshape + (m,))
+    isqrt_sg = 1.0 / np.sqrt(patch.sqrt_g)
+    isg2 = isqrt_sg**2
     bag = _TripletBag()
     slab = np.arange(m, dtype=np.int64)
+
+    def slabs(surf):
+        return (surf[..., None] * m + slab).reshape(-1)
 
     def emit_edges(ei, ej, coef, theta, scale, hop_h):
         # ei, ej: (*eshape) surface indices; coef/theta: (*eshape, m)
         if np.any(coef <= 0.0):
             raise AssemblyError("non-positive edge coefficient in assembly")
-        gi = (ei[..., None] * m + slab).reshape(-1)
-        gj = (ej[..., None] * m + slab).reshape(-1)
         c = scale * coef / hop_h**2
         si = isqrt_sg.reshape(-1)[ei]
         sj = isqrt_sg.reshape(-1)[ej]
@@ -367,104 +361,56 @@ def _surface_operator(patch, inv, alpha, m):
         di = (c * (si * si)[..., None]).reshape(-1)
         dj = (c * (sj * sj)[..., None]).reshape(-1)
         th = None if theta is None else theta.reshape(-1)
-        bag.add(*_diag_triplets(gi, gj, coff, di, dj, th))
+        bag.add(*_diag_triplets(slabs(ei), slabs(ej), coff, di, dj, th))
 
-    for k in range(naxes):
-        ax = patch.axes[k]
-        h = ax.h
-        okk = orders[k]
+    def ghost(k, node, coef):
+        # diagonal of the ghost edge at end node `node` of axis k; coef:
+        # (*eshape, m) without the weight normalization
+        vals = coef * _take(isg2, k, node)[..., None]
+        bag.add_diag(slabs(_take(I, k, node)), vals.reshape(-1))
+
+    for k, ax in enumerate(patch.axes):
+        h, n, periodic = ax.h, ax.n, ax.periodic
+        fourth = not _is_pole_axis(ax)
+        scale1 = 4.0 / 3.0 if fourth else 1.0
         Fnode = sg_m * inv[..., k, k]
-        anode = None if alpha is None else alpha[..., k]
-        periodic = ax.periodic
 
-        if periodic:
-            Fe = _interp_edges_periodic(Fnode, k, okk)
-            ei, ej = I, np.roll(I, -1, axis=k)
-            th = None
-            if anode is not None:
-                th = h * _interp_edges_periodic(anode, k, okk)
-            scale1 = 4.0 / 3.0 if okk == 4 else 1.0
-            emit_edges(ei, ej, Fe, th, scale1, h)
-            if okk == 4:
-                Fw = np.moveaxis(Fnode, k, 0)
-                Fw = np.moveaxis(np.roll(Fw, -1, 0), 0, k)
-                ejw = np.roll(I, -2, axis=k)
-                thw = None
-                if th is not None:
-                    thw = th + np.moveaxis(np.roll(np.moveaxis(th, k, 0), -1, 0), 0, k)
-                emit_edges(I, ejw, Fw, thw, -1.0 / 3.0, 2.0 * h)
-        else:
-            pole_left = ax.closure in (POLE_POLE, POLE_DIRICHLET)
-            pole_right = ax.closure == POLE_POLE
-            n = ax.n
-            Fe = _interp_edges_bounded(Fnode, k, okk)
-            ei = _take(I, k, slice(0, n - 1))
-            ej = _take(I, k, slice(1, n))
-            th = None
-            if anode is not None:
-                th = h * _interp_edges_bounded(anode, k, okk)
-            scale1 = 4.0 / 3.0 if okk == 4 else 1.0
-            emit_edges(ei, ej, Fe, th, scale1, h)
-            # boundary ghost edges (value 0 beyond Dirichlet ends; poles carry
-            # zero flux and contribute nothing)
-            for side, is_pole in ((0, pole_left), (1, pole_right)):
-                if is_pole:
-                    continue
-                Fb = _ghost_coef(Fnode, k, side)
-                gidx = (_take(I, k, -side)[..., None] * m + slab).reshape(-1)
-                bag.add_diag(
-                    gidx,
-                    (
-                        scale1
-                        * Fb
-                        / h**2
-                        * (_take(isqrt_sg.reshape(gshape) ** 2, k, -side))[..., None]
-                    ).reshape(-1),
-                )
-            if okk == 4:
-                if n >= 3:
-                    Fw = _take(Fnode, k, slice(1, n - 1))
-                    eiw = _take(I, k, slice(0, n - 2))
-                    ejw = _take(I, k, slice(2, n))
-                    thw = None
-                    if th is not None:
-                        thw = _take(th, k, slice(0, n - 2)) + _take(th, k, slice(1, n - 1))
-                    emit_edges(eiw, ejw, Fw, thw, -1.0 / 3.0, 2.0 * h)
-                for side, is_pole in ((0, pole_left), (1, pole_right)):
-                    if is_pole:
-                        continue
-                    # double-hop sublattices meet the eliminated boundary in two
-                    # ways: the sublattice through the first node reflects
-                    # oddly across it (doubled diagonal), the one through the
-                    # second node has a lattice point exactly on it (plain
-                    # ghost edge, coefficient at the first node)
-                    Fb = _ghost_coef(Fnode, k, side)
-                    first = 0 if side == 0 else -1
-                    second = 1 if side == 0 else -2
-                    isg2 = isqrt_sg.reshape(gshape) ** 2
-                    gidx = (_take(I, k, first)[..., None] * m + slab).reshape(-1)
-                    bag.add_diag(
-                        gidx,
-                        (
-                            (-1.0 / 3.0)
-                            * 2.0
-                            * Fb
-                            / (4.0 * h**2)
-                            * (_take(isg2, k, first))[..., None]
-                        ).reshape(-1),
-                    )
-                    gidx2 = (_take(I, k, second)[..., None] * m + slab).reshape(-1)
-                    bag.add_diag(
-                        gidx2,
-                        (
-                            (-1.0 / 3.0)
-                            * _take(Fnode, k, first)
-                            / (4.0 * h**2)
-                            * (_take(isg2, k, second))[..., None]
-                        ).reshape(-1),
-                    )
+        def hop(arr, offset, count):
+            # arr `offset` nodes along axis k from the first node of each hop:
+            # all nodes on a periodic axis, the first `count` on a bounded one
+            if periodic:
+                return np.roll(arr, -offset, k)
+            return _take(arr, k, slice(offset, offset + count))
 
-    if naxes == 2:
+        def interp(F):
+            if periodic:
+                return _interp_edges_periodic(F, k)
+            return _interp_edges_bounded(F, k, 4 if fourth else 2)
+
+        # narrow hops, then the ghost edges of the eliminated Dirichlet ends
+        # (value 0 beyond them)
+        th = None if alpha is None else h * interp(alpha[..., k])
+        emit_edges(hop(I, 0, n - 1), hop(I, 1, n - 1), interp(Fnode), th, scale1, h)
+        for side in _DIRICHLET_ENDS[ax.closure]:
+            ghost(k, _END_NODES[side][0], scale1 * _ghost_coef(Fnode, k, side) / h**2)
+        if not fourth:
+            continue
+        # Richardson double hops (wide-hop phases are sums of narrow ones)
+        thw = None if th is None else hop(th, 0, n - 2) + hop(th, 1, n - 2)
+        emit_edges(
+            hop(I, 0, n - 2), hop(I, 2, n - 2), hop(Fnode, 1, n - 2), thw, -1.0 / 3.0, 2.0 * h
+        )
+        for side in _DIRICHLET_ENDS[ax.closure]:
+            # double-hop sublattices meet the eliminated boundary in two
+            # ways: the sublattice through the first node reflects
+            # oddly across it (doubled diagonal), the one through the
+            # second node has a lattice point exactly on it (plain
+            # ghost edge, coefficient at the first node)
+            first, second = _END_NODES[side]
+            ghost(k, first, (-1.0 / 3.0) * 2.0 * _ghost_coef(Fnode, k, side) / (4.0 * h**2))
+            ghost(k, second, (-1.0 / 3.0) * _take(Fnode, k, first) / (4.0 * h**2))
+
+    if len(gshape) == 2:
         off_scale = float(np.max(np.abs(inv[..., 0, 1])))
         diag_scale = float(np.max(np.abs(inv)))
         if off_scale > 1e-12 * diag_scale:
@@ -474,40 +420,20 @@ def _surface_operator(patch, inv, alpha, m):
 
 
 def _neighbor_maps(patch, I, k):
-    ax = patch.axes[k]
-    if ax.periodic:
-        plus = np.roll(I, -1, axis=k)
-        minus = np.roll(I, 1, axis=k)
-    else:
-        plus = np.roll(I, -1, axis=k).copy()
-        minus = np.roll(I, 1, axis=k).copy()
-        idx = [slice(None)] * I.ndim
-        idx[k] = -1
-        plus[tuple(idx)] = -1
-        idx[k] = 0
-        minus[tuple(idx)] = -1
+    plus, minus = np.roll(I, -1, axis=k), np.roll(I, 1, axis=k)
+    if not patch.axes[k].periodic:
+        _take(plus, k, -1)[...] = -1
+        _take(minus, k, 0)[...] = -1
     return plus, minus
 
 
 def _edge_theta_maps(patch, alpha_k, k):
     """Phase angles for hops node -> node +/- e_k (0 where the hop is absent)."""
     ax = patch.axes[k]
-    h = ax.h
-    if ax.periodic:
-        the = h * _interp_edges_periodic(alpha_k, k, 2)
-        tp = the
-        tm = -np.roll(the, 1, axis=k)
-        return tp, tm
-    the = h * _interp_edges_bounded(alpha_k, k, 2)
-    shape = alpha_k.shape
-    tp = np.zeros(shape)
-    tm = np.zeros(shape)
-    sl = [slice(None)] * alpha_k.ndim
-    sl[k] = slice(0, shape[k] - 1)
-    tp[tuple(sl)] = the
-    sl[k] = slice(1, shape[k])
-    tm[tuple(sl)] = -the
-    return tp, tm
+    tp = ax.h * (0.5 * (alpha_k + np.roll(alpha_k, -1, axis=k)))
+    if not ax.periodic:
+        _take(tp, k, -1)[...] = 0.0
+    return tp, -np.roll(tp, 1, axis=k)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +482,7 @@ def _mixed_triplets(gp0, gm0, gp1, gm1, base, isw, t0p, t0m, t1p, t1m):
 
 def _emit_mixed(patch, inv, alpha, m, I, sg_m, isqrt_sg, bag):
     for ax in patch.axes:
-        if ax.closure in (POLE_POLE, POLE_DIRICHLET):
+        if _is_pole_axis(ax):
             raise AssemblyError(
                 "mixed metric terms on a chart with a coordinate pole are not supported"
             )
@@ -702,7 +628,12 @@ def _surface_block(patch, alpha, electric) -> SurfaceBlock:
     for no field) plus v_eff and the surface trace of the electric potential:
     the effective operator, and with the trace phases a_surf0 the surface
     factor of the decoupled comparison operators."""
-    S = _surface_operator(patch, patch.metric_inv, alpha, 1)
+    S = _surface_operator(
+        patch,
+        patch.metric_inv[..., None, :, :],
+        None if alpha is None else alpha[..., None, :],
+        1,
+    )
     V = v_eff(patch.kappa)
     if electric is not None:
         V = V + electric.on_surface(patch)
@@ -720,13 +651,6 @@ def _check_hermitian(op: AssembledOperator):
             f"assembled {op.kind} operator has Hermiticity residual {res:.3e}"
         )
     op.meta["hermiticity_residual"] = res
-
-
-def _u_independent(arr, naxes, m):
-    if m == 1:
-        return True
-    view = np.moveaxis(arr, naxes, 0)
-    return bool(np.all(view == view[:1]))
 
 
 def _dofmap(patch, m) -> DofMap:
@@ -775,24 +699,9 @@ def assemble_full(
     if pot.layer is not layer:
         raise AssemblyError("potential was fixed on a different layer")
     patch = layer.patch
-    m = layer.m_u
-    naxes = len(patch.grid_shape)
     pots = potentials if potentials is not None else potential_grids(layer)
     alpha = None if pot.is_zero() else pot.a_surf
-    if _u_independent(layer.metric_inv, naxes, m) and (
-        alpha is None or _u_independent(alpha, naxes, m)
-    ):
-        # decoupled coefficients: assemble one slab and expand, which keeps
-        # the flat case an exact Kronecker sum
-        S = _surface_operator(
-            patch,
-            layer.metric_inv[..., 0, :, :],
-            None if alpha is None else alpha[..., 0, :],
-            1,
-        )
-        Hsurf = sp.csr_array(sp.kron(S, sp.eye_array(m, format="csr"), format="csr"))
-    else:
-        Hsurf = _surface_operator(patch, layer.metric_inv, alpha, m)
+    Hsurf = _surface_operator(patch, layer.metric_inv, alpha, layer.m_u)
     V = pots.v
     if electric is not None:
         V = V + electric.on_layer(layer)

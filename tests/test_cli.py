@@ -53,6 +53,32 @@ def test_fixed_scheme_and_sweep_policy_keys_rejected(tmp_path, capsys, block, ke
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ("sweep", "eigenvectors"),
+        ("sweep", "matrix"),
+        ("geometry_outputs", "eigenvectors"),
+        ("geometry_outputs", "matrix"),
+        ("spectrum", "json"),
+    ],
+)
+def test_output_keys_a_command_does_not_write_are_rejected(tmp_path, capsys, block, key):
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [64]},
+        sweep={"epsilons": [0.2, 0.1]},
+        spectrum={},
+    )
+    outputs = {key: "unused.out"}
+    if block == "geometry_outputs":
+        cfg[block] = outputs
+    else:
+        cfg[block]["outputs"] = outputs
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_invalid_json_reports_line(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text('{"schema": 1,\n  "geometry": }')

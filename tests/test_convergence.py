@@ -308,6 +308,48 @@ def test_failed_discretization_estimate_is_recorded(monkeypatch):
         run_sweep(SweepSpec(**base))
 
 
+def test_failed_doubled_grid_effective_solve_is_recorded_for_every_row(monkeypatch):
+    import thinlayer.convergence as conv
+
+    real_pairs = conv._effective_pairs
+
+    def staged(spec, patch):
+        if patch.grid_shape == (96,):
+            raise SolverError("staged doubled-grid h-eff failure")
+        return real_pairs(spec, patch)
+
+    monkeypatch.setattr(conv, "_effective_pairs", staged)
+    report = run_sweep(
+        SweepSpec(
+            family=GeometryFamily("circle", {"radius": 1.0}),
+            grid=(48,),
+            field=zero_field(2),
+            epsilons=(0.2, 0.1),
+            m_u=9,
+            grid_doubling=True,
+        )
+    )
+    assert all(np.isnan(r.disc_est) for r in report.rows)
+    reason = "SolverError: staged doubled-grid h-eff failure"
+    assert report.summary()["meta"]["disc_estimate_failures"] == [
+        {"eps": 0.2, "reason": reason},
+        {"eps": 0.1, "reason": reason},
+    ]
+
+
+def test_match_pairs_near_tie_goes_to_the_closer_eigenvalue():
+    from thinlayer.convergence import _match_pairs
+
+    overlaps = np.array([[0.5, 0.498, 0.1], [0.2, 0.9, 0.3]])
+    assignment, ambiguous = _match_pairs(
+        overlaps, np.array([1.0, 2.1]), np.array([1.3, 1.01, 2.0]), 2
+    )
+    # effective 0: overlaps 0.5 and 0.498 are within 1%, and full 1 lies
+    # closer to its eigenvalue; effective 1 then takes full 2 outright
+    assert ambiguous == [0]
+    assert list(assignment) == [1, 2]
+
+
 def test_doubled_grid_effective_solve_runs_once(monkeypatch):
     import thinlayer.convergence as conv
 

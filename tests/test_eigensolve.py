@@ -225,6 +225,30 @@ def test_resolvent_residual_and_one_factorization(circle_patch, monkeypatch):
     assert len(factored) == 2
 
 
+def test_shift_invert_no_convergence_raises_after_one_factorization(circle_patch, monkeypatch):
+    import thinlayer.eigensolve as es
+
+    heff = assemble_effective(circle_patch)
+    factored = []
+    real_splu = es.spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape)
+        return real_splu(A, *args, **kwargs)
+
+    partial = np.array([0.25])
+
+    def stalled(*args, **kwargs):
+        raise es.spla.ArpackNoConvergence("staged stall", partial, np.zeros((heff.n_dof, 1)))
+
+    monkeypatch.setattr(es.spla, "splu", counting_splu)
+    monkeypatch.setattr(es.spla, "eigsh", stalled)
+    with pytest.raises(SolverError, match="did not converge") as info:
+        lowest_eigenpairs(heff, 3, dense_cutoff=0)
+    assert info.value.residuals is partial
+    assert len(factored) == 1  # no refactorization at a moved shift
+
+
 def test_resolvent_rejects_shift_at_eigenvalue():
     diag = AssembledOperator.from_matrix(sp.csr_array(np.diag([1.0, 3.0])))
     lam_min = lowest_eigenpairs(diag, 1).values[0]

@@ -216,6 +216,41 @@ def test_out_of_grid_error_names_the_offending_point():
         f.field_strength(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+def test_field_dimension_must_match_the_surface(circle_patch):
+    sphere = build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (8, 16))
+    for f, patch in ((constant_field(2, 1.0), sphere),
+                     (constant_field(3, [0.0, 0.0, 1.0]), circle_patch)):
+        with pytest.raises(FieldError, match="field dimension"):
+            effective_field(f, patch)
+        with pytest.raises(FieldError, match="field dimension"):
+            pullback(f, layer_geometry(patch, 0.1, 5))
+
+
+def test_polynomial_field_strength_closed_forms():
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 3))
+    y0, y1, y2 = pts.T
+    # A = (y1 y2^2, y0^2 y2, y0 y1)
+    f3 = polynomial_field(3, [[(1.0, (0, 1, 2))], [(1.0, (2, 0, 1))], [(1.0, (1, 1, 0))]])
+    want = np.stack([y0 - y0**2, 2.0 * y1 * y2 - y1, 2.0 * y0 * y2 - y2**2], -1)
+    assert np.max(np.abs(f3.field_strength(pts) - want)) < 1e-14
+    # A = (y0 y1^2, y0^3)
+    f2 = polynomial_field(2, [[(1.0, (1, 2))], [(1.0, (3, 0))]])
+    want2 = 3.0 * y0**2 - 2.0 * y0 * y1
+    assert np.max(np.abs(f2.field_strength(pts[:, :2]) - want2)) < 1e-14
+
+
+def test_sampled_field_curl_in_three_dimensions():
+    # A = M y is reproduced exactly by linear interpolation and centered
+    # differences, so the sampled curl is the constant curl of M y
+    M = np.array([[0.0, 0.3, -0.7], [1.1, 0.2, 0.5], [0.4, -0.6, 0.0]])
+    axes = [np.linspace(-1.0, 1.0, 9)] * 3
+    Y = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+    f = sampled_field(3, axes, Y @ M.T)
+    pts = np.random.default_rng(5).uniform(-0.8, 0.8, (6, 3))
+    B = np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+    assert np.max(np.abs(f.field_strength(pts) - B)) < 1e-12
+
+
 def test_polynomial_electric_potential_on_layer(segment_patch):
     lay = layer_geometry(segment_patch, 0.25, 9)
     w = polynomial_potential([(2.0, (0, 2))])  # 2 * y2^2

@@ -70,6 +70,59 @@ def test_flat_operator_is_exact_kron_sum(segment_patch):
     assert not H.is_complex
 
 
+@pytest.mark.parametrize("b", [None, [0.0, 0.0, 1.0]])
+def test_flat_plane_layer_surface_part_is_exact_kron(b):
+    # flat layer, u-independent potential: every transverse slab carries the
+    # same surface stencil, bit for bit
+    eps, m = 0.2, 7
+    plane = build_patch(GeometryFamily("plane-rectangle", {"lx": 1.0, "ly": 1.5}), (12, 14))
+    lay = layer_geometry(plane, eps, m)
+    if b is None:
+        pot, eff = zero_layer_potential(lay), None
+    else:
+        f = constant_field(3, b)
+        pot, eff = gauge_fix(pullback(f, lay)), effective_field(f, plane)
+    H = assemble_full(lay, pot)
+    S = assemble_effective(plane, eff).matrix  # curvature potential is zero
+    T = transverse_matrix(m) / eps**2
+    K = sp.csr_array(sp.kron(S, sp.eye_array(m, format="csr"), format="csr")) + sp.csr_array(
+        sp.kron(sp.eye_array(plane.n_nodes, format="csr"), sp.csr_array(T), format="csr")
+    )
+    assert (H.matrix - K).tocoo().nnz == 0
+    assert H.is_complex == (b is not None)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_sheared_cylinder_effective_spectrum_second_order(b):
+    """Periodic x Dirichlet user-sampled chart with a mixed metric: the unit
+    cylinder of length L charted by (cos(t + 0.8 z), sin(t + 0.8 z), z). In
+    the axial field b e_z (flux pi b, n.B = 0) its effective spectrum is
+    (m - b/2)^2 + (k pi / L)^2 - 1/4."""
+    L = 1.3
+    exact = np.sort(
+        [(m - 0.5 * b) ** 2 + (k * np.pi / L) ** 2 - 0.25 for m in range(-3, 4) for k in (1, 2)]
+    )
+    errors = []
+    for nt, nz in ((32, 16), (64, 32), (128, 64)):
+        t = 2.0 * np.pi * np.arange(nt) / nt
+        z = L / (nz + 1) * np.arange(1, nz + 1)
+        T, Z = np.meshgrid(t, z, indexing="ij")
+        x = np.stack([np.cos(T + 0.8 * Z), np.sin(T + 0.8 * Z), Z], -1)
+        fam = GeometryFamily(
+            "user-sampled", {"h1": 2.0 * np.pi / nt, "h2": L / (nz + 1)},
+            samples=x, closures=("periodic", "dirichlet"),
+        )
+        patch = build_patch(fam, None)
+        heff = assemble_effective(patch, effective_field(constant_field(3, [0.0, 0.0, b]), patch))
+        vals = lowest_eigenpairs(heff, 5, dense_cutoff=0).values
+        errors.append(np.abs(vals - exact[:5]))
+    errors = np.array(errors)
+    if b == 0.0:
+        assert np.all(errors[:, 0] < 1e-4)  # the z-only mode sees no mixed term
+    assert errors[-1].max() < 2.5e-2
+    assert np.all(errors[:-1] / errors[1:] > 3.3)  # second order
+
+
 @pytest.mark.parametrize("family,grid,field", [
     ("circle", (48,), None),
     ("torus", (16, 16), None),
