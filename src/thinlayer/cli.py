@@ -5,6 +5,7 @@ Exit codes: 0 ok, 2 config error, 3 solver error, 4 acceptance violation.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -47,17 +48,20 @@ EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_csv(path: Path, header: list, n_rows: int, columns: list):
+    """One CSV table: the header line, then the columns side by side, every
+    number in %.17g (integers held as floats print without a point)."""
+    table = np.column_stack([np.reshape(c, (n_rows, -1)) for c in columns])
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    _atomic_write(path, buf.getvalue())
 
 
 def _json_dump(obj) -> str:
@@ -91,27 +95,23 @@ def cmd_geometry(cfg: RunConfig, out: Path, args) -> int:
     header += [f"kappa_{m + 1}" for m in range(patch.dim)]
     header += [f"K_{m + 1}" for m in range(patch.dim)]
     header += ["v_eff"]
-    if eff is not None and dim == 3:
-        header += ["b_eff"]
-    rows = [",".join(header)]
     gshape = patch.grid_shape
-    veff = v_eff(patch.kappa)
-    for flat in range(patch.n_nodes):
-        idx = np.unravel_index(flat, gshape)
-        rec = [str(int(i)) for i in idx]
-        rec += [_fmt(patch.axes[k].nodes[idx[k]]) for k in range(naxes)]
-        rec += [_fmt(c) for c in patch.x[idx]]
-        rec += [_fmt(c) for c in patch.kappa[idx]]
-        rec += [_fmt(c) for c in patch.mean_curv[idx]]
-        rec += [_fmt(veff[idx])]
-        if eff is not None and dim == 3:
-            rec += [_fmt(eff.b_eff[idx])]
-        rows.append(",".join(rec))
+    columns = [
+        np.stack(np.indices(gshape), -1),
+        np.stack(np.meshgrid(*(ax.nodes for ax in patch.axes), indexing="ij"), -1),
+        patch.x,
+        patch.kappa,
+        patch.mean_curv,
+        v_eff(patch.kappa),
+    ]
+    if eff is not None and eff.b_eff is not None:
+        header += ["b_eff"]
+        columns += [eff.b_eff]
 
     outs = cfg.raw.get("geometry_outputs", {})
     csv_path = out / outs.get("csv", "geometry.csv")
     json_path = out / outs.get("json", "geometry_summary.json")
-    _atomic_write(csv_path, "\n".join(rows) + "\n")
+    _write_csv(csv_path, header, patch.n_nodes, columns)
 
     summary = {
         "family": patch.family.kind,
@@ -186,10 +186,13 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 
     outs = spec_cfg.get("outputs", {})
     csv_path = out / outs.get("csv", "spectrum.csv")
-    lines = ["n,eigenvalue,residual"]
-    for i, (v, r) in enumerate(zip(spectrum.values, spectrum.residuals), start=1):
-        lines.append(f"{i},{_fmt(v)},{_fmt(r)}")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    n_values = len(spectrum.values)
+    _write_csv(
+        csv_path,
+        ["n", "eigenvalue", "residual"],
+        n_values,
+        [np.arange(1, n_values + 1), spectrum.values, spectrum.residuals],
+    )
     log.info("spectrum: %s", csv_path)
 
     if spec_cfg.get("dump_eigenvectors"):

@@ -74,7 +74,7 @@ SCHEMA = {
                 },
                 "grid": {
                     "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
+                    "items": {"type": "integer", "minimum": 8},
                     "minItems": 1,
                     "maxItems": 2,
                 },
@@ -275,6 +275,11 @@ def load_sampled_grid_csv(path, dim, n_values) -> tuple[list, np.ndarray]:
         )
     axes = [np.unique(data[:, k]) for k in range(dim)]
     shape = tuple(a.size for a in axes)
+    if min(shape) < 2:
+        raise ConfigError(
+            f"sampled CSV {path} needs at least 2 distinct coordinates along "
+            f"every axis, got a {'x'.join(map(str, shape))} grid"
+        )
     n = int(np.prod(shape))
     lin = np.ravel_multi_index(
         tuple(np.searchsorted(a, data[:, k]) for k, a in enumerate(axes)), shape
@@ -307,8 +312,12 @@ def build_family(cfg: RunConfig) -> tuple[GeometryFamily, tuple]:
         closures = tuple(g["closure"]) if "closure" in g else None
         fam = GeometryFamily(kind, params, samples=samples, closures=closures)
         return fam, samples.shape[:-1]
-    if not grid:
-        raise ConfigError("built-in geometry families need a grid entry")
+    n_dirs = ambient_dim_of(kind) - 1
+    if len(grid) != n_dirs:
+        raise ConfigError(
+            f"a {kind} grid needs {n_dirs} size(s), one per chart direction, "
+            f"got {list(grid)}"
+        )
     return GeometryFamily(kind, params), grid
 
 

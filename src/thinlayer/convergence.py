@@ -3,12 +3,13 @@ convergence of the renormalized layer operator toward the effective surface
 Hamiltonian, plus the transverse spectral-gap check and rate fitting."""
 from __future__ import annotations
 
+import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .eigensolve import lowest_eigenpairs, opnorm_estimate, resolvent
 from .errors import EmbeddingError, FitError, ThinLayerError
@@ -94,18 +95,6 @@ class FitResult:
     excluded: tuple[int, ...]
     tag: str = "fit"
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "stderr": self.stderr,
-            "band95": list(self.band95),
-            "residual_rms": self.residual_rms,
-            "n_used": self.n_used,
-            "excluded": list(self.excluded),
-            "tag": self.tag,
-        }
-
 
 def fit_rate(eps_values, values) -> FitResult:
     """Least-squares slope of log(value) against log(eps).
@@ -133,7 +122,7 @@ def fit_rate(eps_values, values) -> FitResult:
     if n > 2 and denom > 0:
         s2 = float(np.sum(r * r)) / (n - 2)
         stderr = float(np.sqrt(s2 / denom))
-        half = float(student_t.ppf(0.975, n - 2)) * stderr
+        half = float(stdtrit(n - 2, 0.975)) * stderr
     else:
         stderr = 0.0
         half = 0.0
@@ -297,12 +286,6 @@ _CSV_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 @dataclass
 class ConvergenceReport:
     rows: list
@@ -321,28 +304,23 @@ class ConvergenceReport:
         return np.asarray(eps), np.asarray(vals)
 
     def to_csv(self) -> str:
-        lines = [",".join(_CSV_COLUMNS)]
-        for r in self.rows:
-            rec = [
-                _fmt(r.eps),
-                str(r.n),
-                _fmt(r.lam),
-                _fmt(r.mu),
-                _fmt(r.gap),
-                _fmt(r.cluster_gap),
-                _fmt(r.efunc),
-                _fmt(r.leakage),
-                _fmt(r.resolvent),
-                _fmt(r.disc_est),
-                _fmt(r.overlap),
-                ";".join(r.flags) if not r.skipped else f"skipped:{r.reason}",
-            ]
-            lines.append(",".join(rec))
-        return "\n".join(lines) + "\n"
+        table = np.array(
+            [
+                [r.eps, r.n, r.lam, r.mu, r.gap, r.cluster_gap, r.efunc, r.leakage,
+                 r.resolvent, r.disc_est, r.overlap,
+                 ";".join(r.flags) if not r.skipped else f"skipped:{r.reason}"]
+                for r in self.rows
+            ],
+            dtype=object,
+        ).reshape(-1, len(_CSV_COLUMNS))
+        buf = io.StringIO()
+        np.savetxt(buf, table, fmt=["%.17g"] * 11 + ["%s"], delimiter=",",
+                   header=",".join(_CSV_COLUMNS), comments="")
+        return buf.getvalue()
 
     def summary(self) -> dict:
         fits = {
-            name: (fr.as_dict() if isinstance(fr, FitResult) else {"tag": fr})
+            name: (asdict(fr) if isinstance(fr, FitResult) else {"tag": fr})
             for name, fr in self.fits.items()
         }
         return {

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,31 +50,20 @@ TRANSVERSE_GROUND_ENERGY = (np.pi / 2.0) ** 2
 HERMITICITY_TOL = 1e-12
 
 
-@lru_cache(maxsize=32)
-def _transverse_cache(m_u: int):
-    j = np.arange(1, m_u + 1)
-    modes = np.arange(1, m_u + 1)
-    basis = np.sqrt(2.0 / (m_u + 1)) * np.sin(np.outer(j, modes) * np.pi / (m_u + 1))
-    energies = (modes * np.pi / 2.0) ** 2
-    T = (basis * energies) @ basis.T
-    T = 0.5 * (T + T.T)
-    T.flags.writeable = False
-    basis.flags.writeable = False
-    energies.flags.writeable = False
-    return T, basis, energies
-
-
 def transverse_matrix(m_u: int) -> np.ndarray:
     """Spectral stiffness matrix of -d^2/du^2 on the interior grid.
 
     Exact Dirichlet eigenvalues (m pi/2)^2 with the sampled sine modes as
     eigenvectors; dense (m_u x m_u), symmetric.
     """
-    return _transverse_cache(m_u)[0]
+    j = np.arange(1, m_u + 1)
+    basis = np.sqrt(2.0 / (m_u + 1)) * np.sin(np.outer(j, j) * np.pi / (m_u + 1))
+    T = (basis * transverse_energies(m_u)) @ basis.T
+    return 0.5 * (T + T.T)
 
 
 def transverse_energies(m_u: int) -> np.ndarray:
-    return _transverse_cache(m_u)[2]
+    return (np.arange(1, m_u + 1) * np.pi / 2.0) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thinlayer
 from thinlayer.cli import main
 
 
@@ -98,6 +103,22 @@ def test_bad_family_value_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "family, params, grid",
+    [
+        ("torus", {"major": 2.0, "minor": 0.5}, [16]),  # one size for a 2-d chart
+        ("circle", {"radius": 1.0}, [16, 16]),  # two sizes for a 1-d chart
+        ("circle", {"radius": 1.0}, [4]),  # fewer than 8 nodes
+    ],
+)
+def test_grid_needs_one_size_of_at_least_8_per_chart_direction(tmp_path, capsys, family,
+                                                              params, grid):
+    cfg = _config({"family": family, "params": params, "grid": grid})
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "grid" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # geometry command
 # ---------------------------------------------------------------------------
@@ -160,6 +181,48 @@ def test_geometry_embedding_diagnosis(tmp_path):
     assert summary["embedding"]["passed"] is True
 
 
+def _csv_columns(path):
+    """Header and the raw text fields of a CSV file, column by column."""
+    lines = Path(path).read_text().splitlines()
+    return lines[0].split(","), list(zip(*(line.split(",") for line in lines[1:])))
+
+
+def _same_bits(fields, source):
+    """The text fields parse back to exactly the source floats, bit for bit."""
+    parsed = np.array([float(f) for f in fields])
+    return parsed.tobytes() == np.ascontiguousarray(source, dtype=float).ravel().tobytes()
+
+
+def test_geometry_csv_roundtrips_at_full_precision(tmp_path):
+    cfg = _config(
+        {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 16]},
+        field={"kind": "constant", "b": [0.3, 0.0, 1.0]},
+    )
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    patch = thinlayer.build_patch(
+        thinlayer.GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (12, 16)
+    )
+    eff = thinlayer.effective_field(thinlayer.constant_field(3, [0.3, 0.0, 1.0]), patch)
+    header, cols = _csv_columns(tmp_path / "geometry.csv")
+    assert len(cols[0]) == patch.n_nodes
+    index = np.unravel_index(np.arange(patch.n_nodes), patch.grid_shape)  # row-major
+    want = {}
+    for k, ax in enumerate(patch.axes):
+        assert all(f.isdigit() for f in cols[k])  # plain integers
+        assert [int(f) for f in cols[k]] == index[k].tolist()
+        want[ax.name] = ax.nodes[index[k]]
+    for c, name in enumerate("xyz"):
+        want[name] = patch.x[..., c]
+    want.update({f"kappa_{m + 1}": patch.kappa[..., m] for m in range(patch.dim)})
+    want.update({f"K_{m + 1}": patch.mean_curv[..., m] for m in range(patch.dim)})
+    want["v_eff"] = thinlayer.v_eff(patch.kappa)
+    want["b_eff"] = eff.b_eff
+    assert header[2:] == list(want)
+    for name, source in want.items():
+        assert _same_bits(cols[header.index(name)], source), name
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 # ---------------------------------------------------------------------------
@@ -191,6 +254,27 @@ def test_spectrum_circle_effective(tmp_path):
     assert rc == 0
     _, data = _read_csv(tmp_path / "spectrum.csv")
     assert np.max(np.abs(data[:, 1] - [-0.25, 0.75, 0.75])) < 5e-4
+
+
+def test_spectrum_csv_roundtrips_at_full_precision(tmp_path):
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [64]},
+        field={"kind": "constant", "b": 1.3},
+        solver={"n_eigenpairs": 3, "tol": 1e-11, "seed": 7},
+        spectrum={"operator": "h-eff"},
+    )
+    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    patch = thinlayer.build_patch(thinlayer.GeometryFamily("circle", {"radius": 1.0}), (64,))
+    eff = thinlayer.effective_field(thinlayer.constant_field(2, 1.3), patch)
+    spectrum = thinlayer.lowest_eigenpairs(
+        thinlayer.assemble_effective(patch, eff), 3, tol=1e-11, seed=7
+    )
+    header, cols = _csv_columns(tmp_path / "spectrum.csv")
+    assert header == ["n", "eigenvalue", "residual"]
+    assert list(cols[0]) == ["1", "2", "3"]
+    assert _same_bits(cols[1], spectrum.values)
+    assert _same_bits(cols[2], spectrum.residuals)
 
 
 def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
@@ -441,3 +525,49 @@ def test_sampled_csv_must_cover_the_grid(tmp_path, capsys, kind):
     rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "exactly once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["electric", "field"])
+def test_sampled_csv_needs_two_nodes_per_axis(tmp_path, capsys, kind):
+    # a 3x3 grid of a 3-d field on the single plane y3 = 0
+    axis = (-3.0, 0.0, 3.0)
+    if kind == "electric":
+        values = (1.0,)
+        field = {"kind": "zero", "electric": {"kind": "sampled", "csv": "s.csv"}}
+    else:
+        values = (0.0, 0.0, 0.0)
+        field = {"kind": "sampled", "csv": "s.csv"}
+    rows = [
+        ",".join(format(v, ".17g") for v in (y1, y2, 0.0, *values))
+        for y1 in axis
+        for y2 in axis
+    ]
+    (tmp_path / "s.csv").write_text("\n".join(rows) + "\n")
+    cfg = _config(
+        {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [8, 8]},
+        field=field,
+        solver={"n_eigenpairs": 1},
+        spectrum={"operator": "h-eff"},
+    )
+    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "at least 2" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# imports
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(thinlayer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, thinlayer.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
