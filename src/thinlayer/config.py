@@ -134,6 +134,7 @@ SCHEMA = {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 1,
+                    "uniqueItems": True,
                 },
                 "m_u": _M_U,
                 "grid_doubling": {"type": "boolean"},

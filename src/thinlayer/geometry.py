@@ -429,7 +429,10 @@ def _sampled_fields(samples, closures, grid, params):
         )
     if closures is None:
         closures = (DIRICHLET,) * naxes
-    spacings = [float(params.get(f"h{k + 1}", 1.0 / gshape[k])) for k in range(naxes)]
+    spacings = [
+        _require(params, f"h{k + 1}")[0] if f"h{k + 1}" in params else 1.0 / gshape[k]
+        for k in range(naxes)
+    ]
     axes = []
     for k in range(naxes):
         closure = closures[k]

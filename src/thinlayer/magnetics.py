@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import FieldError
 from .geometry import HypersurfacePatch, LayerGeometry, grid_deriv1
@@ -150,6 +148,8 @@ def sampled_field(dim: int, grid_axes, values) -> AmbientField:
     """Vector potential sampled on a rectangular ambient grid (linear interp)."""
     axes = [np.asarray(a, dtype=float) for a in grid_axes]
     values = np.asarray(values, dtype=float)
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)
     delta = 0.25 * min(float(np.min(np.diff(a))) for a in axes)
 
@@ -223,6 +223,8 @@ def polynomial_potential(terms) -> ScalarPotential:
 
 def sampled_potential(grid_axes, values) -> ScalarPotential:
     axes = [np.asarray(a, dtype=float) for a in grid_axes]
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(
         axes, np.asarray(values, dtype=float), method="linear", bounds_error=True
     )
@@ -304,6 +306,22 @@ def surface_trace_potential(field: AmbientField, patch: HypersurfacePatch) -> np
     return np.einsum("...nd,...d->...n", patch.tangents, A0)
 
 
+def _cumulative_simpson(f, h):
+    """Antiderivative of f along the last axis (>= 3 nodes, step h) by
+    composite Simpson, starting at 0: step [x_j, x_j+1] integrates the
+    parabola through x_j, x_j+1, x_j+2 for even j and through x_j-1, x_j,
+    x_j+1 for odd j and for the last step (the equal-step case of
+    scipy.integrate.cumulative_simpson, bit for bit)."""
+    f1, f2, f3 = f[..., :-2], f[..., 1:-1], f[..., 2:]
+    forward = h / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    mirrored = h / 3 * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    steps = np.zeros(f.shape)  # slot 0 is the starting 0, slot j + 1 step j
+    steps[..., 1:-1:2] = forward[..., ::2]
+    steps[..., 2::2] = mirrored[..., ::2]
+    steps[..., -1] = mirrored[..., -1]
+    return np.cumsum(steps, axis=-1)
+
+
 def gauge_fix(raw: RawLayerPotential | GaugeFixedPotential) -> GaugeFixedPotential:
     """Remove the transverse component by a gauge transformation.
 
@@ -322,7 +340,7 @@ def gauge_fix(raw: RawLayerPotential | GaugeFixedPotential) -> GaugeFixedPotenti
         a_surf = raw.a_surf
         label = raw.field_label
     j0 = layer.m_u // 2  # u = 0 node (transverse grid is odd)
-    running = cumulative_simpson(a_trans, dx=layer.h_u, axis=-1, initial=0.0)
+    running = _cumulative_simpson(a_trans, layer.h_u)
     theta = running - running[..., j0 : j0 + 1]
     grad = np.stack(
         [

@@ -16,7 +16,8 @@ Discretization scheme:
     of the narrow ones, so covariance is exact); directions with a coordinate
     pole stay second order with zero-flux pole edges;
   * mixed-metric terms are the symmetrized centered-difference form (second
-    order, Hermitian by construction);
+    order, Hermitian by construction), taken from the same neighbour windows
+    as the edges: rolled on periodic axes, sliced on bounded ones;
   * the transverse operator is the spectral sine-basis matrix on the uniform
     interior grid, whose eigenvalues are exactly (m pi / 2)^2 and whose
     eigenvectors are the sampled sine modes.
@@ -242,43 +243,6 @@ def _ghost_coef(F, axis, side):
     return np.where(val > 0, val, f0)
 
 
-class _TripletBag:
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
-        self.diag_idx = []
-        self.diag_val = []
-
-    def add(self, rows, cols, vals):
-        self.rows.append(rows)
-        self.cols.append(cols)
-        self.vals.append(vals)
-
-    def add_diag(self, idx, val):
-        self.diag_idx.append(np.asarray(idx, np.int64).reshape(-1))
-        self.diag_val.append(np.asarray(val, float).reshape(-1))
-
-    def build(self, n, cplx):
-        dtype = np.complex128 if cplx else np.float64
-        rows = np.concatenate(self.rows) if self.rows else np.zeros(0, np.int64)
-        cols = np.concatenate(self.cols) if self.cols else np.zeros(0, np.int64)
-        vals = (
-            np.concatenate([v.astype(dtype) for v in self.vals])
-            if self.vals
-            else np.zeros(0, dtype)
-        )
-        if self.diag_idx:
-            di = np.concatenate(self.diag_idx)
-            dv = np.concatenate(self.diag_val).astype(dtype)
-            rows = np.concatenate([rows, di])
-            cols = np.concatenate([cols, di])
-            vals = np.concatenate([vals, dv])
-        return sp.csr_array(
-            sp.coo_array((vals, (rows, cols)), shape=(n, n), dtype=dtype)
-        )
-
-
 # ---------------------------------------------------------------------------
 # divergence-form edge triplets
 #
@@ -315,6 +279,14 @@ def _diag_triplets(gi, gj, coff, di, dj, theta):
     return rows, cols, vals
 
 
+def _hop(arr, k, ax, offset, count):
+    """arr `offset` nodes along chart axis k from the first node of each hop:
+    every node on a periodic axis, the first `count` on a bounded one."""
+    if ax.periodic:
+        return np.roll(arr, -offset, k)
+    return _take(arr, k, slice(offset, offset + count))
+
+
 def _surface_operator(patch, inv, alpha, m):
     """Scaled surface stencil on (chart grid) x (m transverse slabs).
 
@@ -326,13 +298,14 @@ def _surface_operator(patch, inv, alpha, m):
     ns = patch.n_nodes
     if alpha is not None and not np.any(alpha):
         alpha = None
-    cplx = alpha is not None
 
     I = np.arange(ns, dtype=np.int64).reshape(gshape)
     sg_m = np.broadcast_to(patch.sqrt_g[..., None], gshape + (m,))
     isqrt_sg = 1.0 / np.sqrt(patch.sqrt_g)
     isg2 = isqrt_sg**2
-    bag = _TripletBag()
+    # (rows, cols, vals) blocks, duplicates summed by the COO -> CSR build;
+    # the ghost diagonals go after every edge
+    entries, ghosts = [], []
     slab = np.arange(m, dtype=np.int64)
 
     def slabs(surf):
@@ -349,29 +322,25 @@ def _surface_operator(patch, inv, alpha, m):
         di = (c * (si * si)[..., None]).reshape(-1)
         dj = (c * (sj * sj)[..., None]).reshape(-1)
         th = None if theta is None else theta.reshape(-1)
-        bag.add(*_diag_triplets(slabs(ei), slabs(ej), coff, di, dj, th))
+        entries.append(_diag_triplets(slabs(ei), slabs(ej), coff, di, dj, th))
 
     def ghost(k, node, coef):
         # diagonal of the ghost edge at end node `node` of axis k; coef:
         # (*eshape, m) without the weight normalization
-        vals = coef * _take(isg2, k, node)[..., None]
-        bag.add_diag(slabs(_take(I, k, node)), vals.reshape(-1))
+        idx = slabs(_take(I, k, node))
+        ghosts.append((idx, idx, (coef * _take(isg2, k, node)[..., None]).reshape(-1)))
 
     for k, ax in enumerate(patch.axes):
-        h, n, periodic = ax.h, ax.n, ax.periodic
+        h, n = ax.h, ax.n
         fourth = not _is_pole_axis(ax)
         scale1 = 4.0 / 3.0 if fourth else 1.0
         Fnode = sg_m * inv[..., k, k]
 
         def hop(arr, offset, count):
-            # arr `offset` nodes along axis k from the first node of each hop:
-            # all nodes on a periodic axis, the first `count` on a bounded one
-            if periodic:
-                return np.roll(arr, -offset, k)
-            return _take(arr, k, slice(offset, offset + count))
+            return _hop(arr, k, ax, offset, count)
 
         def interp(F):
-            if periodic:
+            if ax.periodic:
                 return _interp_edges_periodic(F, k)
             return _interp_edges_bounded(F, k, 4 if fourth else 2)
 
@@ -402,99 +371,52 @@ def _surface_operator(patch, inv, alpha, m):
         off_scale = float(np.max(np.abs(inv[..., 0, 1])))
         diag_scale = float(np.max(np.abs(inv)))
         if off_scale > 1e-12 * diag_scale:
-            _emit_mixed(patch, inv, alpha, m, I, sg_m, isqrt_sg, bag)
+            for a, b, v in _mixed_terms(patch, inv, alpha, I, sg_m, isqrt_sg):
+                v = v.reshape(-1)
+                entries += [(slabs(a), slabs(b), v), (slabs(b), slabs(a), np.conj(v))]
 
-    return bag.build(ns * m, cplx)
-
-
-def _neighbor_maps(patch, I, k):
-    plus, minus = np.roll(I, -1, axis=k), np.roll(I, 1, axis=k)
-    if not patch.axes[k].periodic:
-        _take(plus, k, -1)[...] = -1
-        _take(minus, k, 0)[...] = -1
-    return plus, minus
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries, *ghosts))
+    dtype = np.float64 if alpha is None else np.complex128
+    return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(ns * m,) * 2, dtype=dtype))
 
 
-def _edge_theta_maps(patch, alpha_k, k):
-    """Phase angles for hops node -> node +/- e_k (0 where the hop is absent)."""
-    ax = patch.axes[k]
-    tp = ax.h * (0.5 * (alpha_k + np.roll(alpha_k, -1, axis=k)))
-    if not ax.periodic:
-        _take(tp, k, -1)[...] = 0.0
-    return tp, -np.roll(tp, 1, axis=k)
+def _mixed_terms(patch, inv, alpha, I, sg_m, isqrt_sg):
+    """Mixed-metric terms: centered covariant differences in the two chart
+    directions multiplied under the node coefficient
+    base = sqrt|g| G^{01} / (4 h0 h1).
 
+    For each sign pair (s0, s1), over the nodes c whose neighbours
+    a = c + s0 e0 and b = c + s1 e1 both exist (the narrow-hop windows of
+    both axes), yields the surface indices a, b and the (*window, m) entries
+    s0 s1 base_c w_a w_b exp(i (theta_a - theta_b)) at (a, b), with
+    w = |g|^{-1/4} and theta_a the midpoint phase of the hop c -> a; the
+    conjugate entries belong at (b, a).
+    """
+    if any(_is_pole_axis(ax) for ax in patch.axes):
+        raise AssemblyError(
+            "mixed metric terms on a chart with a coordinate pole are not supported"
+        )
+    ax0, ax1 = patch.axes
+    base = sg_m * inv[..., 0, 1] / (4.0 * ax0.h * ax1.h)
 
-# ---------------------------------------------------------------------------
-# mixed-derivative (off-diagonal metric) triplets
-#
-# Centered covariant differences in two chart directions multiplied under a
-# real node coefficient. Per node: 8 entries coupling the four neighbours
-# (missing neighbours are marked -1 and emit inert zero slots at (0, 0)).
-# base = sqrt|g| * G^{01} / (4 h0 h1); isw[g] = 1 / sqrt(node weight density).
-# t0p is the phase angle for the hop node -> node+e0, t0m for node -> node-e0.
-# ---------------------------------------------------------------------------
+    if alpha is not None:
+        a0, a1 = alpha[..., 0], alpha[..., 1]
 
+    def at(arr, o0, o1):
+        # arr at hop offsets o0 along axis 0 and o1 along axis 1
+        return _hop(_hop(arr, 0, ax0, o0, ax0.n - 1), 1, ax1, o1, ax1.n - 1)
 
-def _mixed_triplets(gp0, gm0, gp1, gm1, base, isw, t0p, t0m, t1p, t1m):
-    n = base.size
-    rows = np.empty(8 * n, np.int64)
-    cols = np.empty(8 * n, np.int64)
-    cplx = t0p is not None
-    vals = np.empty(8 * n, np.complex128 if cplx else np.float64)
-
-    def emit(slot, a, b, sign, pa, pb):
-        ok = (a >= 0) & (b >= 0)
-        aa = np.where(ok, a, 0)
-        bb = np.where(ok, b, 0)
-        v = sign * base * isw[aa] * isw[bb]
-        if cplx:
-            v = v * np.exp(1j * (pa - pb))
-        v = np.where(ok, v, 0)
-        rows[slot::8] = np.where(ok, aa, 0)
-        cols[slot::8] = np.where(ok, bb, 0)
-        vals[slot::8] = v
-        rows[slot + 1 :: 8] = np.where(ok, bb, 0)
-        cols[slot + 1 :: 8] = np.where(ok, aa, 0)
-        vals[slot + 1 :: 8] = np.conj(v) if cplx else v
-
-    z = np.zeros(n) if t0p is None else None
-    a0p, a0m, a1p, a1m = (
-        (t0p, t0m, t1p, t1m) if cplx else (z, z, z, z)
-    )
-    emit(0, gp0, gp1, 1.0, a0p, a1p)
-    emit(2, gp0, gm1, -1.0, a0p, a1m)
-    emit(4, gm0, gp1, -1.0, a0m, a1p)
-    emit(6, gm0, gm1, 1.0, a0m, a1m)
-    return rows, cols, vals
-
-
-def _emit_mixed(patch, inv, alpha, m, I, sg_m, isqrt_sg, bag):
-    for ax in patch.axes:
-        if _is_pole_axis(ax):
-            raise AssemblyError(
-                "mixed metric terms on a chart with a coordinate pole are not supported"
-            )
-    h0, h1 = patch.axes[0].h, patch.axes[1].h
-    base = (sg_m * 2.0 * inv[..., 0, 1]) / (2.0 * 4.0 * h0 * h1)
-    p0, m0 = _neighbor_maps(patch, I, 0)
-    p1, m1 = _neighbor_maps(patch, I, 1)
-    slab = np.arange(m, dtype=np.int64)
-
-    def glob(surf):
-        g = surf[..., None] * m + slab
-        return np.where(surf[..., None] < 0, -1, g).reshape(-1)
-
-    gp0, gm0, gp1, gm1 = glob(p0), glob(m0), glob(p1), glob(m1)
-    isw = np.repeat(isqrt_sg.reshape(-1), m)
-    if alpha is None:
-        th = (None,) * 4
-    else:
-        t0p, t0m = _edge_theta_maps(patch, alpha[..., 0], 0)
-        t1p, t1m = _edge_theta_maps(patch, alpha[..., 1], 1)
-        th = (t0p.reshape(-1), t0m.reshape(-1), t1p.reshape(-1), t1m.reshape(-1))
-    bag.add(
-        *_mixed_triplets(gp0, gm0, gp1, gm1, base.reshape(-1), isw, *th)
-    )
+    for s0 in (1, -1):
+        for s1 in (1, -1):
+            # hop offsets of c and of its neighbour along each axis
+            (c0, n0), (c1, n1) = ((0, 1) if s > 0 else (1, 0) for s in (s0, s1))
+            v = s0 * s1 * at(base, c0, c1)
+            v = v * at(isqrt_sg, n0, c1)[..., None] * at(isqrt_sg, c0, n1)[..., None]
+            if alpha is not None:
+                th_a = s0 * (ax0.h * (0.5 * (at(a0, c0, c1) + at(a0, n0, c1))))
+                th_b = s1 * (ax1.h * (0.5 * (at(a1, c0, c1) + at(a1, c0, n1))))
+                v = v * np.exp(1j * (th_a - th_b))
+            yield at(I, n0, c1), at(I, c0, n1), v
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,17 @@ def test_even_transverse_node_count_is_a_config_error(tmp_path, command):
     assert rc == 2
 
 
+def test_duplicate_sweep_widths_are_a_config_error(tmp_path, capsys):
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [32]},
+        field={"kind": "zero"},
+        sweep={"epsilons": [0.2, 0.1, 0.1, 0.05], "m_u": 9},
+    )
+    rc = main(["converge", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "epsilons" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # converge command
 # ---------------------------------------------------------------------------
@@ -560,9 +571,14 @@ def test_sampled_csv_needs_two_nodes_per_axis(tmp_path, capsys, kind):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats, scipy.integrate and scipy.interpolate buy the CLI nothing at
+    # import time; only a sampled field or potential loads the interpolator
     src = str(Path(thinlayer.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, thinlayer.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, thinlayer.cli; print(any(m in sys.modules for m in "
+        "('scipy.stats', 'scipy.integrate', 'scipy.interpolate')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": path},

@@ -145,6 +145,17 @@ def test_grid_size_and_parameter_validation():
         build_patch(GeometryFamily("torus", {"major": 0.5, "minor": 0.6}), (16, 16))
 
 
+@pytest.mark.parametrize("h1", [-0.04, 0.0, np.nan])
+def test_sampled_chart_spacing_must_be_finite_and_positive(h1):
+    # a negative spacing used to build a patch with negative surface weights,
+    # zero or nan one that failed later as "non-finite principal curvatures"
+    t = 2 * np.pi * np.arange(64) / 64
+    samples = np.stack([np.cos(t), np.sin(t)], -1)
+    fam = GeometryFamily("user-sampled", {"h1": h1}, samples=samples, closures=("periodic",))
+    with pytest.raises(GeometryError, match="'h1' must be positive"):
+        build_patch(fam, None)
+
+
 def test_degenerate_sampled_input_rejected():
     samples = np.zeros((32, 2))
     samples[:, 0] = np.linspace(0, 1, 32) ** 2  # stalls at the left end

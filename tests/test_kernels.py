@@ -1,15 +1,26 @@
 """The vectorized assembly and clearance kernels against explicit-loop oracles.
 
-``operators._diag_triplets`` and ``operators._mixed_triplets`` emit the COO
-triplets of the divergence-form edges and of the mixed-metric terms;
-``geometry._clearance`` scans chart-distant node pairs for the smallest layer
-clearance. Each is checked here against a plain-Python loop that spells out
-the same triplet slots and the same pair scan one entry at a time.
+``operators._diag_triplets`` emits the COO triplets of the divergence-form
+edges; ``operators._surface_operator`` adds the mixed-metric terms of a 2-D
+chart from the same neighbour windows as the edges; ``geometry._clearance``
+scans chart-distant node pairs for the smallest layer clearance. Each is
+checked here against a plain-Python loop that spells out the same triplet
+slots, the same mixed-term matrix and the same pair scan one entry at a time.
 """
 import numpy as np
+import pytest
 
+from thinlayer import (
+    GeometryFamily,
+    build_patch,
+    constant_field,
+    effective_field,
+    gauge_fix,
+    layer_geometry,
+    pullback,
+)
 from thinlayer.geometry import _clearance
-from thinlayer.operators import _diag_triplets, _mixed_triplets
+from thinlayer.operators import _diag_triplets, _surface_operator
 
 
 def _diag_triplets_oracle(gi, gj, coff, di, dj, theta=None):
@@ -27,30 +38,73 @@ def _diag_triplets_oracle(gi, gj, coff, di, dj, theta=None):
     return rows, cols, vals
 
 
-def _mixed_triplets_oracle(gp0, gm0, gp1, gm1, base, isw, t0p=None, t0m=None,
-                           t1p=None, t1m=None):
-    n = base.size
-    cplx = t0p is not None
-    rows = np.zeros(8 * n, np.int64)
-    cols = np.zeros(8 * n, np.int64)
-    vals = np.zeros(8 * n, np.complex128 if cplx else np.float64)
-    for t in range(n):
-        pairs_a = (gp0[t], gp0[t], gm0[t], gm0[t])
-        pairs_b = (gp1[t], gm1[t], gp1[t], gm1[t])
-        signs = (1.0, -1.0, -1.0, 1.0)
-        if cplx:
-            ph_a = (t0p[t], t0p[t], t0m[t], t0m[t])
-            ph_b = (t1p[t], t1m[t], t1p[t], t1m[t])
-        for q in range(4):
-            a, b = pairs_a[q], pairs_b[q]
-            s = 8 * t + 2 * q
-            if a >= 0 and b >= 0:
-                v = signs[q] * base[t] * isw[a] * isw[b]
-                if cplx:
-                    v = v * np.exp(1j * (ph_a[q] - ph_b[q]))
-                rows[s], cols[s], vals[s] = a, b, v
-                rows[s + 1], cols[s + 1], vals[s + 1] = b, a, np.conj(v)
-    return rows, cols, vals
+def _mixed_terms_oracle(patch, inv, alpha, m):
+    # per node c and sign pair (s0, s1) with both neighbours a = c + s0 e0,
+    # b = c + s1 e1 present: s0 s1 sqrt|g| G^01 / (4 h0 h1) |g|_a^-1/4
+    # |g|_b^-1/4 exp(i (theta_a - theta_b)) at (a, b) and its conjugate at
+    # (b, a), theta the midpoint phase of the hop from c
+    ax0, ax1 = patch.axes
+    n0, n1 = patch.grid_shape
+    w = patch.sqrt_g**-0.5
+    M = np.zeros((n0 * n1 * m,) * 2, np.complex128)
+
+    def neighbour(i, s, ax):
+        j = i + s
+        if ax.periodic:
+            return j % ax.n
+        return j if 0 <= j < ax.n else None
+
+    for i in range(n0):
+        for j in range(n1):
+            for s0 in (1, -1):
+                for s1 in (1, -1):
+                    ia, jb = neighbour(i, s0, ax0), neighbour(j, s1, ax1)
+                    if ia is None or jb is None:
+                        continue
+                    for t in range(m):
+                        base = patch.sqrt_g[i, j] * inv[i, j, t, 0, 1] / (4 * ax0.h * ax1.h)
+                        v = s0 * s1 * base * w[ia, j] * w[i, jb]
+                        if alpha is not None:
+                            ta = s0 * ax0.h * (alpha[i, j, t, 0] + alpha[ia, j, t, 0]) / 2
+                            tb = s1 * ax1.h * (alpha[i, j, t, 1] + alpha[i, jb, t, 1]) / 2
+                            v = v * np.exp(1j * (ta - tb))
+                        a = (ia * n1 + j) * m + t
+                        b = (i * n1 + jb) * m + t
+                        M[a, b] += v
+                        M[b, a] += np.conj(v)
+    return M
+
+
+def _sheared_torus():
+    # torus(theta = a + b, phi = b): g_01 = r^2 = 0.25 on both periodic axes
+    n0, n1 = 10, 12
+    A, B = np.meshgrid(2 * np.pi * np.arange(n0) / n0, 2 * np.pi * np.arange(n1) / n1,
+                       indexing="ij")
+    w = 2.0 + 0.5 * np.cos(A + B)
+    x = np.stack([w * np.cos(B), w * np.sin(B), 0.5 * np.sin(A + B)], -1)
+    return GeometryFamily("user-sampled", {"h1": 2 * np.pi / n0, "h2": 2 * np.pi / n1},
+                          samples=x, closures=("periodic", "periodic"))
+
+
+def _sheared_cylinder():
+    n0, n1, L = 10, 9, 1.3
+    T, Z = np.meshgrid(2 * np.pi * np.arange(n0) / n0, L / (n1 + 1) * np.arange(1, n1 + 1),
+                       indexing="ij")
+    x = np.stack([np.cos(T + 0.8 * Z), np.sin(T + 0.8 * Z), Z], -1)
+    return GeometryFamily("user-sampled", {"h1": 2 * np.pi / n0, "h2": L / (n1 + 1)},
+                          samples=x, closures=("periodic", "dirichlet"))
+
+
+_MIXED_CHARTS = {
+    "periodic-periodic": (_sheared_torus, None),
+    "periodic-dirichlet": (_sheared_cylinder, None),
+    "dirichlet-dirichlet": (
+        lambda: GeometryFamily(
+            "bumped-plane", {"lx": 2.0, "ly": 2.0, "amplitude": 0.3, "width": 0.5}
+        ),
+        (12, 14),
+    ),
+}
 
 
 def _clearance_oracle(schart, period, plo, phi, cutoff):
@@ -100,23 +154,28 @@ def test_diag_triplets_backends_agree():
     )
 
 
-def test_mixed_triplets_backends_agree():
-    rng = np.random.default_rng(1)
-    n = 600
-    gp0 = rng.integers(-1, 400, n)
-    gm0 = rng.integers(-1, 400, n)
-    gp1 = rng.integers(-1, 400, n)
-    gm1 = rng.integers(-1, 400, n)
-    base = rng.uniform(-1, 1, n)
-    isw = rng.uniform(0.5, 2.0, 400)
-    th = [rng.uniform(-1, 1, n) for _ in range(4)]
-    args = (gp0, gm0, gp1, gm1, base, isw)
-    _assert_triplets_match(
-        _mixed_triplets(*args, *th),
-        _mixed_triplets(*args, None, None, None, None),
-        _mixed_triplets_oracle(*args, *th),
-        _mixed_triplets_oracle(*args),
-    )
+@pytest.mark.parametrize("chart", sorted(_MIXED_CHARTS))
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("field", [False, True])
+def test_mixed_terms_match_loop_oracle(chart, m, field):
+    make_family, grid = _MIXED_CHARTS[chart]
+    patch = build_patch(make_family(), grid)
+    B = constant_field(3, [0.4, -0.3, 0.8]) if field else None
+    if m == 1:
+        inv = patch.metric_inv[..., None, :, :]
+        alpha = None if B is None else effective_field(B, patch).alpha[..., None, :]
+    else:
+        layer = layer_geometry(patch, 0.25 * patch.rho_m, m)
+        inv = layer.metric_inv
+        alpha = None if B is None else gauge_fix(pullback(B, layer)).a_surf
+    assert np.max(np.abs(inv[..., 0, 1])) > 0.01
+    diag_only = np.array(inv)
+    diag_only[..., 0, 1] = diag_only[..., 1, 0] = 0.0
+    full = _surface_operator(patch, inv, alpha, m)
+    mixed = full - _surface_operator(patch, diag_only, alpha, m)
+    ref = _mixed_terms_oracle(patch, inv, alpha, m)
+    # the difference keeps the rounding of the shared edge entries
+    assert np.max(np.abs(mixed.toarray() - ref)) <= 1e-14 * np.max(np.abs(full.data))
 
 
 def test_min_clearance_backends_agree():
