@@ -64,10 +64,24 @@ def _write_csv(path: Path, header: list, n_rows: int, columns: list):
     _atomic_write(path, buf.getvalue())
 
 
+def _finite_or_null(obj):
+    """`obj` with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def _json_dump(obj) -> str:
+    """Strict JSON: a non-finite float is written as null, never as NaN or
+    Infinity."""
     import json
 
-    return json.dumps(obj, indent=1, sort_keys=True, default=float) + "\n"
+    obj = _finite_or_null(obj)
+    return json.dumps(obj, indent=1, sort_keys=True, default=float, allow_nan=False) + "\n"
 
 
 def _solver_args(cfg: RunConfig, seed_override):

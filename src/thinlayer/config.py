@@ -195,6 +195,15 @@ class RunConfig:
         return self.solver.get(name, default)
 
 
+def _finite_number(token: str) -> float:
+    """JSON float literals and the NaN/Infinity tokens: only finite values pass
+    (the schema's bounds do not reject NaN)."""
+    v = float(token)
+    if not np.isfinite(v):
+        raise ValueError(f"non-finite number {token} is not allowed")
+    return v
+
+
 def load_config(path) -> RunConfig:
     """Parse and schema-validate a run configuration file."""
     p = Path(path)
@@ -203,11 +212,13 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:
+        raise ConfigError(f"{p}: {exc}")
     validator = jsonschema.Draft202012Validator(SCHEMA)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:

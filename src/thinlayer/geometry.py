@@ -697,42 +697,70 @@ def _chart_arclengths(patch):
     return coords.reshape(-1, naxes), periods
 
 
-def _clearance(schart, period, plo, phi, cutoff):
+def _clearance(schart, period, plo, phi, cutoff, radius):
     """Minimum layer clearance over chart-separated node pairs.
 
-    For every node pair whose chart distance exceeds `cutoff`, the smallest
-    ambient distance between their extreme layer points plo, phi (the offsets
-    x -/+ eps*n). Returns (clearance, i, j); clearance is inf when no pair
-    passes the cutoff.
+    For every node pair i < j whose chart distance exceeds `cutoff`, the
+    smallest ambient distance between their extreme layer points plo, phi (the
+    offsets x -/+ eps*n). Returns (clearance, i, j) with the lexicographically
+    first (i, j) among equal clearances; (inf, -1, -1) when no pair passes the
+    cutoff.
+
+    A k-d tree over the 2n layer points (point a belongs to node a mod n)
+    lists the pairs within a search radius that starts at `radius` (> 0) and
+    doubles until a chart-distant pair lies within it or the radius covers the
+    point cloud. Every pair within the radius is listed, so the minimum over
+    the listed pairs is the minimum over all pairs, and each listed pair is
+    measured by the same formulas as an all-pairs scan: the result is that
+    scan's, bit for bit.
     """
-    n, naxes = schart.shape
-    best = np.inf
-    bi = bj = -1
-    block = max(1, int(2.0e6 // max(n, 1)))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        dk = np.abs(schart[start:stop, None, :] - schart[None, :, :])
-        for k in range(naxes):
-            if period[k] > 0.0:
-                dk[..., k] = np.minimum(dk[..., k], period[k] - dk[..., k])
-        chart2 = np.sum(dk * dk, axis=-1)
-        mask = chart2 > cutoff * cutoff
-        iu = np.arange(start, stop)[:, None] < np.arange(n)[None, :]
-        mask &= iu
-        if not mask.any():
-            continue
-        m = np.full(mask.shape, np.inf)
-        for pa in (plo[start:stop], phi[start:stop]):
-            for pb in (plo, phi):
-                dd = pa[:, None, :] - pb[None, :, :]
-                np.minimum(m, np.sum(dd * dd, axis=-1), out=m)
-        m[~mask] = np.inf
-        idx = np.unravel_index(np.argmin(m), m.shape)
-        if m[idx] < best:
-            best = m[idx]
-            bi = start + idx[0]
-            bj = int(idx[1])
-    return (np.sqrt(best) if bi >= 0 else np.inf), bi, bj
+    from scipy.spatial import cKDTree
+
+    n = schart.shape[0]
+    pts = np.concatenate([plo, phi])
+    tree = cKDTree(pts)
+    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    # query points per block, so that a block lists at most 1e6 point pairs;
+    # blocks follow the tree's leaf order, which keeps each one compact
+    block = max(1, int(1.0e6 // (2 * n)))
+    r = radius
+    while True:
+        best, bkey = np.inf, -1
+        for start in range(0, 2 * n, block):
+            a = tree.indices[start : start + block]
+            # the relative slack keeps the tree's rounding from dropping a
+            # pair that the formulas below place within r
+            near = cKDTree(pts[a]).sparse_distance_matrix(
+                tree, r * (1.0 + 1e-9), output_type="ndarray"
+            )
+            i = a[near["i"]] % n
+            j = near["j"] % n
+            keep = i < j
+            i, j = i[keep], j[keep]
+            dk = np.abs(schart[i] - schart[j])
+            for k in range(schart.shape[1]):
+                if period[k] > 0.0:
+                    dk[..., k] = np.minimum(dk[..., k], period[k] - dk[..., k])
+            far = np.sum(dk * dk, axis=-1) > cutoff * cutoff
+            i, j = i[far], j[far]
+            if i.size == 0:
+                continue
+            m = np.full(i.size, np.inf)
+            pbs = (plo[j], phi[j])
+            for pa in (plo[i], phi[i]):
+                for pb in pbs:
+                    dd = pa - pb
+                    np.minimum(m, np.sum(dd * dd, axis=-1), out=m)
+            low = m.min()
+            key = int(np.min((i * n + j)[m == low]))
+            if low < best or (low == best and key < bkey):
+                best, bkey = low, key
+        # once r covers the cloud, every pair has been listed
+        if bkey >= 0 and (best <= r * r or r >= diam):
+            return np.sqrt(best), bkey // n, bkey % n
+        if r >= diam:
+            return np.inf, -1, -1
+        r *= 2.0
 
 
 #: injectivity heuristic of check_embedding, in units of eps: nodes farther
@@ -749,10 +777,12 @@ def check_embedding(patch: HypersurfacePatch, eps: float) -> EmbeddingReport:
     The eps < rho_m condition is exact; global injectivity is probed by a
     sampling heuristic: any two sampled nodes whose chart distance exceeds
     3*eps must keep their extreme layer points at least eps/2 apart in
-    ambient space.
+    ambient space. The closest such pair is found by a k-d tree radius search
+    that starts at the margin eps/2 (`_clearance`), with the same result as an
+    all-pairs scan.
     """
-    if eps <= 0:
-        raise EmbeddingError(f"layer half-width must be positive, got {eps}")
+    if not np.isfinite(eps) or eps <= 0:
+        raise EmbeddingError(f"layer half-width must be positive and finite, got {eps}")
     margin = EMBEDDING_MARGIN * eps
     rho_ok = eps < patch.rho_m
     if not rho_ok:
@@ -776,7 +806,7 @@ def check_embedding(patch: HypersurfacePatch, eps: float) -> EmbeddingReport:
     plo = x[sel] - eps * n[sel]
     phi = x[sel] + eps * n[sel]
     clearance, bi, bj = _clearance(
-        schart[sel], periods, plo, phi, EMBEDDING_CHART_CUTOFF * eps
+        schart[sel], periods, plo, phi, EMBEDDING_CHART_CUTOFF * eps, margin
     )
     ok = clearance >= margin
     pair = None

@@ -166,6 +166,49 @@ def test_geometry_torus_veff_recomputed_from_columns(tmp_path):
     assert "b_eff" in header
 
 
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("geometry", '"embedding_epsilon": 0.5', '"embedding_epsilon": NaN'),
+        ("geometry", '"embedding_epsilon": 0.5', '"embedding_epsilon": 1e999'),
+        ("converge", '"epsilons": [0.2,', '"epsilons": [Infinity,'),
+    ],
+    ids=["nan-embedding-epsilon", "overflowing-embedding-epsilon", "infinite-sweep-width"],
+)
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, command, old, new):
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [64], "embedding_epsilon": 0.5},
+        sweep={"epsilons": [0.2, 0.1]},
+    )
+    text = json.dumps(cfg)
+    assert old in text
+    path = tmp_path / "c.json"
+    path.write_text(text.replace(old, new))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
+def test_geometry_summary_is_strict_json(tmp_path):
+    # no node pair of a short segment is chart-distant at this width, so the
+    # clearance is infinite, and so is rho_m of the flat chart: both are null
+    cfg = _config(
+        {"family": "segment", "params": {"length": 1.0}, "grid": [64], "embedding_epsilon": 0.4}
+    )
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads(
+        (tmp_path / "geometry_summary.json").read_text(), parse_constant=reject
+    )
+    assert summary["embedding"]["passed"] is True
+    assert summary["embedding"]["clearance"] is None
+    assert summary["rho_m"] is None
+
+
 def test_geometry_embedding_diagnosis(tmp_path):
     cfg = _config(
         {
@@ -571,13 +614,14 @@ def test_sampled_csv_needs_two_nodes_per_axis(tmp_path, capsys, kind):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats, scipy.integrate and scipy.interpolate buy the CLI nothing at
-    # import time; only a sampled field or potential loads the interpolator
+    # scipy.stats, scipy.integrate, scipy.interpolate and scipy.spatial buy the
+    # CLI nothing at import time; only a sampled field or potential loads the
+    # interpolator, and only the embedding check the k-d tree
     src = str(Path(thinlayer.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, thinlayer.cli; print(any(m in sys.modules for m in "
-        "('scipy.stats', 'scipy.integrate', 'scipy.interpolate')))"
+        "('scipy.stats', 'scipy.integrate', 'scipy.interpolate', 'scipy.spatial')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],

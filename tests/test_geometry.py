@@ -295,8 +295,24 @@ def test_embedding_hairpin_fails_by_pair():
 
 
 def test_embedding_rejects_nonpositive_width(circle_patch):
-    with pytest.raises(EmbeddingError):
-        check_embedding(circle_patch, 0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(EmbeddingError):
+            check_embedding(circle_patch, eps)
+
+
+def test_embedding_of_the_benchmark_geometries():
+    # the clearances and pairs of the former all-pairs scan, kept bit for bit;
+    # the sphere's failed verdict is the heuristic's known defect at the
+    # pole-clustered rings, not an overlap of the layer
+    torus = build_patch(GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (64, 64))
+    rep = check_embedding(torus, 0.1)
+    assert rep.passed and rep.clearance == 0.25064816180317345
+    assert rep.offending_pair is None
+    sphere = build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (200, 400))
+    rep = check_embedding(sphere, 0.1)
+    assert not rep.passed and rep.rho_ok and not rep.injectivity_ok
+    assert rep.clearance == 0.004368579924146944
+    assert rep.offending_pair == ((0, 0), (0, 360))
 
 
 def test_sphere_cap_and_catenary_builtins():

@@ -3,7 +3,7 @@
 ``operators._diag_triplets`` emits the COO triplets of the divergence-form
 edges; ``operators._surface_operator`` adds the mixed-metric terms of a 2-D
 chart from the same neighbour windows as the edges; ``geometry._clearance``
-scans chart-distant node pairs for the smallest layer clearance. Each is
+finds the smallest layer clearance over chart-distant node pairs. Each is
 checked here against a plain-Python loop that spells out the same triplet
 slots, the same mixed-term matrix and the same pair scan one entry at a time.
 """
@@ -19,7 +19,7 @@ from thinlayer import (
     layer_geometry,
     pullback,
 )
-from thinlayer.geometry import _clearance
+from thinlayer.geometry import _chart_arclengths, _clearance
 from thinlayer.operators import _diag_triplets, _surface_operator
 
 
@@ -109,21 +109,22 @@ _MIXED_CHARTS = {
 
 def _clearance_oracle(schart, period, plo, phi, cutoff):
     n, naxes = schart.shape
+    s, lo, hi, period = schart.tolist(), plo.tolist(), phi.tolist(), period.tolist()
     best, bi, bj = np.inf, -1, -1
     for i in range(n):
         for j in range(i + 1, n):
             dist2 = 0.0
             for k in range(naxes):
-                dk = abs(schart[i, k] - schart[j, k])
+                dk = abs(s[i][k] - s[j][k])
                 if period[k] > 0.0 and dk > 0.5 * period[k]:
                     dk = period[k] - dk
                 dist2 += dk * dk
             if dist2 <= cutoff * cutoff:
                 continue
             m = min(
-                float(np.sum((pa[i] - pb[j]) ** 2))
-                for pa in (plo, phi)
-                for pb in (plo, phi)
+                sum((a - b) * (a - b) for a, b in zip(pa, pb))
+                for pa in (lo[i], hi[i])
+                for pb in (lo[j], hi[j])
             )
             if m < best:
                 best, bi, bj = m, i, j
@@ -185,7 +186,67 @@ def test_min_clearance_backends_agree():
     plo = rng.normal(size=(n, 2))
     phi = plo + 0.1 * rng.normal(size=(n, 2))
     args = (schart, np.zeros(1), plo, phi, 1.0)
-    got = _clearance(*args)
-    ref = _clearance_oracle(*args)
-    assert got[1:] == ref[1:]
-    assert abs(got[0] - ref[0]) < 1e-13
+    assert _clearance(*args, 0.05) == _clearance_oracle(*args)
+
+
+def _layer_case(family, grid, eps):
+    # the arguments check_embedding hands to _clearance, every node sampled
+    patch = build_patch(family, grid)
+    schart, periods = _chart_arclengths(patch)
+    x = patch.x.reshape(-1, patch.ambient_dim)
+    n = patch.normal.reshape(-1, patch.ambient_dim)
+    return (schart, periods, x - eps * n, x + eps * n, 3.0 * eps), 0.5 * eps
+
+
+def _lattice_ties():
+    # integer lattice points in a shuffled order: many pairs share the
+    # smallest clearance 0.5, the search radius equals it exactly, and the
+    # 1458 layer points span three query blocks
+    rng = np.random.default_rng(5)
+    pts = np.stack(np.meshgrid(*(np.arange(9.0),) * 3, indexing="ij"), -1).reshape(-1, 3)
+    pts = pts[rng.permutation(len(pts))]
+    schart = np.arange(len(pts), dtype=float)[:, None]
+    return (schart, np.zeros(1), pts, pts + [0.0, 0.0, 0.5], 2.5), 0.5
+
+
+def _no_distant_pair():
+    schart = np.linspace(0.0, 1.0, 40)[:, None]
+    plo = np.stack([schart[:, 0], np.zeros(40)], -1)
+    return (schart, np.zeros(1), plo, plo + [0.0, 0.4], 1.2), 0.2
+
+
+def _far_clearance():
+    # chart-distant points lie at least the cutoff 1 apart in space, so the
+    # radius 0.05 doubles five times
+    rng = np.random.default_rng(6)
+    s = np.sort(rng.uniform(0.0, 4.0, 120))
+    plo = np.stack([s, rng.uniform(0.0, 0.5, 120)], -1)
+    return (s[:, None], np.zeros(1), plo, plo + [0.0, 0.1], 1.0), 0.05
+
+
+_CLEARANCE_CASES = {
+    # both chart axes periodic: seam neighbours are chart-close only through
+    # the period fold
+    "torus-periodic-periodic": lambda: _layer_case(
+        GeometryFamily("torus", {"major": 1.0, "minor": 0.6}), (12, 16), 0.3
+    ),
+    "lattice-ties": _lattice_ties,
+    "no-distant-pair": _no_distant_pair,
+    "radius-doubles": _far_clearance,
+    # pole-clustered rings: the nodes around a pole are chart-distant along
+    # the averaged azimuthal arclength yet close in space
+    "pole-clustered-sphere": lambda: _layer_case(
+        GeometryFamily("full-sphere", {"radius": 1.0}), (10, 20), 0.2
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLEARANCE_CASES))
+def test_clearance_cases_match_loop_oracle(case):
+    args, radius = _CLEARANCE_CASES[case]()
+    got = _clearance(*args, radius)
+    assert got == _clearance_oracle(*args)
+    if case == "no-distant-pair":
+        assert got == (np.inf, -1, -1)
+    if case == "radius-doubles":
+        assert got[0] > 8 * radius
