@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -174,15 +174,15 @@ def gap_bound_report(
     proj = sp.csr_array(np.outer(mode.chi_scaled, mode.chi_scaled))
     P1 = sp.csr_array(sp.kron(sp.eye_array(ns, format="csr"), proj, format="csr"))
     penalty = 50.0 * (bound + abs(lam1)) + 10.0
-    shifted = AssembledOperator.from_matrix(
-        sp.csr_array(op.matrix + penalty * P1.astype(op.matrix.dtype)),
-        weights=op.weights,
+    # the penalty is positive semidefinite, so the spectral floor carries
+    # over; it breaks the decoupled structure, so the surface factor does not
+    shifted = replace(
+        op,
+        matrix=sp.csr_array(op.matrix + penalty * P1.astype(op.matrix.dtype)),
         kind="penalized",
-        eps=eps,
+        meta={"spectral_lower_bound": op.meta.get("spectral_lower_bound")},
+        surface_block=None,
     )
-    if op.meta.get("spectral_lower_bound") is not None:
-        # the rank-one penalty is positive, so the floor carries over
-        shifted.meta["spectral_lower_bound"] = op.meta["spectral_lower_bound"]
     spec_q = lowest_eigenpairs(shifted, 1, tol=tol, seed=seed, dense_cutoff=dense_cutoff)
     lam_q = float(spec_q.values[0])
     # the ground sector is only approximately invariant for the coupled

@@ -1,24 +1,28 @@
 """Lowest eigenpairs, resolvent application and operator-norm estimation.
 
-Dense solves below a size threshold (default 4000 dofs, override per call
-with dense_cutoff; the CLI passes solver.dense_threshold). Above it,
-shift-invert Lanczos (ARPACK) with a deterministic seeded start vector; its
-inverse (H - sigma)^-1 is applied by one of two inner solves, built afresh for
-each call:
+The solver follows the chart. On a curve (and for explicit matrices) sizes up
+to 4000 dofs are solved densely; on a 2-D chart a dense eigh is far slower
+than the iterative paths at any size, so it runs only when (nearly) every pair
+is asked for. dense_cutoff overrides the size rule per call; the CLI passes
+solver.dense_threshold. Above the cutoff, one of two iterations:
 
-  * conjugate gradients for layer operators on a 2-D chart (operators that
+  * LOBPCG (Knyazev 2001) for layer operators on a 2-D chart (operators that
     carry the surface factor S of their decoupled comparison operator, whose
-    chart has two axes). The preconditioner is the exact inverse of
+    chart has two axes), with a seeded random start block of n_pairs
+    columns. The preconditioner is the exact inverse of
     S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis splits it into
-    m_u surface-sized sparse LUs (fast diagonalization). The comparison
-    operators bound the layer operator with eps-uniform constants, so the
-    iteration counts do not grow as eps shrinks, while a sparse LU of the
-    whole layer fills super-linearly on a 2-D grid. A breakdown or a missed
-    iteration cap raises SolverError;
-  * a sparse LU of H - sigma for everything else: layers over curves, where
-    the LU stays banded and is cheaper, surface operators and explicit
-    matrices.
+    m_u surface-sized sparse LUs (fast diagonalization), each solving the
+    whole block at once. The comparison operators bound the layer operator
+    with eps-uniform constants, so the iteration counts do not grow as eps
+    shrinks, while a sparse LU of the whole layer fills super-linearly on a
+    2-D grid. Every returned pair meets the residual target
+    max(tol, ROUNDOFF_FACTOR * u * h_max), u the unit round-off and h_max the
+    upper Gershgorin bound, or SolverError is raised;
+  * shift-invert Lanczos (ARPACK) with a sparse LU of H - sigma for
+    everything else: layers over curves, where the LU stays banded and is
+    cheaper, surface operators and explicit matrices.
 
+Both use sigma = certified spectral floor - 1, built afresh for each call.
 resolvent(op, k, lambda_min) factors H + k once by sparse LU and returns the
 solve; the caller owns it, and nothing is stored on the operator.
 """
@@ -37,10 +41,10 @@ from .operators import AssembledOperator, transverse_energies
 
 DEFAULT_DENSE_THRESHOLD = 4000
 DEFAULT_TOL = 1e-10
-#: relative residual at which a PCG inner solve stops
-PCG_RTOL = 1e-12
-#: PCG iterations per inner solve before it raises
-PCG_MAXITER = 100
+#: LOBPCG iterations before a missed residual target raises
+LOBPCG_MAXITER = 400
+#: the LOBPCG residual target is at least this multiple of u * h_max
+ROUNDOFF_FACTOR = 16.0
 #: relative residual a resolvent solve must meet
 RESOLVENT_RTOL = 1e-10
 
@@ -85,22 +89,17 @@ def _dense_pairs(op, n_pairs, tol, seed):
     )
 
 
-@dataclass
-class _SolveWork:
-    """Work of the inner solves of one shift-invert eigensolve."""
-
-    applications: int = 0
-    cg_iterations: int = 0
-    cg_iterations_max: int = 0
+def _shifted(A, sigma):
+    return A - sigma * sp.eye_array(A.shape[0], format=A.format, dtype=A.dtype)
 
 
 def _lu_inverse(A, sigma):
-    ident = sp.eye_array(A.shape[0], format="csc", dtype=A.dtype)
-    return spla.splu((A - sigma * ident).tocsc()).solve
+    return spla.splu(_shifted(A, sigma).tocsc()).solve
 
 
 def _decoupled_inverse(op, sigma, dtype):
-    """Exact inverse of the decoupled operator S (x) I + I (x) T/eps^2 - c.
+    """Exact inverse of the decoupled operator S (x) I + I (x) T/eps^2 - c,
+    applied to a block of columns.
 
     The sampled sine modes diagonalize the transverse factor, and the
     orthonormal DST-I is the transform to them. That leaves one
@@ -117,92 +116,92 @@ def _decoupled_inverse(op, sigma, dtype):
         - sigma,
         1.0 - block.floor,
     )
-    ident = sp.eye_array(block.matrix.shape[0], format="csc")
-    lus = [spla.splu((block.matrix + d * ident).astype(dtype).tocsc()) for d in shifts]
+    lus = [spla.splu(_shifted(block.matrix, -d).astype(dtype).tocsc()) for d in shifts]
 
     def apply(r):
-        modes = dst(r.reshape(-1, m).T, type=1, norm="ortho", axis=0)
+        # one solve per transverse mode takes every column of the block
+        by_node = r.reshape(-1, m, r.shape[1]).transpose(1, 0, 2)
+        modes = dst(by_node, type=1, norm="ortho", axis=0)
         for j, lu in enumerate(lus):
             modes[j] = lu.solve(modes[j])
-        return dst(modes, type=1, norm="ortho", axis=0).T.reshape(-1)
+        return dst(modes, type=1, norm="ortho", axis=0).transpose(1, 0, 2).reshape(r.shape)
 
     return apply
 
 
-def _pcg_inverse(op, sigma, work):
-    """(H - sigma)^-1 by conjugate gradients preconditioned with the exact
-    inverse of the decoupled comparison operator; raises SolverError on a
-    breakdown or when the iteration cap is reached."""
+def _certified_shift(op):
+    """The certified spectral floor minus 1 (Gershgorin's when the operator
+    carries none), so H - sigma >= I."""
+    certified = op.meta.get("spectral_lower_bound")
+    if certified is not None and np.isfinite(certified):
+        return float(certified) - 1.0
+    return gershgorin_bounds(op.matrix)[0] - 1.0
+
+
+def _lobpcg_pairs(op, n_pairs, tol, seed):
+    """LOBPCG on H - sigma >= I, preconditioned by the decoupled inverse.
+
+    The shift keeps the Rayleigh-Ritz Gram matrices of order lambda - sigma;
+    unshifted, an unrenormalized layer (lambda ~ eps^-2) stalled at residuals
+    of 1e-2. The residual target is max(tol, 16 u h_max), and LOBPCG stops at
+    half of it: the columns it has locked drift up to 1.2x its stopping test.
+    Measured on torus, plane and bumped-plane layers (eps 0.1 to 0.0125), a
+    stopping test at 2 u h_max breaks LOBPCG down (residuals 1e-9 to 3e-8),
+    one at 4 u h_max converged on all, and 8 u h_max keeps a factor 2 more.
+    """
     H = op.matrix
-    precond = _decoupled_inverse(op, sigma, H.dtype)
-
-    def solve(b):
-        bnorm = np.sqrt(np.vdot(b, b).real)
-        x = np.zeros_like(b)
-        if bnorm == 0.0:
-            return x
-        r = b.copy()
-        z = precond(r)
-        rz = np.vdot(r, z).real
-        p = z
-        rel = 1.0
-        for it in range(1, PCG_MAXITER + 1):
-            q = H @ p - sigma * p
-            pq = np.vdot(p, q).real
-            if not (rz > 0.0 and pq > 0.0):
-                raise SolverError(
-                    f"PCG broke down at shift {sigma:.17g} after {it - 1} "
-                    f"iterations (relative residual {rel:.3e})"
-                )
-            alpha = rz / pq
-            x += alpha * p
-            r -= alpha * q
-            rel = np.sqrt(np.vdot(r, r).real) / bnorm
-            if rel <= PCG_RTOL:
-                work.cg_iterations += it
-                work.cg_iterations_max = max(work.cg_iterations_max, it)
-                return x
-            z = precond(r)
-            rz_next = np.vdot(r, z).real
-            p = z + (rz_next / rz) * p
-            rz = rz_next
+    target = max(tol, ROUNDOFF_FACTOR * 2.0**-53 * gershgorin_bounds(H)[1])
+    sigma = _certified_shift(op)
+    X0 = np.random.default_rng(seed).standard_normal((op.n_dof, n_pairs)).astype(H.dtype)
+    vals, vecs, history = spla.lobpcg(
+        _shifted(H, sigma),
+        X0,
+        M=_decoupled_inverse(op, sigma, H.dtype),
+        tol=target / 2,
+        maxiter=LOBPCG_MAXITER,
+        largest=False,
+        retResidualNormsHistory=True,
+    )
+    vals = vals + sigma
+    residuals = _residuals(H, vals, vecs)
+    if np.max(residuals) > target:
         raise SolverError(
-            f"PCG did not converge at shift {sigma:.17g} in {PCG_MAXITER} "
-            f"iterations (relative residual {rel:.3e} > {PCG_RTOL:g})"
+            f"LOBPCG missed the residual target {target:.3e} within "
+            f"{LOBPCG_MAXITER} iterations (largest residual {np.max(residuals):.3e})",
+            residuals=residuals,
         )
-
-    return solve
+    return Spectrum(
+        values=vals,
+        vectors=vecs,
+        residuals=residuals,
+        meta={
+            "method": "lobpcg",
+            "shift": sigma,
+            "tol": tol,
+            "seed": seed,
+            # the iteration whose block LOBPCG returned
+            "iterations": len(history) - 2,
+            "block_size": n_pairs,
+            "residual_target": target,
+        },
+    )
 
 
 def _shift_invert_pairs(op, n_pairs, tol, seed):
     A = op.matrix.tocsc()
     n = A.shape[0]
-    certified = op.meta.get("spectral_lower_bound")
-    if certified is not None and np.isfinite(certified):
-        sigma = float(certified) - 1.0
-    else:
-        sigma = gershgorin_bounds(A)[0] - 1.0
-    rng = np.random.default_rng(seed)
-    # PCG for layer operators on a 2-D chart, where an LU of H - sigma fills
-    # super-linearly; on a curve the LU stays banded and beats PCG
-    pcg = op.surface_block is not None and len(op.dofmap.grid_shape) >= 2
-    work = _SolveWork()
+    sigma = _certified_shift(op)
     # sigma is a certified lower bound minus 1, so H - sigma >= I: one
     # factorization at one shift, no retries
-    solve = _pcg_inverse(op, sigma, work) if pcg else _lu_inverse(A, sigma)
-
-    def counted(b):
-        work.applications += 1
-        return solve(b)
-
+    solve = _lu_inverse(A, sigma)
     try:
         vals, vecs = spla.eigsh(
             A,
             k=n_pairs,
             sigma=sigma,
             which="LM",
-            OPinv=spla.LinearOperator(A.shape, matvec=counted, dtype=A.dtype),
-            v0=rng.standard_normal(n).astype(A.dtype),
+            OPinv=spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype),
+            v0=np.random.default_rng(seed).standard_normal(n).astype(A.dtype),
             tol=tol,
             ncv=min(n - 1, max(40, 4 * n_pairs + 1)),
             maxiter=max(4000, 40 * n_pairs),
@@ -218,16 +217,7 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
         values=vals,
         vectors=vecs,
         residuals=_residuals(op.matrix, vals, vecs),
-        meta={
-            "method": "shift-invert-lanczos",
-            "shift": sigma,
-            "tol": tol,
-            "seed": seed,
-            "inner_solve": "pcg" if pcg else "lu",
-            "opinv_applications": work.applications,
-            "cg_iterations": work.cg_iterations,
-            "cg_iterations_max": work.cg_iterations_max,
-        },
+        meta={"method": "shift-invert-lanczos", "shift": sigma, "tol": tol, "seed": seed},
     )
 
 
@@ -244,9 +234,15 @@ def lowest_eigenpairs(
     n = op.n_dof
     if n_pairs > n:
         raise SolverError(f"requested {n_pairs} pairs from a {n}-dof operator")
-    cutoff = DEFAULT_DENSE_THRESHOLD if dense_cutoff is None else int(dense_cutoff)
-    if n <= cutoff or n_pairs >= n - 1:
+    chart_2d = len(op.dofmap.grid_shape) >= 2
+    lobpcg = chart_2d and op.surface_block is not None
+    if dense_cutoff is None:
+        dense_cutoff = 0 if chart_2d else DEFAULT_DENSE_THRESHOLD
+    # ARPACK needs n_pairs < n - 1, LOBPCG a block of at most n/5 columns
+    if n <= dense_cutoff or n_pairs >= n - 1 or (lobpcg and 5 * n_pairs > n):
         return _dense_pairs(op, n_pairs, tol, seed)
+    if lobpcg:
+        return _lobpcg_pairs(op, n_pairs, tol, seed)
     return _shift_invert_pairs(op, n_pairs, tol, seed)
 
 

@@ -612,8 +612,8 @@ def transverse_nodes(m_u: int) -> tuple[np.ndarray, float]:
 
 def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeometry:
     """Layer metric, Jacobian factor and its derivatives on the product grid."""
-    if eps <= 0:
-        raise EmbeddingError(f"layer half-width must be positive, got {eps}")
+    if not np.isfinite(eps) or eps <= 0:
+        raise EmbeddingError(f"layer half-width must be positive and finite, got {eps}")
     if eps >= patch.rho_m:
         raise EmbeddingError(
             f"eps >= rho_m ({eps} >= {patch.rho_m:.6g}): layer metric singular"

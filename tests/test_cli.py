@@ -324,7 +324,7 @@ def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
     cfg = _config(
         {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 12]},
         field={"kind": "constant", "b": [0.0, 0.0, 1.0]},
-        solver={"n_eigenpairs": 2, "tol": 1e-10, "dense_threshold": 100},
+        solver={"n_eigenpairs": 2, "tol": 1e-10},
         spectrum={"operator": "full-H-renormalized", "epsilon": 0.05, "m_u": 5},
     )
     caplog.set_level("INFO", logger="thinlayer")
@@ -333,8 +333,9 @@ def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
     assert rc == 0
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eigensolve")]
     assert len(lines) == 1
-    assert "method=shift-invert-lanczos" in lines[0] and "inner_solve=pcg" in lines[0]
-    assert "cg_iterations_max=" in lines[0] and "max_residual=" in lines[0]
+    assert "method=lobpcg" in lines[0] and "block_size=2" in lines[0]
+    assert "iterations=" in lines[0] and "residual_target=" in lines[0]
+    assert "max_residual=" in lines[0]
     assert (tmp_path / "spectrum.csv").read_text().splitlines()[0] == "n,eigenvalue,residual"
 
 

@@ -234,6 +234,13 @@ def test_layer_rejects_width_beyond_curvature_radius(circle_patch):
         layer_geometry(circle_patch, 0.1, 8)  # transverse count must be odd
 
 
+def test_layer_rejects_nonfinite_width(circle_patch):
+    # NaN passes both eps <= 0 and eps >= rho_m unnoticed
+    for eps in (np.nan, -np.inf, np.inf):
+        with pytest.raises(EmbeddingError, match="positive and finite"):
+            layer_geometry(circle_patch, eps, 9)
+
+
 # ---------------------------------------------------------------------------
 # effective potential forms
 # ---------------------------------------------------------------------------

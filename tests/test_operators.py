@@ -454,9 +454,7 @@ def test_gauge_covariance_on_curved_chart_is_second_order():
         for comps in (base, shifted):
             f = polynomial_field(3, comps)
             H = assemble_full(lay, gauge_fix(pullback(f, lay)))
-            # 900 and 3,600 dofs: below the dense cutoff, so lower it to run
-            # the shift-invert path that larger layer operators take
-            spec = lowest_eigenpairs(H, 4, tol=1e-12, dense_cutoff=500)
+            spec = lowest_eigenpairs(H, 4, tol=1e-12)
             vals.append(spec.values)
         return float(np.max(np.abs(vals[0] - vals[1])))
 
