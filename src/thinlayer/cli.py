@@ -190,7 +190,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 
     n_pairs = cfg.solver_opt("n_eigenpairs", 6)
     spectrum = lowest_eigenpairs(op, n_pairs, **_solver_args(cfg, args.seed))
-    work = ("method", "shift", "iterations", "block_size", "residual_target")
+    work = ("method", "shift", "iterations", "block_size", "residual_target",
+            "fallback_from")
     log.info(
         "eigensolve: %s max_residual=%.3e",
         " ".join(f"{key}={spectrum.meta.get(key)}" for key in work),

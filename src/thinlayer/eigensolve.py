@@ -8,8 +8,9 @@ solver.dense_threshold. Above the cutoff, one of two iterations:
 
   * LOBPCG (Knyazev 2001) for layer operators on a 2-D chart (operators that
     carry the surface factor S of their decoupled comparison operator, whose
-    chart has two axes), with a seeded random start block of n_pairs
-    columns. The preconditioner is the exact inverse of
+    chart has two axes) with eps/rho_m <= LOBPCG_MAX_WIDTH_RATIO, with a
+    seeded random start block of n_pairs columns. The preconditioner is the
+    exact inverse of
     S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis splits it into
     m_u surface-sized sparse LUs (fast diagonalization), each solving the
     whole block at once. The comparison operators bound the layer operator
@@ -17,10 +18,16 @@ solver.dense_threshold. Above the cutoff, one of two iterations:
     shrinks, while a sparse LU of the whole layer fills super-linearly on a
     2-D grid. Every returned pair meets the residual target
     max(tol, ROUNDOFF_FACTOR * u * h_max), u the unit round-off and h_max the
-    upper Gershgorin bound, or SolverError is raised;
+    upper Gershgorin bound. A solve that misses it is handed to the LU path
+    below (meta fallback_from="lobpcg"): a block whose last column cuts a
+    near-degenerate cluster can stall, and guard columns past the block only
+    move the cut;
   * shift-invert Lanczos (ARPACK) with a sparse LU of H - sigma for
     everything else: layers over curves, where the LU stays banded and is
-    cheaper, surface operators and explicit matrices.
+    cheaper, 2-D layers near rho_m, where the sandwich constants
+    (1 -/+ eps/rho_m)^2 weaken the preconditioner and the iteration counts
+    grow like (1 + eps/rho_m)/(1 - eps/rho_m), surface operators and explicit
+    matrices.
 
 Both use sigma = certified spectral floor - 1, built afresh for each call.
 resolvent(op, k, lambda_min) factors H + k once by sparse LU and returns the
@@ -41,8 +48,10 @@ from .operators import AssembledOperator, transverse_energies
 
 DEFAULT_DENSE_THRESHOLD = 4000
 DEFAULT_TOL = 1e-10
-#: LOBPCG iterations before a missed residual target raises
+#: LOBPCG iterations before a missed residual target hands the solve to the LU
 LOBPCG_MAXITER = 400
+#: 2-D layers with a larger eps/rho_m take the sparse LU (measured crossover)
+LOBPCG_MAX_WIDTH_RATIO = 0.6
 #: the LOBPCG residual target is at least this multiple of u * h_max
 ROUNDOFF_FACTOR = 16.0
 #: relative residual a resolvent solve must meet
@@ -148,26 +157,35 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
     Measured on torus, plane and bumped-plane layers (eps 0.1 to 0.0125), a
     stopping test at 2 u h_max breaks LOBPCG down (residuals 1e-9 to 3e-8),
     one at 4 u h_max converged on all, and 8 u h_max keeps a factor 2 more.
+    scipy returns the best block it saw, not the last, so the iterations run
+    are counted at the preconditioner, which LOBPCG applies once in each.
     """
     H = op.matrix
     target = max(tol, ROUNDOFF_FACTOR * 2.0**-53 * gershgorin_bounds(H)[1])
     sigma = _certified_shift(op)
     X0 = np.random.default_rng(seed).standard_normal((op.n_dof, n_pairs)).astype(H.dtype)
-    vals, vecs, history = spla.lobpcg(
+    precondition = _decoupled_inverse(op, sigma, H.dtype)
+    iterations = 0
+
+    def M(r):
+        nonlocal iterations
+        iterations += 1
+        return precondition(r)
+
+    vals, vecs = spla.lobpcg(
         _shifted(H, sigma),
         X0,
-        M=_decoupled_inverse(op, sigma, H.dtype),
+        M=M,
         tol=target / 2,
         maxiter=LOBPCG_MAXITER,
         largest=False,
-        retResidualNormsHistory=True,
     )
     vals = vals + sigma
     residuals = _residuals(H, vals, vecs)
     if np.max(residuals) > target:
         raise SolverError(
             f"LOBPCG missed the residual target {target:.3e} within "
-            f"{LOBPCG_MAXITER} iterations (largest residual {np.max(residuals):.3e})",
+            f"{iterations} iterations (largest residual {np.max(residuals):.3e})",
             residuals=residuals,
         )
     return Spectrum(
@@ -179,8 +197,7 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
             "shift": sigma,
             "tol": tol,
             "seed": seed,
-            # the iteration whose block LOBPCG returned
-            "iterations": len(history) - 2,
+            "iterations": iterations,
             "block_size": n_pairs,
             "residual_target": target,
         },
@@ -235,14 +252,23 @@ def lowest_eigenpairs(
     if n_pairs > n:
         raise SolverError(f"requested {n_pairs} pairs from a {n}-dof operator")
     chart_2d = len(op.dofmap.grid_shape) >= 2
-    lobpcg = chart_2d and op.surface_block is not None
+    lobpcg = (
+        chart_2d
+        and op.surface_block is not None
+        and op.meta.get("width_ratio", 0.0) <= LOBPCG_MAX_WIDTH_RATIO
+    )
     if dense_cutoff is None:
         dense_cutoff = 0 if chart_2d else DEFAULT_DENSE_THRESHOLD
     # ARPACK needs n_pairs < n - 1, LOBPCG a block of at most n/5 columns
     if n <= dense_cutoff or n_pairs >= n - 1 or (lobpcg and 5 * n_pairs > n):
         return _dense_pairs(op, n_pairs, tol, seed)
     if lobpcg:
-        return _lobpcg_pairs(op, n_pairs, tol, seed)
+        try:
+            return _lobpcg_pairs(op, n_pairs, tol, seed)
+        except SolverError:
+            spec = _shift_invert_pairs(op, n_pairs, tol, seed)
+            spec.meta["fallback_from"] = "lobpcg"
+            return spec
     return _shift_invert_pairs(op, n_pairs, tol, seed)
 
 

@@ -495,11 +495,17 @@ class ComparisonConstants:
     sup_veff: float
 
 
+def _width_ratio(layer: LayerGeometry) -> float:
+    """eps / rho_m, 0 on a flat chart: it fixes the metric-sandwich constants
+    (1 -/+ eps/rho_m)^2 between a layer operator and its comparison operators."""
+    return 0.0 if not np.isfinite(layer.patch.rho_m) else layer.eps / layer.patch.rho_m
+
+
 def comparison_constants(
     layer: LayerGeometry, pots: PotentialGrids, pot: GaugeFixedPotential
 ) -> ComparisonConstants:
     eps = layer.eps
-    ratio = 0.0 if not np.isfinite(layer.patch.rho_m) else eps / layer.patch.rho_m
+    ratio = _width_ratio(layer)
     c_lower = (1.0 - ratio) ** 2
     c_upper = (1.0 + ratio) ** 2
     scale_minus = (1.0 - eps) / c_upper
@@ -621,6 +627,9 @@ def assemble_full(
         # the ground energy: a cheap certified spectral floor
         "spectral_lower_bound": float(np.min(V))
         + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
+        # how far the surface factor below is from this operator; the
+        # comparison operators carry it exactly and need no such record
+        "width_ratio": _width_ratio(layer),
     }
     block = _surface_block(patch, _trace_phases(pot), electric)
     return _layer_operator(layer, Hsurf, V, "full-H", pot.field_label, meta, block)

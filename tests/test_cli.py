@@ -335,7 +335,7 @@ def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
     assert len(lines) == 1
     assert "method=lobpcg" in lines[0] and "block_size=2" in lines[0]
     assert "iterations=" in lines[0] and "residual_target=" in lines[0]
-    assert "max_residual=" in lines[0]
+    assert "fallback_from=None" in lines[0] and "max_residual=" in lines[0]
     assert (tmp_path / "spectrum.csv").read_text().splitlines()[0] == "n,eigenvalue,residual"
 
 
