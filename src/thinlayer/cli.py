@@ -24,7 +24,7 @@ from .config import (
 )
 from .convergence import SweepSpec, run_sweep, sweep_acceptance
 from .eigensolve import lowest_eigenpairs
-from .errors import ConfigError, SolverError, ThinLayerError
+from .errors import ConfigError, GeometryError, SolverError, ThinLayerError
 from .geometry import (
     build_patch,
     check_embedding,
@@ -249,7 +249,7 @@ def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
         seed=args.seed if args.seed is not None else cfg.solver_opt("seed", 42),
         dense_cutoff=cfg.solver_opt("dense_threshold", None),
         grid_doubling=bool(sw.get("grid_doubling", True)),
-        threads=args.threads if args.threads else 1,
+        threads=args.threads or os.cpu_count() or 1,
     )
     report = run_sweep(spec)
     outs = sw.get("outputs", {})
@@ -284,9 +284,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default="./out", help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=0, help="worker threads (0 = all cores)"
-        )
+        if fn is cmd_converge:
+            p.add_argument("--threads", type=int, default=0,
+                           help="sweep row threads (0 = all cores)")
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--verbose", action="store_true")
         p.set_defaults(func=fn)
@@ -294,14 +294,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "threads", 0) < 0:
+        parser.error(f"--threads must be >= 0, got {args.threads}")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if args.threads == 0:
-        args.threads = os.cpu_count() or 1
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         return args.func(cfg, out, args)
-    except ConfigError as exc:
+    except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -1,10 +1,9 @@
 """Lowest eigenpairs, resolvent application and operator-norm estimation.
 
-The solver follows the chart. On a curve (and for explicit matrices) sizes up
-to 4000 dofs are solved densely; on a 2-D chart a dense eigh is far slower
-than the iterative paths at any size, so it runs only when (nearly) every pair
-is asked for. dense_cutoff overrides the size rule per call; the CLI passes
-solver.dense_threshold. Above the cutoff, one of two iterations:
+A dense eigh runs only where no iteration can run or save work, on any chart:
+when ARPACK's Krylov basis would reach n - 1 vectors or a LOBPCG block exceed
+n/5. dense_cutoff asks for it by size per call; the CLI passes
+solver.dense_threshold. Otherwise, one of two iterations:
 
   * LOBPCG (Knyazev 2001) for layer operators on a 2-D chart (operators that
     carry the surface factor S of their decoupled comparison operator, whose
@@ -46,7 +45,6 @@ from scipy.fft import dst
 from .errors import SolverError
 from .operators import AssembledOperator, transverse_energies
 
-DEFAULT_DENSE_THRESHOLD = 4000
 DEFAULT_TOL = 1e-10
 #: LOBPCG iterations before a missed residual target hands the solve to the LU
 LOBPCG_MAXITER = 400
@@ -204,7 +202,7 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
     )
 
 
-def _shift_invert_pairs(op, n_pairs, tol, seed):
+def _shift_invert_pairs(op, n_pairs, tol, seed, ncv):
     A = op.matrix.tocsc()
     n = A.shape[0]
     sigma = _certified_shift(op)
@@ -220,12 +218,13 @@ def _shift_invert_pairs(op, n_pairs, tol, seed):
             OPinv=spla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype),
             v0=np.random.default_rng(seed).standard_normal(n).astype(A.dtype),
             tol=tol,
-            ncv=min(n - 1, max(40, 4 * n_pairs + 1)),
+            ncv=ncv,
             maxiter=max(4000, 40 * n_pairs),
         )
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
-            f"shift-invert Lanczos did not converge: {exc}", residuals=exc.eigenvalues
+            f"shift-invert Lanczos did not converge: {exc}",
+            residuals=_residuals(op.matrix, exc.eigenvalues, exc.eigenvectors),
         )
     order = np.argsort(vals)
     vals = np.asarray(vals[order], float)
@@ -251,25 +250,24 @@ def lowest_eigenpairs(
     n = op.n_dof
     if n_pairs > n:
         raise SolverError(f"requested {n_pairs} pairs from a {n}-dof operator")
-    chart_2d = len(op.dofmap.grid_shape) >= 2
     lobpcg = (
-        chart_2d
+        len(op.dofmap.grid_shape) >= 2
         and op.surface_block is not None
         and op.meta.get("width_ratio", 0.0) <= LOBPCG_MAX_WIDTH_RATIO
     )
-    if dense_cutoff is None:
-        dense_cutoff = 0 if chart_2d else DEFAULT_DENSE_THRESHOLD
-    # ARPACK needs n_pairs < n - 1, LOBPCG a block of at most n/5 columns
-    if n <= dense_cutoff or n_pairs >= n - 1 or (lobpcg and 5 * n_pairs > n):
+    # ARPACK needs a Krylov basis below n - 1 (so n_pairs < n - 1), LOBPCG a
+    # block of at most n/5 columns
+    ncv = max(40, 4 * n_pairs + 1)
+    if n <= (dense_cutoff or 0) or ncv >= n - 1 or (lobpcg and 5 * n_pairs > n):
         return _dense_pairs(op, n_pairs, tol, seed)
     if lobpcg:
         try:
             return _lobpcg_pairs(op, n_pairs, tol, seed)
         except SolverError:
-            spec = _shift_invert_pairs(op, n_pairs, tol, seed)
+            spec = _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
             spec.meta["fallback_from"] = "lobpcg"
             return spec
-    return _shift_invert_pairs(op, n_pairs, tol, seed)
+    return _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
 
 
 def resolvent(op: AssembledOperator, k: float, lambda_min: float):

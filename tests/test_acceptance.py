@@ -60,13 +60,13 @@ def test_criterion_1_flat_exactness():
     t0 = time.perf_counter()
     patch = build_patch(GeometryFamily("segment", {"length": 1.0}), (200,))
     heff = assemble_effective(patch)
-    mu = lowest_eigenpairs(heff, 3, tol=1e-12, dense_cutoff=2000).values
+    mu = lowest_eigenpairs(heff, 3, tol=1e-12).values
     worst_rel = 0.0
     worst_gap = 0.0
     for eps in (0.2, 0.05):
         lay = layer_geometry(patch, eps, 17)
         hren = renormalize(assemble_full(lay, zero_layer_potential(lay)))
-        lam = lowest_eigenpairs(hren, 3, tol=1e-12, dense_cutoff=2000).values
+        lam = lowest_eigenpairs(hren, 3, tol=1e-12).values
         want = (np.arange(1, 4) * np.pi) ** 2
         worst_rel = max(worst_rel, float(np.max(np.abs(lam / want - 1.0))))
         worst_gap = max(worst_gap, float(np.max(np.abs(lam - mu))))
@@ -239,9 +239,7 @@ def test_criterion_10_transverse_gap_bound():
     for eps in (0.1, 0.05):
         lay = layer_geometry(flat, eps, 17)
         H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
-        # a curve keeps the 4,000-dof dense cutoff, and a dense solve of the
-        # 3,400 dofs takes seconds: lower it to run shift-invert
-        rep = gap_bound_report(lay, H, tol=1e-13, dense_cutoff=500)
+        rep = gap_bound_report(lay, H, tol=1e-13)
         bound = 3.0 * np.pi**2 / (4.0 * eps**2)
         flat_dev = max(flat_dev, abs(rep.margin - bound))
         margins[("flat", eps)] = rep.margin

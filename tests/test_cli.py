@@ -119,6 +119,31 @@ def test_grid_needs_one_size_of_at_least_8_per_chart_direction(tmp_path, capsys,
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("circle", {}),  # missing radius
+        ("circle", {"radius": -1.0}),
+        ("torus", {"major": 2.0, "minor": 3.0}),
+    ],
+)
+def test_bad_geometry_parameters_are_config_errors(tmp_path, capsys, family, params):
+    grid = [16, 16] if family == "torus" else [16]
+    cfg = _config({"family": family, "params": params, "grid": grid})
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_threads_is_a_nonnegative_converge_option(tmp_path):
+    path = _write(tmp_path / "c.json", _config({"family": "circle", "params": {"radius": 1.0},
+                                                 "grid": [16]}))
+    for argv in (["converge", "--threads", "-3"], ["geometry", "--threads", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", path, "--out", str(tmp_path)])
+        assert info.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # geometry command
 # ---------------------------------------------------------------------------

@@ -379,18 +379,20 @@ def test_doubled_grid_effective_solve_runs_once(monkeypatch):
 def test_effective_resolvent_factored_once_with_threads(monkeypatch):
     import time
 
-    import thinlayer.eigensolve as es
+    import thinlayer.convergence as conv
 
-    real_splu = es.spla.splu
+    # each resolvent call factors H + k once; the h-eff eigensolve factors
+    # H - sigma as well, which is not counted here
+    real_resolvent = conv.resolvent
     heff_factors = []
 
-    def slow_splu(A, *args, **kwargs):
-        if A.shape[0] == 48:  # the 48-node h-eff; layer operators are larger
-            heff_factors.append(A.shape)
+    def slow_resolvent(op, k, lambda_min):
+        if op.n_dof == 48:  # the 48-node h-eff; layer operators are larger
+            heff_factors.append(k)
             time.sleep(0.2)  # widen the window in which rows could race
-        return real_splu(A, *args, **kwargs)
+        return real_resolvent(op, k, lambda_min)
 
-    monkeypatch.setattr(es.spla, "splu", slow_splu)
+    monkeypatch.setattr(conv, "resolvent", slow_resolvent)
     run_sweep(
         SweepSpec(
             family=GeometryFamily("circle", {"radius": 1.0}),

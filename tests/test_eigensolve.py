@@ -24,7 +24,7 @@ from thinlayer import (
     zero_layer_potential,
 )
 from thinlayer.convergence import TransverseMode
-from thinlayer.eigensolve import DEFAULT_DENSE_THRESHOLD, LOBPCG_MAXITER
+from thinlayer.eigensolve import LOBPCG_MAXITER
 from thinlayer.operators import SurfaceBlock
 
 
@@ -37,6 +37,7 @@ def test_interval_laplacian_classical_value():
 def test_identity_matrix_pairs():
     op = AssembledOperator.from_matrix(sp.eye_array(40, format="csr"))
     spec = lowest_eigenpairs(op, 3)
+    assert spec.meta["method"] == "dense"  # ARPACK's Krylov basis would span it
     assert np.allclose(spec.values, 1.0, atol=1e-12)
     gram = spec.vectors.T @ spec.vectors
     assert np.max(np.abs(gram - np.eye(3))) < 1e-10
@@ -46,6 +47,17 @@ def test_circle_effective_ground_state(circle_patch):
     p = build_patch(GeometryFamily("circle", {"radius": 1.0}), (256,))
     lam1 = lowest_eigenpairs(assemble_effective(p), 1).values[0]
     assert abs(lam1 + 0.25) < 5e-4
+
+
+def test_curve_layer_below_4000_dofs_takes_shift_invert():
+    # 3,944 dofs: a dense eigh takes seconds, the banded LU a fraction of one
+    p = build_patch(GeometryFamily("circle", {"radius": 1.0}), (232,))
+    lay = layer_geometry(p, 0.1, 17)
+    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    assert H.n_dof == 3944
+    spec = lowest_eigenpairs(H, 7, tol=1e-12)
+    assert spec.meta["method"] == "shift-invert-lanczos"
+    assert np.max(spec.residuals) < 1e-9
 
 
 def test_dense_and_iterative_paths_agree(circle_patch):
@@ -107,7 +119,7 @@ def _on_lu(op, n_pairs):
 
 def test_lobpcg_and_lu_paths_agree_on_complex_torus_layer(small_torus):
     op = _torus_layer(small_torus, 0.05)
-    assert op.is_complex and op.n_dof < DEFAULT_DENSE_THRESHOLD
+    assert op.is_complex
     lob = lowest_eigenpairs(op, 4)
     assert lob.meta["method"] == "lobpcg" and lob.meta["block_size"] == 4
     assert 0 < lob.meta["iterations"] < LOBPCG_MAXITER
@@ -315,16 +327,18 @@ def test_shift_invert_no_convergence_raises_after_one_factorization(circle_patch
         factored.append(A.shape)
         return real_splu(A, *args, **kwargs)
 
+    # the constant is the ground state, at -1/4: 1/4 is off by 1/2
     partial = np.array([0.25])
+    flat = np.full((heff.n_dof, 1), heff.n_dof**-0.5)
 
     def stalled(*args, **kwargs):
-        raise es.spla.ArpackNoConvergence("staged stall", partial, np.zeros((heff.n_dof, 1)))
+        raise es.spla.ArpackNoConvergence("staged stall", partial, flat)
 
     monkeypatch.setattr(es.spla, "splu", counting_splu)
     monkeypatch.setattr(es.spla, "eigsh", stalled)
     with pytest.raises(SolverError, match="did not converge") as info:
         lowest_eigenpairs(heff, 3, dense_cutoff=0)
-    assert info.value.residuals is partial
+    assert info.value.residuals == pytest.approx([0.5], abs=1e-10)
     assert len(factored) == 1  # no refactorization at a moved shift
 
 
@@ -398,9 +412,8 @@ def test_dense_and_iterative_agree_on_comparison_operator(circle_patch):
     assert np.max(np.abs(dense.values - sparse.values)) < 1e-8
 
 
-def test_dense_threshold_env_override(segment_patch):
-    """The dense cutoff is set per call only; sizes at or below it go dense."""
-    assert DEFAULT_DENSE_THRESHOLD == 4000
+def test_dense_cutoff_is_set_per_call(segment_patch):
+    """Sizes at or below the caller's cutoff go dense."""
     op = assemble_effective(segment_patch)
     n = op.n_dof
     below = lowest_eigenpairs(op, 2, dense_cutoff=n - 1)
@@ -409,11 +422,10 @@ def test_dense_threshold_env_override(segment_patch):
         assert lowest_eigenpairs(op, 2, dense_cutoff=cutoff).meta["method"] == "dense"
 
 
-def test_dense_cutoff_knows_the_chart(small_torus):
-    # on a 2-D chart the iterative paths beat a dense eigh at any size; only a
-    # request for (nearly) every pair goes dense
+def test_dense_rule_on_a_2d_chart(small_torus):
+    # the iterative paths beat a dense eigh at any size; only a request for
+    # (nearly) every pair goes dense
     heff = assemble_effective(small_torus)
-    assert heff.n_dof < DEFAULT_DENSE_THRESHOLD
     assert lowest_eigenpairs(heff, 3).meta["method"] == "shift-invert-lanczos"
     assert lowest_eigenpairs(heff, heff.n_dof - 1).meta["method"] == "dense"
     assert lowest_eigenpairs(heff, 3, dense_cutoff=heff.n_dof).meta["method"] == "dense"

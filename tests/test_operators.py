@@ -299,7 +299,7 @@ def test_renormalize_shifts_spectrum_exactly(circle_patch):
 def test_flat_renormalized_matches_interval_spectrum(segment_patch):
     lay = layer_geometry(segment_patch, 0.1, 17)
     Hren = renormalize(assemble_full(lay, zero_layer_potential(lay)))
-    vals = lowest_eigenpairs(Hren, 3, dense_cutoff=2000).values
+    vals = lowest_eigenpairs(Hren, 3).values
     want = np.array([1.0, 4.0, 9.0]) * np.pi**2
     assert np.max(np.abs(vals / want - 1.0)) < 1e-3
 
@@ -418,7 +418,7 @@ def test_electric_potential_enters_both_operators(segment_patch):
     for eps in (0.2, 0.1, 0.05):
         lay = layer_geometry(segment_patch, eps, 9)
         H = renormalize(assemble_full(lay, zero_layer_potential(lay), electric=w2))
-        lam = lowest_eigenpairs(H, 1, dense_cutoff=2000).values[0]
+        lam = lowest_eigenpairs(H, 1).values[0]
         gaps.append(abs(lam - mu))
     assert gaps[0] > gaps[1] > gaps[2]
 
