@@ -24,7 +24,7 @@ from .config import (
 )
 from .convergence import SweepSpec, run_sweep, sweep_acceptance
 from .eigensolve import lowest_eigenpairs
-from .errors import ConfigError, GeometryError, SolverError, ThinLayerError
+from .errors import ConfigError, EmbeddingError, GeometryError, SolverError, ThinLayerError
 from .geometry import (
     build_patch,
     check_embedding,
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         return args.func(cfg, out, args)
-    except (ConfigError, GeometryError) as exc:
+    except (ConfigError, GeometryError, EmbeddingError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -31,6 +31,17 @@ solver.dense_threshold. Otherwise, one of two iterations:
 Both use sigma = certified spectral floor - 1, built afresh for each call.
 resolvent(op, k, lambda_min) factors H + k once by sparse LU and returns the
 solve; the caller owns it, and nothing is stored on the operator.
+
+Both sparse LUs of a whole operator factor a Hermitian positive definite
+matrix: H - sigma >= I at the certified shift, and H + k with -k below
+lambda_min. So they order by minimum degree on A + A^H and take diagonal
+pivots (SuperLU's symmetric mode; George & Liu 1981): without pivoting the
+factorization of an HPD matrix is stable, and it fills about a third less
+than under the default COLAMD column order with partial pivoting (13.0M
+against 19.3M entries for the 200x400 sphere h_eff). The preconditioner's
+surface LUs keep the default: on those blocks minimum degree gives the same
+fill, and their block solves ran slower with two BLAS threads.
+nearest_eigenvalue factors an indefinite H - target and keeps pivoting.
 """
 from __future__ import annotations
 
@@ -101,7 +112,14 @@ def _shifted(A, sigma):
 
 
 def _lu_inverse(A, sigma):
-    return spla.splu(_shifted(A, sigma).tocsc()).solve
+    # A - sigma is Hermitian positive definite at every caller: diagonal
+    # pivots in a minimum-degree order on A + A^H
+    return spla.splu(
+        _shifted(A, sigma).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    ).solve
 
 
 def _decoupled_inverse(op, sigma, dtype):
@@ -123,6 +141,7 @@ def _decoupled_inverse(op, sigma, dtype):
         - sigma,
         1.0 - block.floor,
     )
+    # default order: minimum degree fills no less here (module docstring)
     lus = [spla.splu(_shifted(block.matrix, -d).astype(dtype).tocsc()) for d in shifts]
 
     def apply(r):
@@ -273,9 +292,11 @@ def lowest_eigenpairs(
 def resolvent(op: AssembledOperator, k: float, lambda_min: float):
     """The map v -> (H + k)^-1 v, factored once by sparse LU.
 
-    -k must lie below lambda_min, the smallest eigenvalue of H. Each solve is
+    -k must lie below lambda_min, the smallest eigenvalue of H, so that H + k
+    is positive definite and its diagonal pivots are stable. Each solve is
     checked by its residual, which catches a factorization that lost accuracy
-    because the shift sits too close to the spectrum.
+    because the shift sits too close to the spectrum, or inside it when the
+    caller overstated lambda_min.
     """
     k = float(k)
     if k <= -lambda_min + 1e-12:

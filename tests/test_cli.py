@@ -135,6 +135,22 @@ def test_bad_geometry_parameters_are_config_errors(tmp_path, capsys, family, par
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("spectrum", {"spectrum": {"operator": "full-H", "epsilon": 1.5, "m_u": 9}}),
+        ("converge", {"sweep": {"epsilons": [1.5, 0.5], "m_u": 9}}),
+    ],
+)
+def test_layer_wider_than_rho_m_is_a_config_error(tmp_path, capsys, command, block):
+    # the unit circle has rho_m = 1
+    cfg = _config({"family": "circle", "params": {"radius": 1.0}, "grid": [32]},
+                  field={"kind": "zero"}, **block)
+    rc = main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_threads_is_a_nonnegative_converge_option(tmp_path):
     path = _write(tmp_path / "c.json", _config({"family": "circle", "params": {"radius": 1.0},
                                                  "grid": [16]}))

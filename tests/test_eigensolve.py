@@ -13,6 +13,7 @@ from thinlayer import (
     assemble_full,
     build_patch,
     constant_field,
+    effective_field,
     gauge_fix,
     gershgorin_bounds,
     layer_geometry,
@@ -24,7 +25,7 @@ from thinlayer import (
     zero_layer_potential,
 )
 from thinlayer.convergence import TransverseMode
-from thinlayer.eigensolve import LOBPCG_MAXITER
+from thinlayer.eigensolve import LOBPCG_MAXITER, RESOLVENT_RTOL
 from thinlayer.operators import SurfaceBlock
 
 
@@ -347,6 +348,49 @@ def test_resolvent_rejects_shift_at_eigenvalue():
     lam_min = lowest_eigenpairs(diag, 1).values[0]
     with pytest.raises(SolverError, match="resolvent set"):
         resolvent(diag, -1.0, lam_min)
+
+
+def test_positive_definite_shifts_factor_with_less_fill(monkeypatch):
+    import thinlayer.eigensolve as es
+
+    # 40x80 sphere h_eff with B = e_z, 3,200 dofs: the default COLAMD order
+    # with partial pivoting fills to 341,064 entries and minimum degree on
+    # A + A^H to 268,684 (0.79), so this fails with a default splu call
+    p = build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (40, 80))
+    heff = assemble_effective(p, effective_field(constant_field(3, [0.0, 0.0, 1.0]), p))
+    assert heff.n_dof == 3200
+    factors = []
+    real_splu = es.spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        lu = real_splu(A, *args, **kwargs)
+        factors.append((A, lu.nnz))
+        return lu
+
+    monkeypatch.setattr(es.spla, "splu", recording_splu)
+    lam_min = lowest_eigenpairs(heff, 4).values[0]
+    resolvent(heff, 1.0 - lam_min, lam_min)
+    assert len(factors) == 2  # H - sigma for the eigensolve, H + k for the resolvent
+    for A, nnz in factors:
+        assert nnz <= 0.85 * real_splu(A).nnz
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-13, 1e-8])
+def test_resolvent_without_pivoting_never_returns_a_wrong_solve(delta):
+    # lambda_min is overstated, so H + k passes the resolvent-set check but
+    # is indefinite, and its first diagonal entry is delta: a diagonal pivot
+    # of 1e-13 loses accuracy, one of 0 is swapped for an off-diagonal one
+    n = 50
+    H = 2.0 * np.eye(n, dtype=complex) - np.eye(n, k=1) - np.eye(n, k=-1)
+    H[0, 0] = delta - 1.0
+    H[0, 1], H[1, 0] = 1j, -1j
+    op = AssembledOperator.from_matrix(sp.csr_array(H))
+    v = np.random.default_rng(0).standard_normal(n)
+    try:
+        x = resolvent(op, 1.0, 0.5)(v)
+    except SolverError:
+        return
+    assert np.linalg.norm(H @ x + x - v) <= RESOLVENT_RTOL * np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
