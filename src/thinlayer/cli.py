@@ -5,10 +5,13 @@ Exit codes: 0 ok, 2 config error, 3 solver error, 4 acceptance violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import io
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,55 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_ACCEPTANCE = 4
+
+
+def _bundled_openblas() -> list:
+    """(get, set) thread-count functions of the OpenBLAS that the numpy and
+    scipy wheels bundle; empty where they link another BLAS."""
+    import scipy
+
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+                get = getattr(lib, name.format("get"), None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_threads = getattr(lib, name.format("set"))
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    found.append((get, set_threads))
+                    break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every bundled OpenBLAS to one thread and restore the previous
+    counts on exit, unless OPENBLAS_NUM_THREADS chooses the count.
+
+    A second OpenBLAS thread spins between the small BLAS calls of SuperLU,
+    ARPACK and LOBPCG and makes no solve faster (README, "Threads"); a
+    sweep's parallelism comes from its rows. Yields the log line's text.
+    """
+    chosen = os.environ.get("OPENBLAS_NUM_THREADS")
+    if chosen:
+        yield f"threads left to OPENBLAS_NUM_THREADS={chosen}"
+        return
+    libs = _bundled_openblas()
+    if not libs:
+        yield "threads left to the BLAS library (no bundled OpenBLAS)"
+        return
+    before = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(1)
+    try:
+        yield f"1 thread ({len(libs)} bundled OpenBLAS pinned)"
+    finally:
+        for (_, set_threads), count in zip(libs, before):
+            set_threads(count)
 
 
 def _atomic_write(path: Path, text: str):
@@ -309,17 +361,26 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
-    try:
-        return args.func(cfg, out, args)
-    except (ConfigError, GeometryError, EmbeddingError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ThinLayerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    # entered once on the main thread, before any sweep worker starts
+    with warnings.catch_warnings(), _one_blas_thread() as blas:
+        # scipy's LOBPCG warns when a column misses scipy's own stopping test;
+        # the eigensolver checks every residual against its own target and
+        # hands a miss to the LU, so here the warning reports no failure
+        warnings.filterwarnings(
+            "ignore", r"(Exited|Failed) (postprocessing|at iteration)", UserWarning
+        )
+        log.info("blas: %s", blas)
+        try:
+            return args.func(cfg, out, args)
+        except (ConfigError, GeometryError, EmbeddingError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except SolverError as exc:
+            print(f"solver error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
+        except ThinLayerError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
 
 
 if __name__ == "__main__":

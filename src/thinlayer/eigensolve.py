@@ -32,16 +32,15 @@ Both use sigma = certified spectral floor - 1, built afresh for each call.
 resolvent(op, k, lambda_min) factors H + k once by sparse LU and returns the
 solve; the caller owns it, and nothing is stored on the operator.
 
-Both sparse LUs of a whole operator factor a Hermitian positive definite
-matrix: H - sigma >= I at the certified shift, and H + k with -k below
-lambda_min. So they order by minimum degree on A + A^H and take diagonal
-pivots (SuperLU's symmetric mode; George & Liu 1981): without pivoting the
-factorization of an HPD matrix is stable, and it fills about a third less
-than under the default COLAMD column order with partial pivoting (13.0M
-against 19.3M entries for the 200x400 sphere h_eff). The preconditioner's
-surface LUs keep the default: on those blocks minimum degree gives the same
-fill, and their block solves ran slower with two BLAS threads.
-nearest_eigenvalue factors an indefinite H - target and keeps pivoting.
+Every sparse LU here but one factors a Hermitian positive definite matrix:
+H - sigma >= I at the certified shift, H + k with -k below lambda_min, and
+the preconditioner's surface blocks S + d_j I. So they order by minimum
+degree on A + A^H and take diagonal pivots (SuperLU's symmetric mode;
+George & Liu 1981): without pivoting the factorization of an HPD matrix is
+stable, and a whole operator fills about a third less than under the default
+COLAMD column order with partial pivoting (13.0M against 19.3M entries for
+the 200x400 sphere h_eff). nearest_eigenvalue factors an indefinite
+H - target and keeps pivoting.
 """
 from __future__ import annotations
 
@@ -141,15 +140,15 @@ def _decoupled_inverse(op, sigma, dtype):
         - sigma,
         1.0 - block.floor,
     )
-    # default order: minimum degree fills no less here (module docstring)
-    lus = [spla.splu(_shifted(block.matrix, -d).astype(dtype).tocsc()) for d in shifts]
+    surface = block.matrix.astype(dtype)
+    solves = [_lu_inverse(surface, -d) for d in shifts]
 
     def apply(r):
         # one solve per transverse mode takes every column of the block
         by_node = r.reshape(-1, m, r.shape[1]).transpose(1, 0, 2)
         modes = dst(by_node, type=1, norm="ortho", axis=0)
-        for j, lu in enumerate(lus):
-            modes[j] = lu.solve(modes[j])
+        for j, solve in enumerate(solves):
+            modes[j] = solve(modes[j])
         return dst(modes, type=1, norm="ortho", axis=0).transpose(1, 0, 2).reshape(r.shape)
 
     return apply

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thinlayer
+from thinlayer import cli
 from thinlayer.cli import main
 
 
@@ -361,7 +363,7 @@ def test_spectrum_csv_roundtrips_at_full_precision(tmp_path):
     assert _same_bits(cols[2], spectrum.residuals)
 
 
-def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
+def test_spectrum_verbose_logs_solver_work(tmp_path, caplog, monkeypatch):
     cfg = _config(
         {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 12]},
         field={"kind": "constant", "b": [0.0, 0.0, 1.0]},
@@ -369,15 +371,107 @@ def test_spectrum_verbose_logs_solver_work(tmp_path, caplog):
         spectrum={"operator": "full-H-renormalized", "epsilon": 0.05, "m_u": 5},
     )
     caplog.set_level("INFO", logger="thinlayer")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg),
                "--out", str(tmp_path), "--verbose"])
     assert rc == 0
+    n_libs = len(cli._bundled_openblas())
+    blas = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blas: ")]
+    assert blas == [f"blas: 1 thread ({n_libs} bundled OpenBLAS pinned)" if n_libs
+                    else "blas: threads left to the BLAS library (no bundled OpenBLAS)"]
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eigensolve")]
     assert len(lines) == 1
     assert "method=lobpcg" in lines[0] and "block_size=2" in lines[0]
     assert "iterations=" in lines[0] and "residual_target=" in lines[0]
     assert "fallback_from=None" in lines[0] and "max_residual=" in lines[0]
     assert (tmp_path / "spectrum.csv").read_text().splitlines()[0] == "n,eigenvalue,residual"
+
+
+def _env_with_src():
+    """os.environ with this checkout's package first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(thinlayer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _torus_layer_config(grid, m_u, n_pairs, tol):
+    return _config(
+        {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": grid},
+        field={"kind": "constant", "b": [0.0, 0.0, 1.0]},
+        solver={"n_eigenpairs": n_pairs, "tol": tol},
+        spectrum={"operator": "full-H-renormalized", "epsilon": 0.05, "m_u": m_u},
+    )
+
+
+def test_spectrum_hides_scipy_lobpcg_tolerance_warning(tmp_path):
+    # at this seed every residual meets the solver's round-off target, yet
+    # scipy's LOBPCG warns that its own, tighter stopping test was missed
+    cfg = _torus_layer_config([16, 16], 9, 4, 1e-14)
+    path = _write(tmp_path / "c.json", cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["spectrum", "--config", path, "--out", str(tmp_path), "--seed", "5"])
+    assert rc == 0
+    assert not [w for w in caught if "requested tolerance" in str(w.message)]
+
+    # the library still warns, under the CLI's BLAS setting too
+    patch = thinlayer.build_patch(
+        thinlayer.GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (16, 16)
+    )
+    layer = thinlayer.layer_geometry(patch, 0.05, 9)
+    pot = thinlayer.layer_potential(thinlayer.constant_field(3, [0.0, 0.0, 1.0]), layer)
+    op = thinlayer.renormalize(thinlayer.assemble_full(layer, pot))
+    with cli._one_blas_thread(), pytest.warns(UserWarning, match="requested tolerance"):
+        spectrum = thinlayer.lowest_eigenpairs(op, 4, tol=1e-14, seed=5)
+    assert spectrum.meta["method"] == "lobpcg"
+
+
+def test_spectrum_output_does_not_depend_on_blas_threads(tmp_path):
+    # a 5,184-dof layer: OpenBLAS splits its LOBPCG block products over two
+    # threads, which changes the round-off unless the CLI runs one
+    path = _write(tmp_path / "c.json", _torus_layer_config([24, 24], 9, 4, 1e-10))
+    unset = _env_with_src()
+    unset.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = []
+    for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+        subprocess.run(
+            [sys.executable, "-m", "thinlayer", "spectrum", "--config", path,
+             "--out", str(tmp_path / name), "--seed", "1"],
+            env=env,
+            check=True,
+        )
+        outputs.append((tmp_path / name / "spectrum.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_main_restores_blas_threads_and_respects_the_environment(tmp_path, monkeypatch):
+    libs = cli._bundled_openblas()
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    seen = []
+
+    def record_threads(cfg, out, args):
+        seen.append([get() for get, _ in libs])
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_geometry", record_threads)
+    path = _write(tmp_path / "c.json", _config({"family": "circle", "params": {"radius": 1.0},
+                                                 "grid": [16]}))
+    before = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(2)
+    try:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["geometry", "--config", path, "--out", str(tmp_path)]) == 0
+        assert [get() for get, _ in libs] == [2] * len(libs)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["geometry", "--config", path, "--out", str(tmp_path)]) == 0
+        assert [get() for get, _ in libs] == [2] * len(libs)
+    finally:
+        for (_, set_threads), count in zip(libs, before):
+            set_threads(count)
+    assert seen == [[1] * len(libs), [2] * len(libs)]
 
 
 def test_spectrum_sphere_effective(tmp_path):
@@ -659,15 +753,13 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats, scipy.integrate, scipy.interpolate and scipy.spatial buy the
     # CLI nothing at import time; only a sampled field or potential loads the
     # interpolator, and only the embedding check the k-d tree
-    src = str(Path(thinlayer.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, thinlayer.cli; print(any(m in sys.modules for m in "
         "('scipy.stats', 'scipy.integrate', 'scipy.interpolate', 'scipy.spatial')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_env_with_src(),
         capture_output=True,
         text=True,
         check=True,
