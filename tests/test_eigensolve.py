@@ -129,6 +129,17 @@ def test_lobpcg_and_lu_paths_agree_on_complex_torus_layer(small_torus):
     assert lob.meta["residual_target"] >= lob.meta["tol"]
 
 
+def test_torus_layer_preconditioner_factors_one_surface_lu(small_torus):
+    # at eps 0.05 every excited transverse mode block is diagonally dominant
+    # (Gershgorin ratio below DIAGONAL_MAX_RATIO): only the ground mode's
+    # surface block is factored
+    op = _torus_layer(small_torus, 0.05, m_u=17)
+    lob = lowest_eigenpairs(op, 4)
+    assert lob.meta["method"] == "lobpcg" and lob.meta["surface_lus"] == 1
+    assert np.max(np.abs(lob.values - _on_lu(op, 4).values)) < 1e-9
+    assert np.max(lob.residuals) <= lob.meta["residual_target"]
+
+
 def test_lobpcg_resolves_an_exactly_degenerate_pair_cut_by_the_block(small_torus):
     # zero field: the rotation symmetry makes pairs exactly degenerate, and a
     # block of 4 holds only one of the pair at -0.0078
@@ -189,13 +200,28 @@ def test_missed_lobpcg_target_hands_the_solve_to_the_lu(small_torus, monkeypatch
 
 
 @pytest.mark.parametrize("factor", [1e-6, -1.0])  # weak / indefinite
-def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor):
+def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor, monkeypatch):
     # a bad preconditioner may cost the LOBPCG attempt, never the answer
+    import thinlayer.eigensolve as es
+
     op = _torus_layer(small_torus, 0.025)
     block = op.surface_block
     wrong = dataclasses.replace(
         op, surface_block=SurfaceBlock(factor * block.matrix, block.floor)
     )
+    if factor < 0:
+        # the mode-0 block -S + d_0 I is indefinite, and its Gershgorin ratio
+        # is negative: only the row-positivity guard keeps it off the diagonal
+        lu_inverse, factored_rows = es._lu_inverse, []
+
+        def spy(A, sigma):
+            factored_rows.append(np.min(A.diagonal().real - sigma))
+            return lu_inverse(A, sigma)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(es, "_lu_inverse", spy)
+            es._decoupled_inverse(wrong, es._certified_shift(op), op.matrix.dtype)
+        assert min(factored_rows) < 0
     spec = lowest_eigenpairs(wrong, 4)
     assert np.max(np.abs(spec.values - _on_lu(op, 4).values)) < 1e-9
 
@@ -216,6 +242,16 @@ def test_blocks_that_cut_sphere_clusters_match_lu(zero_field_shell, n_pairs):
     assert np.max(np.abs(spec.values - lu_values[:n_pairs])) < 1e-9
     hi = gershgorin_bounds(op.matrix)[1]
     assert np.max(spec.residuals) <= max(1e-10, 16 * 2.0**-53 * hi)
+
+
+def test_pole_clustered_shell_keeps_every_mode_lu(zero_field_shell):
+    # the pole rows of S carry off-diagonal sums far above the transverse
+    # gaps, so no mode block of the shell is diagonally dominant
+    from thinlayer.eigensolve import _certified_shift, _decoupled_inverse
+
+    op, _ = zero_field_shell
+    _, surface_lus = _decoupled_inverse(op, _certified_shift(op), op.matrix.dtype)
+    assert surface_lus == op.dofmap.m_u
 
 
 def test_layer_near_rho_m_takes_the_lu(small_torus):
@@ -244,12 +280,14 @@ def test_circle_layer_stays_on_lu(circle_patch):
 def test_decoupled_preconditioner_is_positive_definite_at_any_shift(small_torus):
     from thinlayer.eigensolve import _decoupled_inverse
 
-    op = _torus_layer(small_torus, 0.05, m_u=5)
     rng = np.random.default_rng(0)
-    for sigma in (-1e3, 0.0, 1e6):  # below, inside and far above the spectrum
-        apply = _decoupled_inverse(op, sigma, op.matrix.dtype)
-        r = rng.standard_normal((op.n_dof, 3)) + 1j * rng.standard_normal((op.n_dof, 3))
-        assert np.all(np.einsum("ij,ij->j", r.conj(), apply(r)).real > 0)
+    # at m_u = 17 the stiff modes take their diagonal, the soft ones an LU
+    for m_u in (5, 17):
+        op = _torus_layer(small_torus, 0.05, m_u=m_u)
+        for sigma in (-1e3, 0.0, 1e6):  # below, inside and far above the spectrum
+            apply, _ = _decoupled_inverse(op, sigma, op.matrix.dtype)
+            r = rng.standard_normal((op.n_dof, 3)) + 1j * rng.standard_normal((op.n_dof, 3))
+            assert np.all(np.einsum("ij,ij->j", r.conj(), apply(r)).real > 0)
 
 
 def test_nearest_eigenvalue_swallows_only_solver_failures(monkeypatch):
