@@ -1,12 +1,16 @@
-"""Run configuration: versioned JSON schema, validation and object builders."""
+"""Run configuration: versioned JSON schema, validation and object builders.
+
+SCHEMA states the config format in JSON Schema 2020-12, and _violations checks
+it in-house, with the keywords SCHEMA uses and nothing else.
+"""
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from .errors import ConfigError
 from .geometry import FAMILY_KINDS, GeometryFamily
@@ -166,6 +170,89 @@ SCHEMA = {
 }
 
 
+# ---------------------------------------------------------------------------
+# validation against SCHEMA
+# ---------------------------------------------------------------------------
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def _is_type(value, name):
+    """JSON types of parsed values. Booleans are not numbers, and "integer"
+    means an integer literal: 3.0 would reach SeedSequence or ARPACK as a
+    float."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    return isinstance(value, _TYPES[name])
+
+
+def _equal(a, b):
+    """JSON equality of scalars: true is not 1."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+# keyword -> (the JSON type it constrains, None for every value; the test a
+# value of that type must pass; the message when it fails)
+_RULES = {
+    "type": (None, _is_type, "{v!r} is not of type {a!r}"),
+    "const": (None, _equal, "{a!r} was expected"),
+    "enum": (None, lambda v, a: any(_equal(v, x) for x in a), "{v!r} is not one of {a!r}"),
+    "not": (None, lambda v, a: bool(_violations(v, a)), "{v!r} should not be valid under {a!r}"),
+    "anyOf": (
+        None,
+        lambda v, a: any(not _violations(v, x) for x in a),
+        "{v!r} is not valid under any of the given schemas",
+    ),
+    "minimum": ("number", operator.ge, "{v!r} is less than the minimum of {a!r}"),
+    "exclusiveMinimum": (
+        "number", operator.gt, "{v!r} is less than or equal to the minimum of {a!r}"
+    ),
+    "multipleOf": ("number", lambda v, a: v % a == 0, "{v!r} is not a multiple of {a}"),
+    "minItems": ("array", lambda v, a: len(v) >= a, "{v!r} is too short"),
+    "maxItems": ("array", lambda v, a: len(v) <= a, "{v!r} is too long"),
+    "uniqueItems": (
+        "array",
+        lambda v, a: not a or not any(_equal(x, y) for i, x in enumerate(v) for y in v[:i]),
+        "{v!r} has non-unique elements",
+    ),
+}
+
+# with the keywords that name required members or the schemas of members
+KEYWORDS = {*_RULES, "required", "properties", "additionalProperties", "prefixItems", "items"}
+
+
+def _violations(value, schema, path=()):
+    """(path, message) for every keyword of schema that value, or a member of
+    it, breaks: JSON Schema 2020-12 restricted to KEYWORDS."""
+    found = []
+    for key, arg in schema.items():
+        if key in _RULES:
+            kind, holds, message = _RULES[key]
+            if (kind is None or _is_type(value, kind)) and not holds(value, arg):
+                found.append((path, message.format(v=value, a=arg)))
+    members = {}
+    if _is_type(value, "object"):
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        found += [(path, f"{k!r} is a required property") for k in missing]
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        unexpected = sorted(set(value) - set(properties))
+        if extra is False and unexpected:
+            verb = "was" if len(unexpected) == 1 else "were"
+            found.append((path, f"Additional properties are not allowed "
+                                f"({', '.join(map(repr, unexpected))} {verb} unexpected)"))
+        members = {k: properties.get(k, extra) for k in value}
+    elif _is_type(value, "array"):
+        prefix = schema.get("prefixItems", [])
+        rest = schema.get("items", True)
+        members = {i: prefix[i] if i < len(prefix) else rest for i in range(len(value))}
+    for k, sub in members.items():
+        if isinstance(sub, dict):
+            found += _violations(value[k], sub, path + (k,))
+    return found
+
+
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
@@ -219,11 +306,10 @@ def load_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{p}: {exc}")
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    errors = sorted(_violations(raw, SCHEMA), key=lambda e: e[0])
     if errors:
         spots = "; ".join(
-            f"/{'/'.join(str(x) for x in e.absolute_path)}: {e.message}" for e in errors[:4]
+            f"/{'/'.join(str(x) for x in where)}: {message}" for where, message in errors[:4]
         )
         raise ConfigError(f"{p}: config violates schema: {spots}")
     return RunConfig(raw=raw, path=str(p))

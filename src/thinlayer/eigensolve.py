@@ -9,11 +9,12 @@ solver.dense_threshold. Otherwise, one of two iterations:
     carry the surface factor S of their decoupled comparison operator, whose
     chart has two axes) with eps/rho_m <= LOBPCG_MAX_WIDTH_RATIO, with a
     seeded random start block of n_pairs columns. The preconditioner inverts
-    S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis splits it into
-    m_u surface-sized blocks S + d_j I (fast diagonalization). A soft mode
-    block takes a sparse LU that solves the whole LOBPCG block at once; a
-    stiff one, whose Gershgorin ratio max_i sum_{k != i} |S_ik| / (S_ii + d_j)
-    is at most DIAGONAL_MAX_RATIO on positive rows, takes its diagonal. The
+    S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis, the dense
+    sine_modes(m_u), splits it into m_u surface-sized blocks S + d_j I (fast
+    diagonalization). A soft mode block takes a sparse LU that solves the
+    whole LOBPCG block at once; a stiff one, whose Gershgorin ratio
+    max_i sum_{k != i} |S_ik| / (S_ii + d_j) is at most DIAGONAL_MAX_RATIO on
+    positive rows, takes its diagonal. The
     O(eps^-2) transverse gap makes every excited mode stiff on the 24x24x17
     torus layer at eps 0.05 (1 LU instead of 17; LOBPCG 0.88 -> 0.35 s, 44
     -> 43 iterations), while the pole rows of a sphere shell keep all its
@@ -55,10 +56,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dst
 
 from .errors import SolverError
-from .operators import AssembledOperator, transverse_energies
+from .operators import AssembledOperator, sine_modes, transverse_energies
 
 DEFAULT_TOL = 1e-10
 #: LOBPCG iterations before a missed residual target hands the solve to the LU
@@ -136,10 +136,10 @@ def _decoupled_inverse(op, sigma, dtype):
     """Inverse of the decoupled operator S (x) I + I (x) T/eps^2 - c, applied
     to a block of columns, and the number of surface LUs it factored.
 
-    The sampled sine modes diagonalize the transverse factor, and the
-    orthonormal DST-I is the transform to them. That leaves one
-    surface-sized solve per transverse mode j with S + d_j I,
-    d_j = E_j/eps^2 - c, c = renormalization shift + sigma (fast
+    The sampled sine modes diagonalize the transverse factor, and
+    sine_modes(m_u), symmetric and its own inverse, is the transform to them
+    and back. That leaves one surface-sized solve per transverse mode j with
+    S + d_j I, d_j = E_j/eps^2 - c, c = renormalization shift + sigma (fast
     diagonalization). Each d_j is raised to at least 1 - floor(S), so every
     mode block is Hermitian positive definite whatever sigma is.
 
@@ -158,6 +158,7 @@ def _decoupled_inverse(op, sigma, dtype):
         - sigma,
         1.0 - block.floor,
     )
+    sines = sine_modes(m)
     surface = block.matrix.astype(dtype)
     diag = surface.diagonal().real
     off = _off_diagonal_row_sums(surface)
@@ -173,10 +174,10 @@ def _decoupled_inverse(op, sigma, dtype):
     def apply(r):
         # one solve per transverse mode takes every column of the block
         by_node = r.reshape(-1, m, r.shape[1]).transpose(1, 0, 2)
-        modes = dst(by_node, type=1, norm="ortho", axis=0)
+        modes = np.tensordot(sines, by_node, axes=1)
         for j, solve in enumerate(solves):
             modes[j] = solve(modes[j])
-        return dst(modes, type=1, norm="ortho", axis=0).transpose(1, 0, 2).reshape(r.shape)
+        return np.tensordot(sines, modes, axes=1).transpose(1, 0, 2).reshape(r.shape)
 
     return apply, surface_lus
 

@@ -57,10 +57,16 @@ def transverse_matrix(m_u: int) -> np.ndarray:
     Exact Dirichlet eigenvalues (m pi/2)^2 with the sampled sine modes as
     eigenvectors; dense (m_u x m_u), symmetric.
     """
-    j = np.arange(1, m_u + 1)
-    basis = np.sqrt(2.0 / (m_u + 1)) * np.sin(np.outer(j, j) * np.pi / (m_u + 1))
+    basis = sine_modes(m_u)
     T = (basis * transverse_energies(m_u)) @ basis.T
     return 0.5 * (T + T.T)
+
+
+def sine_modes(m_u: int) -> np.ndarray:
+    """The orthonormal DST-I matrix: column j samples the sine mode j + 1 at
+    the interior nodes. Symmetric and its own inverse."""
+    j = np.arange(1, m_u + 1)
+    return np.sqrt(2.0 / (m_u + 1)) * np.sin(np.outer(j, j) * np.pi / (m_u + 1))
 
 
 def transverse_energies(m_u: int) -> np.ndarray:

@@ -162,6 +162,41 @@ def test_threads_is_a_nonnegative_converge_option(tmp_path):
         assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("solver", "seed", 3.0),
+        ("solver", "n_eigenpairs", 2.0),
+        ("solver", "dense_threshold", 100.0),
+        ("spectrum", "m_u", 9.0),
+        ("geometry", "grid", [32.0]),
+    ],
+    ids=["seed", "n_eigenpairs", "dense_threshold", "m_u", "grid"],
+)
+def test_integral_floats_in_integer_keys_are_config_errors(tmp_path, capsys, block, key,
+                                                           value):
+    # JSON Schema counts 3.0 as an integer; a float seed or pair count used
+    # to crash the solver instead
+    cfg = _config({"family": "circle", "params": {"radius": 1.0}, "grid": [32]},
+                  spectrum={"operator": "h-eff"})
+    cfg.setdefault(block, {})[key] = value
+    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"/{block}/{key}" in err
+    assert "is not of type 'integer'" in err
+
+
+def test_cli_import_loads_no_jsonschema_or_scipy_fft():
+    code = ("import sys, thinlayer.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema' "
+            "or m == 'scipy.fft' or m.startswith('scipy.fft.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # geometry command
 # ---------------------------------------------------------------------------
@@ -412,7 +447,7 @@ def test_spectrum_hides_scipy_lobpcg_tolerance_warning(tmp_path):
     path = _write(tmp_path / "c.json", cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(["spectrum", "--config", path, "--out", str(tmp_path), "--seed", "1"])
+        rc = main(["spectrum", "--config", path, "--out", str(tmp_path), "--seed", "25"])
     assert rc == 0
     assert not [w for w in caught if "requested tolerance" in str(w.message)]
 
@@ -424,7 +459,7 @@ def test_spectrum_hides_scipy_lobpcg_tolerance_warning(tmp_path):
     pot = thinlayer.layer_potential(thinlayer.constant_field(3, [0.0, 0.0, 1.0]), layer)
     op = thinlayer.renormalize(thinlayer.assemble_full(layer, pot))
     with cli._one_blas_thread(), pytest.warns(UserWarning, match="requested tolerance"):
-        spectrum = thinlayer.lowest_eigenpairs(op, 4, tol=1e-14, seed=1)
+        spectrum = thinlayer.lowest_eigenpairs(op, 4, tol=1e-14, seed=25)
     assert spectrum.meta["method"] == "lobpcg"
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dst
 
 from thinlayer import (
     AssemblyError,
@@ -26,6 +27,7 @@ from thinlayer import (
     transverse_matrix,
     zero_layer_potential,
 )
+from thinlayer.operators import sine_modes
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,13 @@ def test_transverse_matrix_has_exact_sine_spectrum():
     assert np.max(np.abs(vals - want)) < 1e-10
     assert want[0] == pytest.approx(TRANSVERSE_GROUND_ENERGY, abs=1e-15)
     assert TRANSVERSE_GROUND_ENERGY == pytest.approx(2.467401, abs=5e-7)
+
+
+@pytest.mark.parametrize("m", [3, 9, 17])
+def test_sine_modes_are_the_orthonormal_dst_and_their_own_inverse(m):
+    S = sine_modes(m)
+    assert np.max(np.abs(S - dst(np.eye(m), type=1, norm="ortho"))) < 1e-14
+    assert np.max(np.abs(S @ S - np.eye(m))) < 1e-14
 
 
 def test_transverse_ground_mode_is_sampled_cosine():
