@@ -47,7 +47,6 @@ from .magnetics import (
     sampled_potential,
     surface_trace_potential,
     zero_field,
-    zero_layer_potential,
     zero_potential,
 )
 from .operators import (
@@ -59,7 +58,6 @@ from .operators import (
     assemble_comparison,
     assemble_effective,
     assemble_full,
-    coercivity_shift,
     comparison_constants,
     potential_grids,
     renormalize,

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .config import (
     RunConfig,
-    ambient_dim_of,
     build_electric,
     build_family,
     build_field,
@@ -281,11 +280,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
     family, grid = build_family(cfg)
-    dim = ambient_dim_of(family.kind) if family.kind != "user-sampled" else (
-        family.samples.shape[-1]
-    )
-    field = build_field(cfg, dim)
-    electric = build_electric(cfg, dim)
+    field = build_field(cfg, family.ambient_dim)
+    electric = build_electric(cfg, family.ambient_dim)
     sw = cfg.sweep
     if "epsilons" not in sw:
         raise ConfigError("converge needs a sweep.epsilons list")

@@ -401,26 +401,28 @@ def build_family(cfg: RunConfig) -> tuple[GeometryFamily, tuple]:
     g = cfg.geometry
     kind = g["family"]
     params = dict(g.get("params", {}))
-    grid = tuple(g.get("grid", ()))
     if kind == "user-sampled":
         if "csv" not in g:
             raise ConfigError("user-sampled geometry needs a csv entry")
         base = Path(cfg.path).parent
         samples = load_sampled_geometry(base / g["csv"])
+        grid = samples.shape[:-1]
         closures = tuple(g["closure"]) if "closure" in g else None
-        fam = GeometryFamily(kind, params, samples=samples, closures=closures)
-        return fam, samples.shape[:-1]
-    n_dirs = ambient_dim_of(kind) - 1
+        if closures is not None and len(closures) != len(grid):
+            raise ConfigError(
+                f"a user-sampled chart with {len(grid)} direction(s) needs one "
+                f"closure per direction, got {list(closures)}"
+            )
+        return GeometryFamily(kind, params, samples=samples, closures=closures), grid
+    fam = GeometryFamily(kind, params)
+    grid = tuple(g.get("grid", ()))
+    n_dirs = fam.ambient_dim - 1
     if len(grid) != n_dirs:
         raise ConfigError(
             f"a {kind} grid needs {n_dirs} size(s), one per chart direction, "
             f"got {list(grid)}"
         )
-    return GeometryFamily(kind, params), grid
-
-
-def ambient_dim_of(kind: str) -> int:
-    return 2 if kind in ("segment", "circle", "ellipse", "catenary-curve") else 3
+    return fam, grid
 
 
 def build_field(cfg: RunConfig, dim: int) -> AmbientField:

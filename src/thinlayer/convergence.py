@@ -66,8 +66,10 @@ class TransverseMode:
         return vec.reshape(-1, self.m_u) @ self.chi_scaled
 
     def embed(self, surf: np.ndarray) -> np.ndarray:
-        """Surface vector times the ground profile, as a product-grid vector."""
-        return (surf[:, None] * self.chi_scaled[None, :]).reshape(-1)
+        """Surface vector, or block of column vectors, times the ground
+        profile, as product-grid vector(s) (transverse index fastest)."""
+        chi = self.chi_scaled.reshape((-1,) + (1,) * (surf.ndim - 1))
+        return (surf[:, None] * chi).reshape((-1,) + surf.shape[1:])
 
     def apply_p1(self, vec: np.ndarray) -> np.ndarray:
         return self.embed(self.project_ground(vec))
@@ -380,15 +382,11 @@ def _solve_row(spec: SweepSpec, patch, eff_spec, eps):
     """
     layer = layer_geometry(patch, eps, spec.m_u)
     pot = layer_potential(spec.field, layer)
-    pots = potential_grids(layer)
-    hren = renormalize(assemble_full(layer, pot, spec.electric, pots))
-    mode = TransverseMode.from_count(spec.m_u)
+    hren = renormalize(assemble_full(layer, pot, spec.electric))
     full_solve = min(eff_spec.n_pairs + 3, hren.n_dof)
     full_spec = lowest_eigenpairs(hren, full_solve, tol=spec.tol, seed=spec.seed,
                                   dense_cutoff=spec.dense_cutoff)
-    emb = (eff_spec.vectors[:, None, :] * mode.chi_scaled[None, :, None]).reshape(
-        hren.n_dof, -1
-    )
+    emb = TransverseMode.from_count(spec.m_u).embed(eff_spec.vectors)
     overlaps = np.abs(emb.conj().T @ full_spec.vectors)
     assignment, ambiguous = _match_pairs(
         overlaps, eff_spec.values, full_spec.values, spec.n_pairs
@@ -518,11 +516,8 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
             )
         return rows, None if failure is None else {"eps": eps, "reason": failure}
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            chunks = list(pool.map(one_row, eps_list))
-    else:
-        chunks = [one_row(e) for e in eps_list]
+    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+        chunks = list(pool.map(one_row, eps_list))
     rows = [r for chunk, _ in chunks for r in chunk]
     disc_failures = [f for _, f in chunks if f is not None]
 

@@ -151,6 +151,14 @@ class GeometryFamily:
     samples: np.ndarray | None = None
     closures: tuple[str, ...] | None = None
 
+    @property
+    def ambient_dim(self) -> int:
+        """2 for the curve families, 3 for the surfaces; user-sampled
+        geometry has the dimension of its sample points."""
+        if self.kind == "user-sampled":
+            return self.samples.shape[-1]
+        return 2 if self.kind in ("segment", "circle", "ellipse", "catenary-curve") else 3
+
     def label(self) -> str:
         p = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
         return f"{self.kind}({p})"

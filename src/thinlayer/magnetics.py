@@ -322,7 +322,7 @@ def _cumulative_simpson(f, h):
     return np.cumsum(steps, axis=-1)
 
 
-def gauge_fix(raw: RawLayerPotential | GaugeFixedPotential) -> GaugeFixedPotential:
+def gauge_fix(raw: RawLayerPotential) -> GaugeFixedPotential:
     """Remove the transverse component by a gauge transformation.
 
     Subtracts the chart gradient of theta(x, u) = int_0^u a_trans(x, t) dt;
@@ -331,16 +331,8 @@ def gauge_fix(raw: RawLayerPotential | GaugeFixedPotential) -> GaugeFixedPotenti
     """
     layer = raw.layer
     patch = layer.patch
-    if isinstance(raw, GaugeFixedPotential):
-        a_trans = np.zeros(raw.a_surf.shape[:-1])
-        a_surf = raw.a_surf
-        label = raw.field_label
-    else:
-        a_trans = raw.a_trans
-        a_surf = raw.a_surf
-        label = raw.field_label
     j0 = layer.m_u // 2  # u = 0 node (transverse grid is odd)
-    running = _cumulative_simpson(a_trans, layer.h_u)
+    running = _cumulative_simpson(raw.a_trans, layer.h_u)
     theta = running - running[..., j0 : j0 + 1]
     grad = np.stack(
         [
@@ -349,7 +341,7 @@ def gauge_fix(raw: RawLayerPotential | GaugeFixedPotential) -> GaugeFixedPotenti
         ],
         axis=-1,
     )
-    fixed = a_surf - grad
+    fixed = raw.a_surf - grad
     a_surf0 = raw.a_surf0
     a_prime = (fixed - a_surf0[..., None, :]) / layer.eps
     tmp = np.einsum("...mi,...mij,...mj->...m", a_prime,
@@ -363,30 +355,13 @@ def gauge_fix(raw: RawLayerPotential | GaugeFixedPotential) -> GaugeFixedPotenti
         a_prime=a_prime,
         gauge_integral=theta,
         sup_quad=float(np.max(tmp)) if tmp.size else 0.0,
-        field_label=label,
-    )
-
-
-def zero_layer_potential(layer: LayerGeometry) -> GaugeFixedPotential:
-    """Gauge-fixed potential of the zero field (all components vanish)."""
-    g = layer.patch.grid_shape
-    m, dim = layer.m_u, layer.patch.dim
-    z = np.zeros(g + (m, dim))
-    return GaugeFixedPotential(
-        layer=layer,
-        a_surf=z,
-        a_surf0=np.zeros(g + (dim,)),
-        a_prime=z.copy(),
-        gauge_integral=np.zeros(g + (m,)),
-        sup_quad=0.0,
-        field_label="zero",
+        field_label=raw.field_label,
     )
 
 
 def layer_potential(field: AmbientField, layer: LayerGeometry) -> GaugeFixedPotential:
-    """Gauge-fixed layer potential of an ambient field (zero field: all zeros)."""
-    if field.kind == "zero":
-        return zero_layer_potential(layer)
+    """Gauge-fixed layer potential of an ambient field; the zero field takes
+    the same pull-back and gauge fix and comes out exactly zero."""
     return gauge_fix(pullback(field, layer))
 
 

@@ -82,19 +82,6 @@ class DofMap:
     closures: tuple[str, ...]
     axis_names: tuple[str, ...]
 
-    @property
-    def n_surface(self) -> int:
-        return int(np.prod(self.grid_shape))
-
-    @property
-    def n_dof(self) -> int:
-        return self.n_surface * self.m_u
-
-    def index(self, *node) -> int:
-        *surf, j = node if self.m_u > 1 else (*node, 0)
-        s = int(np.ravel_multi_index(tuple(int(i) for i in surf), self.grid_shape))
-        return s * self.m_u + int(j)
-
     def boundary_record(self) -> list[str]:
         rec = []
         labels = {
@@ -297,8 +284,9 @@ def _surface_operator(patch, inv, alpha, m):
     """Scaled surface stencil on (chart grid) x (m transverse slabs).
 
     inv: (*grid, m, dim, dim) inverse-metric coefficients; alpha: chart
-    components of the potential, (*grid, m, dim) or None. Returns a csr_array
-    of size (n_surface * m).
+    components of the potential, (*grid, m, dim) or None; an all-zero alpha
+    counts as None and keeps the matrix real. Returns a csr_array of size
+    (n_surface * m).
     """
     gshape = patch.grid_shape
     ns = patch.n_nodes
@@ -443,9 +431,7 @@ def transverse_curvature_potential(kappa, eps, u):
         uu = u[:, None]
     else:
         kap, uu = kappa, u
-    f = kap / (1.0 - eps * uu * kap)
-    s = np.sum(f, axis=-1)
-    return -0.5 * np.sum(f * f, axis=-1) + 0.25 * s * s
+    return v_eff(kap / (1.0 - eps * uu * kap))
 
 
 @dataclass(frozen=True)
@@ -547,9 +533,9 @@ def comparison_constants(
 
 def _surface_block(patch, alpha, electric) -> SurfaceBlock:
     """Magnetic Laplace-Beltrami operator with link phases from alpha (None
-    for no field) plus v_eff and the surface trace of the electric potential:
-    the effective operator, and with the trace phases a_surf0 the surface
-    factor of the decoupled comparison operators."""
+    or all zeros for no field) plus v_eff and the surface trace of the
+    electric potential: the effective operator, and with the trace phases
+    a_surf0 the surface factor of the decoupled comparison operators."""
     S = _surface_operator(
         patch,
         patch.metric_inv[..., None, :, :],
@@ -560,10 +546,6 @@ def _surface_block(patch, alpha, electric) -> SurfaceBlock:
     if electric is not None:
         V = V + electric.on_surface(patch)
     return SurfaceBlock(S + sp.csr_array(sp.diags_array(V.reshape(-1))), float(np.min(V)))
-
-
-def _trace_phases(pot: GaugeFixedPotential):
-    return pot.a_surf0 if np.any(pot.a_surf0) else None
 
 
 def _check_hermitian(op: AssembledOperator):
@@ -607,7 +589,6 @@ def assemble_full(
     layer: LayerGeometry,
     pot: GaugeFixedPotential,
     electric: ScalarPotential | None = None,
-    potentials: PotentialGrids | None = None,
 ) -> AssembledOperator:
     """Transformed layer operator on the product grid.
 
@@ -621,10 +602,9 @@ def assemble_full(
     if pot.layer is not layer:
         raise AssemblyError("potential was fixed on a different layer")
     patch = layer.patch
-    pots = potentials if potentials is not None else potential_grids(layer)
     alpha = None if pot.is_zero() else pot.a_surf
     Hsurf = _surface_operator(patch, layer.metric_inv, alpha, layer.m_u)
-    V = pots.v
+    V = potential_grids(layer).v
     if electric is not None:
         V = V + electric.on_layer(layer)
     meta = {
@@ -637,7 +617,7 @@ def assemble_full(
         # comparison operators carry it exactly and need no such record
         "width_ratio": _width_ratio(layer),
     }
-    block = _surface_block(patch, _trace_phases(pot), electric)
+    block = _surface_block(patch, pot.a_surf0, electric)
     return _layer_operator(layer, Hsurf, V, "full-H", pot.field_label, meta, block)
 
 
@@ -678,7 +658,6 @@ def assemble_comparison(
     pot: GaugeFixedPotential,
     sign: int,
     electric: ScalarPotential | None = None,
-    potentials: PotentialGrids | None = None,
 ) -> tuple[AssembledOperator, ComparisonConstants]:
     """Decoupled comparison operator bounding the layer operator from one side.
 
@@ -690,10 +669,9 @@ def assemble_comparison(
     if sign not in (1, -1):
         raise AssemblyError("comparison sign must be +1 or -1")
     patch = layer.patch
-    pots = potentials if potentials is not None else potential_grids(layer)
-    consts = comparison_constants(layer, pots, pot)
+    consts = comparison_constants(layer, potential_grids(layer), pot)
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
-    base = _surface_block(patch, _trace_phases(pot), electric)
+    base = _surface_block(patch, pot.a_surf0, electric)
     Hsurf = sp.csr_array(
         sp.kron(scale * base.matrix, sp.eye_array(layer.m_u, format="csr"), format="csr")
     )
@@ -751,8 +729,3 @@ def renormalize(op: AssembledOperator) -> AssembledOperator:
         meta=meta,
         surface_block=op.surface_block,
     )
-
-
-def coercivity_shift(pots: PotentialGrids) -> float:
-    """Diagonal shift that certifies nonnegativity of the quadratic form."""
-    return max(0.0, -float(np.min(pots.veff)) - float(np.min(pots.v))) + 1.0

@@ -22,6 +22,7 @@ from thinlayer import (
     gap_bound_report,
     gauge_fix,
     layer_geometry,
+    layer_potential,
     lowest_eigenpairs,
     polynomial_field,
     potential_grids,
@@ -30,7 +31,6 @@ from thinlayer import (
     run_sweep,
     transverse_curvature_potential,
     zero_field,
-    zero_layer_potential,
 )
 
 
@@ -65,7 +65,7 @@ def test_criterion_1_flat_exactness():
     worst_gap = 0.0
     for eps in (0.2, 0.05):
         lay = layer_geometry(patch, eps, 17)
-        hren = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+        hren = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
         lam = lowest_eigenpairs(hren, 3, tol=1e-12).values
         want = (np.arange(1, 4) * np.pi) ** 2
         worst_rel = max(worst_rel, float(np.max(np.abs(lam / want - 1.0))))
@@ -143,11 +143,10 @@ def test_criterion_5_resolvent_difference_decay(circle_sweep_report):
 def test_criterion_6_sandwich_inequality(family, params, grid, m_u):
     patch = build_patch(GeometryFamily(family, params), grid)
     lay = layer_geometry(patch, 0.1, m_u)
-    pot = zero_layer_potential(lay)
-    pots = potential_grids(lay)
-    H = assemble_full(lay, pot, potentials=pots)
-    lo, _ = assemble_comparison(lay, pot, -1, potentials=pots)
-    hi, _ = assemble_comparison(lay, pot, +1, potentials=pots)
+    pot = layer_potential(zero_field(patch.ambient_dim), lay)
+    H = assemble_full(lay, pot)
+    lo, _ = assemble_comparison(lay, pot, -1)
+    hi, _ = assemble_comparison(lay, pot, +1)
     vl = lowest_eigenpairs(lo, 10, tol=1e-12).values
     vm = lowest_eigenpairs(H, 10, tol=1e-12).values
     vh = lowest_eigenpairs(hi, 10, tol=1e-12).values
@@ -238,14 +237,14 @@ def test_criterion_10_transverse_gap_bound():
     margins = {}
     for eps in (0.1, 0.05):
         lay = layer_geometry(flat, eps, 17)
-        H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+        H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
         rep = gap_bound_report(lay, H, tol=1e-13)
         bound = 3.0 * np.pi**2 / (4.0 * eps**2)
         flat_dev = max(flat_dev, abs(rep.margin - bound))
         margins[("flat", eps)] = rep.margin
         assert rep.margin >= 0.0
         lay_c = layer_geometry(circ, eps, 17)
-        Hc = renormalize(assemble_full(lay_c, zero_layer_potential(lay_c)))
+        Hc = renormalize(assemble_full(lay_c, layer_potential(zero_field(2), lay_c)))
         rep_c = gap_bound_report(lay_c, Hc, tol=1e-13)
         margins[("circle", eps)] = rep_c.margin
         assert rep_c.margin >= 0.0

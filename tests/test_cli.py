@@ -701,6 +701,45 @@ def test_user_sampled_geometry_index_must_be_nonnegative_integer(tmp_path, capsy
     assert "non-negative integers" in capsys.readouterr().err
 
 
+def _sampled_torus_csv(path, n=16):
+    t = 2 * np.pi * np.arange(n) / n
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            r = 2.0 + 0.5 * np.cos(t[j])
+            pos = (r * np.cos(t[i]), r * np.sin(t[i]), 0.5 * np.sin(t[j]))
+            rows.append(f"{i},{j}," + ",".join(f"{float(v):.17g}" for v in pos))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def _sampled_circle_csv(path, n=16):
+    t = 2 * np.pi * np.arange(n) / n
+    rows = [f"{i},{np.cos(t[i]):.17g},{np.sin(t[i]):.17g}" for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "write_csv, closure",
+    [
+        (_sampled_torus_csv, ["periodic"]),  # too few for a 2-d chart
+        (_sampled_circle_csv, ["periodic", "periodic"]),  # too many for a curve
+    ],
+)
+def test_user_sampled_closure_needs_one_entry_per_chart_direction(tmp_path, capsys,
+                                                                  write_csv, closure):
+    from thinlayer.config import build_family, load_config
+    from thinlayer.errors import ConfigError
+
+    write_csv(tmp_path / "samples.csv")
+    cfg = _config({"family": "user-sampled", "csv": "samples.csv", "closure": closure})
+    path = _write(tmp_path / "c.json", cfg)
+    with pytest.raises(ConfigError, match="one closure per direction"):
+        build_family(load_config(path))
+    rc = main(["geometry", "--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "one closure per direction" in capsys.readouterr().err
+
+
 def test_sampled_field_csv_spectrum(tmp_path):
     # symmetric-gauge potential for a unit perpendicular field on a grid
     axes = np.linspace(-1.6, 1.6, 33)

@@ -18,11 +18,11 @@ from thinlayer import (
     gap_bound_check,
     gap_bound_report,
     layer_geometry,
+    layer_potential,
     renormalize,
     run_sweep,
     sweep_acceptance,
     zero_field,
-    zero_layer_potential,
 )
 
 
@@ -77,7 +77,7 @@ def test_fit_rate_excludes_nonpositive_and_refuses():
 def test_gap_bound_flat_matches_formula_exactly(segment_patch):
     eps = 0.1
     lay = layer_geometry(segment_patch, eps, 17)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     rep = gap_bound_report(lay, H, dense_cutoff=4000)
     bound = 3.0 * np.pi**2 / (4.0 * eps**2)
     assert abs(rep.margin - bound) < 1e-9
@@ -89,21 +89,21 @@ def test_gap_bound_scales_with_width(segment_patch):
     bounds = []
     for eps in (0.2, 0.1):
         lay = layer_geometry(segment_patch, eps, 9)
-        H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+        H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
         bounds.append(gap_bound_report(lay, H, dense_cutoff=4000).bound)
     assert bounds[1] / bounds[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_gap_bound_circle_positive(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     margin = gap_bound_check(lay, H, dense_cutoff=4000)
     assert margin > 0.0
 
 
 def test_gap_bound_rejects_unrenormalized(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
-    H = assemble_full(lay, zero_layer_potential(lay))
+    H = assemble_full(lay, layer_potential(zero_field(2), lay))
     with pytest.raises(ThinLayerError, match="renormalized"):
         gap_bound_check(lay, H)
 
@@ -430,7 +430,7 @@ def test_eigen_shift_exactness_on_sweep_operator(circle_patch):
     from thinlayer import TRANSVERSE_GROUND_ENERGY, lowest_eigenpairs
 
     lay = layer_geometry(circle_patch, 0.5, 9)
-    H = assemble_full(lay, zero_layer_potential(lay))
+    H = assemble_full(lay, layer_potential(zero_field(2), lay))
     Hren = renormalize(H)
     v = lowest_eigenpairs(H, 3, dense_cutoff=10_000).values
     vr = lowest_eigenpairs(Hren, 3, dense_cutoff=10_000).values
@@ -438,20 +438,14 @@ def test_eigen_shift_exactness_on_sweep_operator(circle_patch):
 
 
 def test_sandwich_reasserted_across_sweep_widths(circle_patch):
-    from thinlayer import assemble_comparison, assemble_full, potential_grids
-    from thinlayer import lowest_eigenpairs
+    from thinlayer import assemble_comparison, lowest_eigenpairs
 
     for eps in (0.2, 0.1, 0.05):
         lay = layer_geometry(circle_patch, eps, 9)
-        pot = zero_layer_potential(lay)
-        pots = potential_grids(lay)
-        vm = lowest_eigenpairs(assemble_full(lay, pot, potentials=pots), 3).values
-        vl = lowest_eigenpairs(
-            assemble_comparison(lay, pot, -1, potentials=pots)[0], 3
-        ).values
-        vh = lowest_eigenpairs(
-            assemble_comparison(lay, pot, +1, potentials=pots)[0], 3
-        ).values
+        pot = layer_potential(zero_field(2), lay)
+        vm = lowest_eigenpairs(assemble_full(lay, pot), 3).values
+        vl = lowest_eigenpairs(assemble_comparison(lay, pot, -1)[0], 3).values
+        vh = lowest_eigenpairs(assemble_comparison(lay, pot, +1)[0], 3).values
         assert np.max(vl - vm) <= 1e-10 and np.max(vm - vh) <= 1e-10
 
 

@@ -17,12 +17,13 @@ from thinlayer import (
     gauge_fix,
     gershgorin_bounds,
     layer_geometry,
+    layer_potential,
     lowest_eigenpairs,
     opnorm_estimate,
     pullback,
     renormalize,
     resolvent,
-    zero_layer_potential,
+    zero_field,
 )
 from thinlayer.convergence import TransverseMode
 from thinlayer.eigensolve import LOBPCG_MAXITER, RESOLVENT_RTOL
@@ -54,7 +55,7 @@ def test_curve_layer_below_4000_dofs_takes_shift_invert():
     # 3,944 dofs: a dense eigh takes seconds, the banded LU a fraction of one
     p = build_patch(GeometryFamily("circle", {"radius": 1.0}), (232,))
     lay = layer_geometry(p, 0.1, 17)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     assert H.n_dof == 3944
     spec = lowest_eigenpairs(H, 7, tol=1e-12)
     assert spec.meta["method"] == "shift-invert-lanczos"
@@ -63,7 +64,7 @@ def test_curve_layer_below_4000_dofs_takes_shift_invert():
 
 def test_dense_and_iterative_paths_agree(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     assert H.n_dof < 4000
     meta = dict(H.meta)
     dense = lowest_eigenpairs(H, 5, dense_cutoff=10_000)
@@ -76,7 +77,7 @@ def test_dense_and_iterative_paths_agree(circle_patch):
 
 def test_seed_independence(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     vals = [
         lowest_eigenpairs(H, 3, dense_cutoff=100, seed=s, tol=1e-12).values
         for s in (1, 2, 3)
@@ -229,7 +230,7 @@ def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor, monkeypat
 @pytest.fixture(scope="module")
 def zero_field_shell(sphere_patch):
     lay = layer_geometry(sphere_patch, 0.1, 9)
-    op = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    op = renormalize(assemble_full(lay, layer_potential(zero_field(3), lay)))
     return op, _on_lu(op, 12).values
 
 
@@ -264,13 +265,13 @@ def test_layer_near_rho_m_takes_the_lu(small_torus):
     assert "fallback_from" not in spec.meta
     assert np.array_equal(spec.values, _on_lu(op, 4).values)
     lay = layer_geometry(small_torus, 0.45, 5)
-    lower, _ = assemble_comparison(lay, zero_layer_potential(lay), -1)
+    lower, _ = assemble_comparison(lay, layer_potential(zero_field(3), lay), -1)
     assert lowest_eigenpairs(lower, 4).meta["method"] == "lobpcg"
 
 
 def test_circle_layer_stays_on_lu(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     assert H.surface_block is not None
     spec = lowest_eigenpairs(H, 3, dense_cutoff=100)
     assert spec.meta["method"] == "shift-invert-lanczos"
@@ -333,7 +334,7 @@ def test_resolvent_residual_and_one_factorization(circle_patch, monkeypatch):
     import thinlayer.eigensolve as es
 
     lay = layer_geometry(circle_patch, 0.1, 9)
-    H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     lam_min = lowest_eigenpairs(H, 1).values[0]
     factored = []
     real_splu = es.spla.splu
@@ -453,7 +454,7 @@ def test_opnorm_difference_map_against_dense(circle_patch):
     # coarse grid so the dense norm is exact and cheap
     p = build_patch(GeometryFamily("circle", {"radius": 1.0}), (48,))
     lay = layer_geometry(p, 0.1, 9)
-    Hren = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    Hren = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     heff = assemble_effective(p)
     mode = TransverseMode.from_count(9)
     k = 2.0
@@ -484,11 +485,8 @@ def test_opnorm_flags_nonmonotone_map():
 
 
 def test_dense_and_iterative_agree_on_comparison_operator(circle_patch):
-    from thinlayer import assemble_comparison, potential_grids
-
     lay = layer_geometry(circle_patch, 0.1, 9)
-    pot = zero_layer_potential(lay)
-    op, _ = assemble_comparison(lay, pot, +1, potentials=potential_grids(lay))
+    op, _ = assemble_comparison(lay, layer_potential(zero_field(2), lay), +1)
     dense = lowest_eigenpairs(op, 4, dense_cutoff=10_000)
     sparse = lowest_eigenpairs(op, 4, dense_cutoff=100)
     assert np.max(np.abs(dense.values - sparse.values)) < 1e-8

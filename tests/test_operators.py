@@ -7,16 +7,17 @@ from thinlayer import (
     AssemblyError,
     GeometryFamily,
     TRANSVERSE_GROUND_ENERGY,
+    TransverseMode,
     assemble_comparison,
     assemble_effective,
     assemble_full,
     build_patch,
-    coercivity_shift,
     comparison_constants,
     constant_field,
     effective_field,
     gauge_fix,
     layer_geometry,
+    layer_potential,
     lowest_eigenpairs,
     polynomial_field,
     potential_grids,
@@ -25,7 +26,7 @@ from thinlayer import (
     transverse_curvature_potential,
     transverse_energies,
     transverse_matrix,
-    zero_layer_potential,
+    zero_field,
 )
 from thinlayer.operators import sine_modes
 
@@ -68,7 +69,7 @@ def test_transverse_ground_mode_is_sampled_cosine():
 def test_flat_operator_is_exact_kron_sum(segment_patch):
     eps, m = 0.2, 9
     lay = layer_geometry(segment_patch, eps, m)
-    H = assemble_full(lay, zero_layer_potential(lay))
+    H = assemble_full(lay, layer_potential(zero_field(2), lay))
     S = assemble_effective(segment_patch).matrix  # curvature potential is zero
     T = transverse_matrix(m) / eps**2
     K = sp.csr_array(sp.kron(S, sp.eye_array(m, format="csr"), format="csr")) + sp.csr_array(
@@ -87,7 +88,7 @@ def test_flat_plane_layer_surface_part_is_exact_kron(b):
     plane = build_patch(GeometryFamily("plane-rectangle", {"lx": 1.0, "ly": 1.5}), (12, 14))
     lay = layer_geometry(plane, eps, m)
     if b is None:
-        pot, eff = zero_layer_potential(lay), None
+        pot, eff = layer_potential(zero_field(3), lay), None
     else:
         f = constant_field(3, b)
         pot, eff = gauge_fix(pullback(f, lay)), effective_field(f, plane)
@@ -148,19 +149,27 @@ def test_hermiticity_across_geometries(family, grid, field):
     p = build_patch(GeometryFamily(family, params), grid)
     lay = layer_geometry(p, 0.05, 9)
     if field is None:
-        pot = zero_layer_potential(lay)
+        pot = layer_potential(zero_field(p.ambient_dim), lay)
     else:
         pot = gauge_fix(pullback(constant_field(*field), lay))
     H = assemble_full(lay, pot)
     assert H.hermiticity_residual() <= 1e-13
 
 
-def test_zero_field_operators_are_real(circle_patch):
-    lay = layer_geometry(circle_patch, 0.1, 9)
-    H = assemble_full(lay, zero_layer_potential(lay))
-    assert not H.is_complex
-    heff = assemble_effective(circle_patch)
-    assert not heff.is_complex
+def test_zero_field_operators_are_real():
+    # the zero field takes the general pull-back and gauge fix; only an exact
+    # is_zero() keeps the layer operator on real arithmetic
+    for family, params, grid in (
+        ("circle", {"radius": 1.0}, (64,)),
+        ("torus", {"major": 2.0, "minor": 0.5}, (16, 16)),
+        ("sphere-cap", {"radius": 1.0, "theta_max": 1.0}, (12, 16)),
+    ):
+        p = build_patch(GeometryFamily(family, params), grid)
+        lay = layer_geometry(p, 0.1, 5)
+        pot = layer_potential(zero_field(p.ambient_dim), lay)
+        assert pot.is_zero(), family
+        assert assemble_full(lay, pot).matrix.dtype == np.float64, family
+        assert assemble_effective(p).matrix.dtype == np.float64, family
 
 
 def test_unfixed_gauge_rejected(circle_patch):
@@ -170,16 +179,37 @@ def test_unfixed_gauge_rejected(circle_patch):
         assemble_full(lay, raw)
 
 
-def test_coercivity_shift_certifies_nonnegativity(circle_patch):
-    lay = layer_geometry(circle_patch, 0.1, 9)
-    pots = potential_grids(lay)
-    H = assemble_full(lay, zero_layer_potential(lay), potentials=pots)
-    c = coercivity_shift(pots)
-    shifted = H.matrix + c * sp.eye_array(H.n_dof, format="csr")
-    from thinlayer import AssembledOperator
-
-    lam = lowest_eigenpairs(AssembledOperator.from_matrix(shifted), 1).values[0]
-    assert lam >= -1e-9
+@pytest.mark.parametrize("kind", ["full-H", "full-H-renormalized", "h-eff", "H0+", "H0-"])
+@pytest.mark.parametrize("family, params, grid", [
+    ("circle", {"radius": 1.0}, (64,)),
+    ("torus", {"major": 2.0, "minor": 0.5}, (16, 16)),
+    ("full-sphere", {"radius": 1.0}, (12, 24)),
+    ("bumped-plane", {"lx": 2.0, "ly": 2.0, "amplitude": 0.3, "width": 0.5}, (16, 16)),
+])
+def test_spectral_lower_bound_is_below_the_lowest_eigenvalue(family, params, grid, kind):
+    # the eigensolver relies on this floor (the symmetric-mode LU without
+    # pivoting, the LOBPCG shift), so the oracle is a dense eigvalsh; the zero
+    # field is the tight case (a field only raises the kinetic energy)
+    p = build_patch(GeometryFamily(family, params), grid)
+    field = zero_field(p.ambient_dim)
+    if kind == "h-eff":
+        op = assemble_effective(p, effective_field(field, p))
+    else:
+        lay = layer_geometry(p, 0.1, 5)
+        pot = layer_potential(field, lay)
+        if kind in ("H0+", "H0-"):
+            op, _ = assemble_comparison(lay, pot, 1 if kind == "H0+" else -1)
+        else:
+            op = assemble_full(lay, pot)
+            if kind == "full-H-renormalized":
+                op = renormalize(op)
+    assert op.kind == kind
+    H = op.matrix.toarray()
+    lam1 = float(np.linalg.eigvalsh(H)[0])
+    # constant curvature attains the floor (constant surface mode), so allow
+    # the dense solve's round-off, relative to the operator norm
+    slack = 1e-14 * float(np.max(np.sum(np.abs(H), axis=1)))
+    assert op.meta["spectral_lower_bound"] <= lam1 + slack
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +222,7 @@ def test_circle_bound_state_below_zero():
     for grid, m_u, cutoff in ((32, 9, 10_000), (128, 33, 4000)):
         p = build_patch(GeometryFamily("circle", {"radius": 1.0}), (grid,))
         lay = layer_geometry(p, 0.1, m_u)
-        H = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+        H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
         lam1 = lowest_eigenpairs(H, 1, dense_cutoff=cutoff).values[0]
         assert lam1 < 0.0
 
@@ -293,7 +323,7 @@ def test_v1_vanishes_on_circle_and_scales_on_torus(circle_patch, torus_patch):
 
 def test_renormalize_shifts_spectrum_exactly(circle_patch):
     lay = layer_geometry(circle_patch, 0.5, 9)
-    H = assemble_full(lay, zero_layer_potential(lay))
+    H = assemble_full(lay, layer_potential(zero_field(2), lay))
     Hren = renormalize(H)
     v = lowest_eigenpairs(H, 5, dense_cutoff=10_000).values
     vr = lowest_eigenpairs(Hren, 5, dense_cutoff=10_000).values
@@ -307,7 +337,7 @@ def test_renormalize_shifts_spectrum_exactly(circle_patch):
 
 def test_flat_renormalized_matches_interval_spectrum(segment_patch):
     lay = layer_geometry(segment_patch, 0.1, 17)
-    Hren = renormalize(assemble_full(lay, zero_layer_potential(lay)))
+    Hren = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     vals = lowest_eigenpairs(Hren, 3).values
     want = np.array([1.0, 4.0, 9.0]) * np.pi**2
     assert np.max(np.abs(vals / want - 1.0)) < 1e-3
@@ -320,7 +350,7 @@ def test_flat_renormalized_matches_interval_spectrum(segment_patch):
 
 def test_comparison_constants_flat_are_unit(segment_patch):
     lay = layer_geometry(segment_patch, 0.2, 9)
-    pot = zero_layer_potential(lay)
+    pot = layer_potential(zero_field(2), lay)
     pots = potential_grids(lay)
     c = comparison_constants(lay, pots, pot)
     assert c.c_lower == pytest.approx(1.0)
@@ -328,7 +358,7 @@ def test_comparison_constants_flat_are_unit(segment_patch):
     assert c.scale_minus == pytest.approx(0.8)
     assert c.scale_plus == pytest.approx(1.2)
     assert c.offset == pytest.approx(0.0, abs=1e-14)
-    op, _ = assemble_comparison(lay, pot, +1, potentials=pots)
+    op, _ = assemble_comparison(lay, pot, +1)
     assert op.kind == "H0+"
 
 
@@ -337,7 +367,7 @@ def test_comparison_constants_scale_linearly(circle_patch):
     offsets = []
     for eps in (0.2, 0.1, 0.05, 0.025):
         lay = layer_geometry(circle_patch, eps, 9)
-        pot = zero_layer_potential(lay)
+        pot = layer_potential(zero_field(2), lay)
         c = comparison_constants(lay, potential_grids(lay), pot)
         ratios.append((c.scale_plus - 1.0) / eps)
         ratios.append((1.0 - c.scale_minus) / eps)
@@ -354,11 +384,10 @@ def test_sandwich_ordering(family, grid, m_u):
     params = {"circle": {"radius": 1.0}, "torus": {"major": 2.0, "minor": 0.5}}[family]
     p = build_patch(GeometryFamily(family, params), grid)
     lay = layer_geometry(p, 0.1, m_u)
-    pot = zero_layer_potential(lay)
-    pots = potential_grids(lay)
-    H = assemble_full(lay, pot, potentials=pots)
-    lo, _ = assemble_comparison(lay, pot, -1, potentials=pots)
-    hi, _ = assemble_comparison(lay, pot, +1, potentials=pots)
+    pot = layer_potential(zero_field(p.ambient_dim), lay)
+    H = assemble_full(lay, pot)
+    lo, _ = assemble_comparison(lay, pot, -1)
+    hi, _ = assemble_comparison(lay, pot, +1)
     n = 10
     vl = lowest_eigenpairs(lo, n, tol=1e-12).values
     vm = lowest_eigenpairs(H, n, tol=1e-12).values
@@ -371,10 +400,9 @@ def test_comparison_gap_shrinks_linearly(circle_patch):
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         lay = layer_geometry(circle_patch, eps, 9)
-        pot = zero_layer_potential(lay)
-        pots = potential_grids(lay)
-        lo, _ = assemble_comparison(lay, pot, -1, potentials=pots)
-        hi, _ = assemble_comparison(lay, pot, +1, potentials=pots)
+        pot = layer_potential(zero_field(2), lay)
+        lo, _ = assemble_comparison(lay, pot, -1)
+        hi, _ = assemble_comparison(lay, pot, +1)
         l1 = lowest_eigenpairs(lo, 1).values[0]
         h1 = lowest_eigenpairs(hi, 1).values[0]
         gaps.append(h1 - l1)
@@ -426,7 +454,7 @@ def test_electric_potential_enters_both_operators(segment_patch):
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         lay = layer_geometry(segment_patch, eps, 9)
-        H = renormalize(assemble_full(lay, zero_layer_potential(lay), electric=w2))
+        H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay), electric=w2))
         lam = lowest_eigenpairs(H, 1).values[0]
         gaps.append(abs(lam - mu))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -482,14 +510,27 @@ def test_sphere_cap_effective_operator_assembles():
 
 
 def test_dof_map_indexing(circle_patch):
-    lay = layer_geometry(circle_patch, 0.1, 9)
-    op = assemble_full(lay, zero_layer_potential(lay))
-    dof = op.dofmap
-    assert dof.n_dof == 96 * 9
-    assert dof.index(0, 0) == 0
-    assert dof.index(0, 3) == 3
-    assert dof.index(5, 2) == 5 * 9 + 2
-    rec = dof.boundary_record()
+    # surface node major, transverse index fastest
+    eps, m = 0.1, 9
+    lay = layer_geometry(circle_patch, eps, m)
+    op = assemble_full(lay, layer_potential(zero_field(2), lay))
+    mode = TransverseMode.from_count(m)
+    T = transverse_matrix(m) / eps**2
+    for s in (0, 5, circle_patch.n_nodes - 1):
+        e = np.zeros(circle_patch.n_nodes)
+        e[s] = 1.0
+        v = mode.embed(e)
+        assert v.shape == (op.n_dof,)
+        assert np.array_equal(np.flatnonzero(v), np.arange(s * m, s * m + m))
+        # the transverse stiffness couples exactly these rows
+        blk = op.matrix[s * m : s * m + m, s * m : s * m + m].toarray()
+        off = ~np.eye(m, dtype=bool)
+        assert np.allclose(blk[off], T[off], rtol=1e-12, atol=0.0)
+    # a block of surface vectors embeds column by column
+    block = np.eye(circle_patch.n_nodes)[:, [0, 5, 7]]
+    cols = np.stack([mode.embed(block[:, j]) for j in range(3)], -1)
+    assert np.array_equal(mode.embed(block), cols)
+    rec = op.dofmap.boundary_record()
     assert any("periodic" in r for r in rec)
     assert any("transverse" in r for r in rec)
 
