@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import io
 import logging
 import os
 import sys
@@ -99,20 +98,55 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _atomic_write(path: Path, text: str):
+CSV_CHUNK_ROWS = 8192  # rows _write_csv formats and writes at a time; bounds the text held
+
+
+@contextlib.contextmanager
+def _atomic_file(path: Path):
+    """A text file to write `path` through: it is opened beside `path` under
+    a per-process name, moved onto `path` when the block succeeds, and
+    removed when the block raises, leaving any earlier `path` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write(path: Path, text: str):
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+def _format_column(values: np.ndarray) -> list:
+    """The %.17g text of each float64 in `values`, formatting each distinct
+    bit pattern once. Bits, not values: 0.0 and -0.0 are equal but print
+    differently, and a NaN equals nothing."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_csv(path: Path, header: list, n_rows: int, columns: list):
     """One CSV table: the header line, then the columns side by side, every
-    number in %.17g (integers held as floats print without a point)."""
-    table = np.column_stack([np.reshape(c, (n_rows, -1)) for c in columns])
-    buf = io.StringIO()
-    np.savetxt(buf, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
-    _atomic_write(path, buf.getvalue())
+    number in %.17g (integers held as floats print without a point); the
+    bytes equal numpy.savetxt's with that format. The columns of a chart-grid
+    table repeat few values, so each chunk formats each distinct one once."""
+    blocks = [np.reshape(c, (n_rows, -1)) for c in columns]
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            text = [
+                _format_column(np.ascontiguousarray(block[rows, j], dtype=np.float64))
+                for block in blocks
+                for j in range(block.shape[1])
+            ]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def _finite_or_null(obj):

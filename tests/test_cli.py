@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -314,34 +315,91 @@ def _same_bits(fields, source):
     return parsed.tobytes() == np.ascontiguousarray(source, dtype=float).ravel().tobytes()
 
 
-def test_geometry_csv_roundtrips_at_full_precision(tmp_path):
+def test_geometry_csv_roundtrips_at_full_precision(tmp_path, monkeypatch):
     cfg = _config(
         {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 16]},
         field={"kind": "constant", "b": [0.3, 0.0, 1.0]},
     )
-    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
-    assert rc == 0
     patch = thinlayer.build_patch(
         thinlayer.GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (12, 16)
     )
     eff = thinlayer.effective_field(thinlayer.constant_field(3, [0.3, 0.0, 1.0]), patch)
-    header, cols = _csv_columns(tmp_path / "geometry.csv")
-    assert len(cols[0]) == patch.n_nodes
     index = np.unravel_index(np.arange(patch.n_nodes), patch.grid_shape)  # row-major
-    want = {}
-    for k, ax in enumerate(patch.axes):
-        assert all(f.isdigit() for f in cols[k])  # plain integers
-        assert [int(f) for f in cols[k]] == index[k].tolist()
-        want[ax.name] = ax.nodes[index[k]]
+    want = {ax.name: ax.nodes[index[k]] for k, ax in enumerate(patch.axes)}
     for c, name in enumerate("xyz"):
         want[name] = patch.x[..., c]
     want.update({f"kappa_{m + 1}": patch.kappa[..., m] for m in range(patch.dim)})
     want.update({f"K_{m + 1}": patch.mean_curv[..., m] for m in range(patch.dim)})
     want["v_eff"] = thinlayer.v_eff(patch.kappa)
     want["b_eff"] = eff.b_eff
-    assert header[2:] == list(want)
-    for name, source in want.items():
-        assert _same_bits(cols[header.index(name)], source), name
+    # the 192-row table written as one chunk, then as chunks of 50 rows
+    for chunk_rows in (cli.CSV_CHUNK_ROWS, 50):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk_rows)
+        out = tmp_path / f"chunks_of_{chunk_rows}"
+        rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)])
+        assert rc == 0
+        header, cols = _csv_columns(out / "geometry.csv")
+        assert len(cols[0]) == patch.n_nodes
+        for k in range(len(patch.axes)):
+            assert all(f.isdigit() for f in cols[k])  # plain integers
+            assert [int(f) for f in cols[k]] == index[k].tolist()
+        assert header[2:] == list(want)
+        for name, source in want.items():
+            assert _same_bits(cols[header.index(name)], source), (chunk_rows, name)
+
+
+@pytest.mark.parametrize("n_rows", [1, 4, 5, 6, 13])
+def test_write_csv_matches_savetxt_bytes(tmp_path, monkeypatch, n_rows):
+    """Chunks of 5 rows: one row, one short of a chunk, exactly one chunk,
+    one over, and two chunks plus a partial one."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 5)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16, 2.0**53,
+                        3.0, -7.0, 0.1, -0.0, 0.0])
+    rows = np.arange(n_rows)
+    columns = [
+        rows,  # integer index column
+        np.stack([special[rows % 14], special[(5 * rows + 2) % 14]], -1),
+        np.full(n_rows, 0.25),  # constant
+        np.sin(rows + 1.0) * 1e-300,
+    ]
+    header = ["n", "a", "b", "c", "d"]
+    cli._write_csv(tmp_path / "t.csv", header, n_rows, columns)
+    want = io.StringIO()
+    table = np.column_stack([np.reshape(c, (n_rows, -1)) for c in columns])
+    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_failed_csv_write_keeps_the_earlier_table(tmp_path, monkeypatch):
+    cfg = _config(
+        {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 16]},
+        field={"kind": "constant", "b": [0.3, 0.0, 1.0]},
+    )
+    out = tmp_path / "out"
+    argv = ["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]
+    assert main(argv) == 0
+    earlier = (out / "geometry.csv").read_bytes()
+
+    class Interrupted(Exception):
+        pass
+
+    format_column = cli._format_column
+    calls = []
+
+    def fail_in_the_second_chunk(values):
+        calls.append(values)
+        if len(calls) > 13:  # the first chunk's 13 columns went through
+            assert list(out.glob("geometry.csv.*.tmp"))
+            raise Interrupted
+        return format_column(values)
+
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 50)
+    monkeypatch.setattr(cli, "_format_column", fail_in_the_second_chunk)
+    with pytest.raises(Interrupted):
+        main(argv)
+    assert (out / "geometry.csv").read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == ["geometry.csv", "geometry_summary.json"]
 
 
 # ---------------------------------------------------------------------------
