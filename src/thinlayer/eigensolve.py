@@ -27,26 +27,39 @@ solver.dense_threshold. Otherwise, one of two iterations:
     below (meta fallback_from="lobpcg"): a block whose last column cuts a
     near-degenerate cluster can stall, and guard columns past the block only
     move the cut;
-  * shift-invert Lanczos (ARPACK) with a sparse LU of H - sigma for
-    everything else: layers over curves, where the LU stays banded and is
-    cheaper, 2-D layers near rho_m, where the sandwich constants
-    (1 -/+ eps/rho_m)^2 weaken the preconditioner and the iteration counts
-    grow like (1 + eps/rho_m)/(1 - eps/rho_m), surface operators and explicit
+  * shift-invert Lanczos (ARPACK) with a factorization of H - sigma for
+    everything else: layers over curves, where a factorization is cheaper,
+    2-D layers near rho_m, where the sandwich constants (1 -/+ eps/rho_m)^2
+    weaken the preconditioner and the iteration counts grow like
+    (1 + eps/rho_m)/(1 - eps/rho_m), surface operators and explicit
     matrices.
 
 Both use sigma = certified spectral floor - 1, built afresh for each call.
-resolvent(op, k, lambda_min) factors H + k once by sparse LU and returns the
-solve; the caller owns it, and nothing is stored on the operator.
+resolvent(op, k, lambda_min) factors H + k once and returns the solve; the
+caller owns it, and nothing is stored on the operator.
 
-Every sparse LU here but one factors a Hermitian positive definite matrix:
-H - sigma >= I at the certified shift, H + k with -k below lambda_min, and
-the preconditioner's soft surface blocks S + d_j I. So they order by minimum
-degree on A + A^H and take diagonal pivots (SuperLU's symmetric mode;
-George & Liu 1981): without pivoting the factorization of an HPD matrix is
-stable, and a whole operator fills about a third less than under the default
-COLAMD column order with partial pivoting (13.0M against 19.3M entries for
-the 200x400 sphere h_eff). nearest_eigenvalue factors an indefinite
-H - target and keeps pivoting.
+Both factor a Hermitian positive definite matrix (H - sigma >= I at the
+certified shift, H + k with -k below lambda_min), and the chart's axis count
+picks how (George & Liu 1981):
+
+  * one axis (curve layers, curve h_eff, explicit matrices): a band Cholesky
+    in a reverse Cuthill-McKee order. The operator is a chain of m_u-blocks,
+    so the band stays narrow: 69 superdiagonals on the 512x17 circle layer
+    (8,704 dofs), where it factors in 15-25 ms against SuperLU's 70-80 ms,
+    solves in 0.7 ms against 1.7 ms, and stores 0.6M entries against 1.04M
+    (one BLAS thread). scipy's band LAPACK wrappers hold the GIL while they
+    run, so threaded sweep rows overlap less than under SuperLU;
+  * two axes (surface h_eff, 2-D layers off LOBPCG): SuperLU in its
+    symmetric mode, a minimum-degree order on A + A^H with diagonal pivots.
+    Without pivoting the factorization of an HPD matrix is stable, and a
+    whole operator fills about a third less than under the default COLAMD
+    column order with partial pivoting (13.0M against 19.3M entries for the
+    200x400 sphere h_eff). The preconditioner's soft surface blocks
+    S + d_j I take the same LU.
+
+A band Cholesky that meets a nonpositive pivot raises SolverError, as does a
+SuperLU that meets a zero one. nearest_eigenvalue factors an indefinite
+H - target with eigsh's own pivoting sparse LU.
 """
 from __future__ import annotations
 
@@ -121,15 +134,61 @@ def _shifted(A, sigma):
     return A - sigma * sp.eye_array(A.shape[0], format=A.format, dtype=A.dtype)
 
 
-def _lu_inverse(A, sigma):
-    # A - sigma is Hermitian positive definite at every caller: diagonal
-    # pivots in a minimum-degree order on A + A^H
+def _superlu(A):
+    # A is Hermitian positive definite at every caller: diagonal pivots in a
+    # minimum-degree order on A + A^H
     return spla.splu(
-        _shifted(A, sigma).tocsc(),
+        A,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
-    ).solve
+    )
+
+
+def _band_cholesky(A):
+    """Solve with the Hermitian positive definite A by a band Cholesky in a
+    reverse Cuthill-McKee order, and the band's width (superdiagonals)."""
+    # imported here: scipy.sparse.csgraph (5 ms) is not on the import path of
+    # the commands that never factor a one-axis operator
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.argsort(perm)
+    C = A.tocoo()
+    rows, cols = rank[C.row], rank[C.col]
+    upper = cols >= rows
+    rows, cols = rows[upper], cols[upper]
+    width = int(np.max(cols - rows, initial=0))
+    band = np.zeros((width + 1, A.shape[0]), dtype=A.dtype)
+    band[width + rows - cols, cols] = C.data[upper]
+    factor = (sla.cholesky_banded(band, check_finite=False), False)
+
+    def solve(b):
+        return sla.cho_solve_banded(factor, b[perm], check_finite=False)[rank]
+
+    return solve, width
+
+
+def _factor(op, sigma):
+    """Factor the Hermitian positive definite H - sigma once: its solve, and
+    a label naming the factorization with its band width or LU fill.
+
+    An operator on a one-axis chart is a chain of m_u-blocks, banded after
+    a Cuthill-McKee ordering, and takes a band Cholesky; any other takes
+    SuperLU. A band Cholesky that meets a nonpositive pivot, or a SuperLU a
+    zero one, raises SolverError naming the shift.
+    """
+    try:
+        if len(op.dofmap.grid_shape) == 1:
+            solve, width = _band_cholesky(_shifted(op.matrix, sigma))
+            return solve, f"band-cholesky(width={width})"
+        lu = _superlu(_shifted(op.matrix.tocsc(), sigma))
+        return lu.solve, f"superlu(nnz={lu.nnz})"
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise SolverError(
+            f"factorization of H {-sigma:+g} failed (the shift is not below "
+            f"the spectrum): {exc}"
+        )
 
 
 def _decoupled_inverse(op, sigma, dtype):
@@ -168,7 +227,7 @@ def _decoupled_inverse(op, sigma, dtype):
         if np.all(rows > 0) and np.max(off / rows) <= DIAGONAL_MAX_RATIO:
             solves.append(lambda x, w=1.0 / rows[:, None]: w * x)
         else:
-            solves.append(_lu_inverse(surface, -d))
+            solves.append(_superlu(_shifted(surface, -d).tocsc()).solve)
             surface_lus += 1
 
     def apply(r):
@@ -250,12 +309,12 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
 
 
 def _shift_invert_pairs(op, n_pairs, tol, seed, ncv):
-    A = op.matrix.tocsc()
-    n = A.shape[0]
     sigma = _certified_shift(op)
     # sigma is a certified lower bound minus 1, so H - sigma >= I: one
     # factorization at one shift, no retries
-    solve = _lu_inverse(A, sigma)
+    solve, factor = _factor(op, sigma)
+    A = op.matrix.tocsc()
+    n = A.shape[0]
     try:
         vals, vecs = spla.eigsh(
             A,
@@ -280,7 +339,13 @@ def _shift_invert_pairs(op, n_pairs, tol, seed, ncv):
         values=vals,
         vectors=vecs,
         residuals=_residuals(op.matrix, vals, vecs),
-        meta={"method": "shift-invert-lanczos", "shift": sigma, "tol": tol, "seed": seed},
+        meta={
+            "method": "shift-invert-lanczos",
+            "shift": sigma,
+            "tol": tol,
+            "seed": seed,
+            "factor": factor,
+        },
     )
 
 
@@ -318,26 +383,20 @@ def lowest_eigenpairs(
 
 
 def resolvent(op: AssembledOperator, k: float, lambda_min: float):
-    """The map v -> (H + k)^-1 v, factored once by sparse LU.
+    """The map v -> (H + k)^-1 v, factored once (see _factor).
 
     -k must lie below lambda_min, the smallest eigenvalue of H, so that H + k
-    is positive definite and its diagonal pivots are stable. Each solve is
-    checked by its residual, which catches a factorization that lost accuracy
-    because the shift sits too close to the spectrum, or inside it when the
-    caller overstated lambda_min.
+    is positive definite and its Cholesky or diagonal-pivot factorization is
+    stable. Each solve is checked by its residual, which catches a
+    factorization that lost accuracy because the shift sits too close to the
+    spectrum, or inside it when the caller overstated lambda_min.
     """
     k = float(k)
     if k <= -lambda_min + 1e-12:
         raise SolverError(
             f"shift k={k:g} is not in the resolvent set (lambda_min={lambda_min:g})"
         )
-    try:
-        solve = _lu_inverse(op.matrix.tocsc(), -k)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"factorization of H + {k:g} failed (shift at or near an "
-            f"eigenvalue): {exc}"
-        )
+    solve = _factor(op, -k)[0]
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)

@@ -476,9 +476,30 @@ def test_spectrum_verbose_logs_solver_work(tmp_path, caplog, monkeypatch):
     assert len(lines) == 1
     assert "method=lobpcg" in lines[0] and "block_size=2" in lines[0]
     assert "iterations=" in lines[0] and "residual_target=" in lines[0]
-    assert "surface_lus=1" in lines[0]
+    assert "surface_lus=1" in lines[0] and "factor=None" in lines[0]
     assert "fallback_from=None" in lines[0] and "max_residual=" in lines[0]
     assert (tmp_path / "spectrum.csv").read_text().splitlines()[0] == "n,eigenvalue,residual"
+
+
+@pytest.mark.parametrize(
+    "geometry, factor",
+    [
+        ({"family": "circle", "params": {"radius": 1.0}, "grid": [64]}, "band-cholesky(width="),
+        ({"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 12]},
+         "superlu(nnz="),
+    ],
+)
+def test_spectrum_verbose_names_the_factorization(tmp_path, caplog, geometry, factor):
+    # a one-axis chart takes the band Cholesky, a two-axis one SuperLU
+    cfg = _config(geometry, field={"kind": "zero"}, solver={"n_eigenpairs": 2},
+                  spectrum={"operator": "h-eff"})
+    caplog.set_level("INFO", logger="thinlayer")
+    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg),
+               "--out", str(tmp_path), "--verbose"])
+    assert rc == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eigensolve")]
+    assert len(lines) == 1
+    assert "method=shift-invert-lanczos" in lines[0] and f"factor={factor}" in lines[0]
 
 
 def _env_with_src():

@@ -213,14 +213,14 @@ def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor, monkeypat
     if factor < 0:
         # the mode-0 block -S + d_0 I is indefinite, and its Gershgorin ratio
         # is negative: only the row-positivity guard keeps it off the diagonal
-        lu_inverse, factored_rows = es._lu_inverse, []
+        superlu, factored_rows = es._superlu, []
 
-        def spy(A, sigma):
-            factored_rows.append(np.min(A.diagonal().real - sigma))
-            return lu_inverse(A, sigma)
+        def spy(A):
+            factored_rows.append(np.min(A.diagonal().real))
+            return superlu(A)
 
         with monkeypatch.context() as patch:
-            patch.setattr(es, "_lu_inverse", spy)
+            patch.setattr(es, "_superlu", spy)
             es._decoupled_inverse(wrong, es._certified_shift(op), op.matrix.dtype)
         assert min(factored_rows) < 0
     spec = lowest_eigenpairs(wrong, 4)
@@ -337,13 +337,13 @@ def test_resolvent_residual_and_one_factorization(circle_patch, monkeypatch):
     H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
     lam_min = lowest_eigenpairs(H, 1).values[0]
     factored = []
-    real_splu = es.spla.splu
+    real_factor = es._factor
 
-    def counting_splu(A, *args, **kwargs):
-        factored.append(A.shape)
-        return real_splu(A, *args, **kwargs)
+    def counting_factor(op, sigma):
+        factored.append(sigma)
+        return real_factor(op, sigma)
 
-    monkeypatch.setattr(es.spla, "splu", counting_splu)
+    monkeypatch.setattr(es, "_factor", counting_factor)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(H.n_dof)
     solve = resolvent(H, 2.0, lam_min)
@@ -361,11 +361,11 @@ def test_shift_invert_no_convergence_raises_after_one_factorization(circle_patch
 
     heff = assemble_effective(circle_patch)
     factored = []
-    real_splu = es.spla.splu
+    real_factor = es._factor
 
-    def counting_splu(A, *args, **kwargs):
-        factored.append(A.shape)
-        return real_splu(A, *args, **kwargs)
+    def counting_factor(op, sigma):
+        factored.append(sigma)
+        return real_factor(op, sigma)
 
     # the constant is the ground state, at -1/4: 1/4 is off by 1/2
     partial = np.array([0.25])
@@ -374,7 +374,7 @@ def test_shift_invert_no_convergence_raises_after_one_factorization(circle_patch
     def stalled(*args, **kwargs):
         raise es.spla.ArpackNoConvergence("staged stall", partial, flat)
 
-    monkeypatch.setattr(es.spla, "splu", counting_splu)
+    monkeypatch.setattr(es, "_factor", counting_factor)
     monkeypatch.setattr(es.spla, "eigsh", stalled)
     with pytest.raises(SolverError, match="did not converge") as info:
         lowest_eigenpairs(heff, 3, dense_cutoff=0)
@@ -430,6 +430,83 @@ def test_resolvent_without_pivoting_never_returns_a_wrong_solve(delta):
     except SolverError:
         return
     assert np.linalg.norm(H @ x + x - v) <= RESOLVENT_RTOL * np.linalg.norm(v)
+
+
+def _curve_layer(family, params, n, field, m_u=9):
+    p = build_patch(GeometryFamily(family, params), (n,))
+    lay = layer_geometry(p, 0.1, m_u)
+    return renormalize(assemble_full(lay, layer_potential(field, lay)))
+
+
+def _on_two_axes(op):
+    # the same matrix on a two-axis chart, without a LOBPCG factor, takes SuperLU
+    chart = dataclasses.replace(op.dofmap, grid_shape=op.dofmap.grid_shape + (1,))
+    return dataclasses.replace(op, dofmap=chart, surface_block=None)
+
+
+@pytest.mark.parametrize(
+    "family, params, field",
+    [
+        ("circle", {"radius": 1.0}, zero_field(2)),  # periodic
+        ("segment", {"length": 1.0}, zero_field(2)),  # Dirichlet ends
+        ("ellipse", {"a": 1.0, "b": 0.7}, constant_field(2, 0.7)),  # complex
+    ],
+)
+def test_band_cholesky_agrees_with_superlu(family, params, field):
+    op = _curve_layer(family, params, 96, field)
+    lu_op = _on_two_axes(op)
+    tol = 1e-12
+    band = lowest_eigenpairs(op, 4, tol=tol)
+    lu = lowest_eigenpairs(lu_op, 4, tol=tol)
+    assert band.meta["factor"].startswith("band-cholesky(width=")
+    assert lu.meta["factor"].startswith("superlu(nnz=")
+    assert np.all(np.abs(band.values - lu.values) <= tol * np.maximum(1.0, np.abs(lu.values)))
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(op.n_dof)
+    if op.is_complex:
+        v = v + 1j * rng.standard_normal(op.n_dof)
+    x_band = resolvent(op, 2.0, lu.values[0])(v)
+    x_lu = resolvent(lu_op, 2.0, lu.values[0])(v)
+    assert np.linalg.norm(x_band - x_lu) <= RESOLVENT_RTOL * np.linalg.norm(x_lu)
+
+
+def test_band_of_the_fine_sweep_circle_layer_stays_narrow():
+    import thinlayer.eigensolve as es
+
+    # the grid-doubled layer of the circle converge config: 512 x 17 dofs
+    op = _curve_layer("circle", {"radius": 1.0}, 512, zero_field(2), m_u=17)
+    label = es._factor(op, es._certified_shift(op))[1]
+    assert label.startswith("band-cholesky(width=")
+    assert int(label[len("band-cholesky(width="):-1]) <= 69
+
+
+def test_curve_resolvent_with_overstated_lambda_min_raises_at_the_factorization():
+    op = _curve_layer("circle", {"radius": 1.0}, 48, zero_field(2))
+    lam = lowest_eigenpairs(op, 2).values
+    # -k between the two lowest eigenvalues: H + k passes the resolvent-set
+    # check against lambda_min = lam[1] but is indefinite
+    with pytest.raises(SolverError, match="factorization of H"):
+        resolvent(op, -0.5 * (lam[0] + lam[1]), lam[1])
+
+
+def test_circle_sweep_makes_no_superlu_call(monkeypatch):
+    import thinlayer.eigensolve as es
+    from thinlayer.convergence import SweepSpec, run_sweep
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("SuperLU called on a one-axis chart")
+
+    monkeypatch.setattr(es.spla, "splu", no_splu)
+    spec = SweepSpec(
+        family=GeometryFamily("circle", {"radius": 1.0}),
+        grid=(48,),
+        field=constant_field(2, 0.7),
+        epsilons=(0.2, 0.1),
+        m_u=9,
+        grid_doubling=True,
+    )
+    report = run_sweep(spec)
+    assert len(report.rows) == 2 and not any(r.flags or r.skipped for r in report.rows)
 
 
 # ---------------------------------------------------------------------------
