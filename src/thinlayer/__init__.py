@@ -25,7 +25,6 @@ from .geometry import (
     curvature_regularity_report,
     layer_factors,
     layer_geometry,
-    log_jacobian,
     transverse_nodes,
     v_eff,
 )
@@ -81,7 +80,6 @@ from .convergence import (
     SweepSpec,
     TransverseMode,
     fit_rate,
-    gap_bound_check,
     gap_bound_report,
     run_sweep,
     sweep_acceptance,

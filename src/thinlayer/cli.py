@@ -169,9 +169,9 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True, default=float, allow_nan=False) + "\n"
 
 
-def _solver_args(cfg: RunConfig, seed_override):
+def _solver_args(cfg: RunConfig, seed_override, tol=1e-10):
     return {
-        "tol": cfg.solver_opt("tol", 1e-10),
+        "tol": cfg.solver_opt("tol", tol),
         "seed": seed_override if seed_override is not None else cfg.solver_opt("seed", 42),
         "dense_cutoff": cfg.solver_opt("dense_threshold", None),
     }
@@ -327,11 +327,9 @@ def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
         epsilons=tuple(sorted((float(e) for e in sw["epsilons"]), reverse=True)),
         m_u=int(sw.get("m_u", 17)),
         n_pairs=cfg.solver_opt("n_eigenpairs", 1),
-        tol=cfg.solver_opt("tol", 1e-11),
-        seed=args.seed if args.seed is not None else cfg.solver_opt("seed", 42),
-        dense_cutoff=cfg.solver_opt("dense_threshold", None),
         grid_doubling=bool(sw.get("grid_doubling", True)),
         threads=args.threads or os.cpu_count() or 1,
+        **_solver_args(cfg, args.seed, tol=1e-11),
     )
     report = run_sweep(spec)
     outs = sw.get("outputs", {})

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import stdtrit
 
-from .eigensolve import lowest_eigenpairs, opnorm_estimate, resolvent
+from .eigensolve import cluster_indices, lowest_eigenpairs, opnorm_estimate, resolvent
 from .errors import EmbeddingError, FitError, ThinLayerError
 from .geometry import (
     GeometryFamily,
@@ -218,21 +218,6 @@ def gap_bound_report(
     )
 
 
-def gap_bound_check(layer, op: AssembledOperator, **kwargs) -> float:
-    """Smallest transverse excitation of the renormalized operator.
-
-    Raises when the measured margin falls below zero, which signals a
-    discretization too coarse to separate the transverse branches.
-    """
-    rep = gap_bound_report(layer, op, **kwargs)
-    if rep.margin < 0.0:
-        raise ThinLayerError(
-            f"transverse gap margin is negative ({rep.margin:.3e}); refine the "
-            "surface grid or increase the transverse node count"
-        )
-    return rep.margin
-
-
 # ---------------------------------------------------------------------------
 # sweep harness
 # ---------------------------------------------------------------------------
@@ -334,16 +319,6 @@ class ConvergenceReport:
         }
 
 
-def _cluster_indices(values, rtol=1e-8):
-    clusters = []
-    for i, v in enumerate(values):
-        if clusters and abs(v - values[clusters[-1][0]]) <= rtol * max(1.0, abs(v)):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
 def _match_pairs(overlaps, eff_vals, full_vals, n_pairs):
     """Greedy maximal-overlap matching with eigenvalue-proximity tie-breaks.
 
@@ -392,7 +367,7 @@ def _solve_row(spec: SweepSpec, patch, eff_spec, eps):
         overlaps, eff_spec.values, full_spec.values, spec.n_pairs
     )
     cluster_gap = np.full(spec.n_pairs, np.nan)
-    for cl in _cluster_indices(eff_spec.values):
+    for cl in cluster_indices(eff_spec.values):
         members = [a for a in cl if a < spec.n_pairs]
         if not members:
             continue

@@ -569,11 +569,6 @@ def layer_factors(kappa, eps, u):
     return 1.0 - eps * np.asarray(u, dtype=float) * kappa
 
 
-def log_jacobian(kappa, eps, u):
-    """Log of the layer density ratio: (1/2) sum_mu ln(1 - eps*u*kappa_mu)."""
-    return 0.5 * np.sum(np.log(layer_factors(kappa, eps, u)), axis=-1)
-
-
 @dataclass(frozen=True)
 class LayerGeometry:
     """Tubular-layer metric data on (chart grid) x (transverse grid)."""
@@ -584,9 +579,7 @@ class LayerGeometry:
     h_u: float
     metric: np.ndarray  # (*grid, m, dim, dim), surface block of the layer metric
     metric_inv: np.ndarray
-    det_ratio_sqrt: np.ndarray  # (*grid, m): sqrt(det G_surf) / sqrt(det g)
-    log_jac: np.ndarray  # (*grid, m)
-    dlog_jac_du: np.ndarray
+    log_jac: np.ndarray  # (*grid, m): (1/2) sum_mu ln(1 - eps*u*kappa_mu)
 
     @property
     def m_u(self) -> int:
@@ -619,7 +612,7 @@ def transverse_nodes(m_u: int) -> tuple[np.ndarray, float]:
 
 
 def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeometry:
-    """Layer metric, Jacobian factor and its derivatives on the product grid."""
+    """Layer metric and log-Jacobian on the product grid."""
     if not np.isfinite(eps) or eps <= 0:
         raise EmbeddingError(f"layer half-width must be positive and finite, got {eps}")
     if eps >= patch.rho_m:
@@ -641,11 +634,8 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
     G = np.einsum("...ar,...mrs,...msb->...mab", patch.metric, M, M)
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
     G_inv = np.linalg.inv(G)
-    det_ratio = np.prod(fac, axis=-1)
     J = 0.5 * np.sum(np.log(fac), axis=-1)
-    ek = eps * patch.kappa[..., None, :]
-    dJ = -0.5 * np.sum(ek / fac, axis=-1)
-    _freeze(G, G_inv, det_ratio, J, dJ)
+    _freeze(G, G_inv, J)
     return LayerGeometry(
         patch=patch,
         eps=float(eps),
@@ -653,9 +643,7 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
         h_u=h_u,
         metric=G,
         metric_inv=G_inv,
-        det_ratio_sqrt=det_ratio,
         log_jac=J,
-        dlog_jac_du=dJ,
     )
 
 

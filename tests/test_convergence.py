@@ -15,7 +15,6 @@ from thinlayer import (
     build_patch,
     constant_field,
     fit_rate,
-    gap_bound_check,
     gap_bound_report,
     layer_geometry,
     layer_potential,
@@ -82,7 +81,6 @@ def test_gap_bound_flat_matches_formula_exactly(segment_patch):
     bound = 3.0 * np.pi**2 / (4.0 * eps**2)
     assert abs(rep.margin - bound) < 1e-9
     assert rep.rq_min_sampled >= bound
-    assert gap_bound_check(lay, H, dense_cutoff=4000) == pytest.approx(rep.margin)
 
 
 def test_gap_bound_scales_with_width(segment_patch):
@@ -97,15 +95,14 @@ def test_gap_bound_scales_with_width(segment_patch):
 def test_gap_bound_circle_positive(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
     H = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
-    margin = gap_bound_check(lay, H, dense_cutoff=4000)
-    assert margin > 0.0
+    assert gap_bound_report(lay, H, dense_cutoff=4000).margin > 0.0
 
 
 def test_gap_bound_rejects_unrenormalized(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
     H = assemble_full(lay, layer_potential(zero_field(2), lay))
     with pytest.raises(ThinLayerError, match="renormalized"):
-        gap_bound_check(lay, H)
+        gap_bound_report(lay, H)
 
 
 # ---------------------------------------------------------------------------
