@@ -10,7 +10,6 @@ import ctypes
 import logging
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +275,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     n_pairs = cfg.solver_opt("n_eigenpairs", 6)
     spectrum = lowest_eigenpairs(op, n_pairs, **_solver_args(cfg, args.seed))
     work = ("method", "factor", "shift", "iterations", "block_size",
-            "residual_target", "surface_lus", "fallback_from")
+            "residual_target", "surface_lus")
     log.info(
         "eigensolve: %s max_residual=%.3e",
         " ".join(f"{key}={spectrum.meta.get(key)}" for key in work),
@@ -389,14 +388,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
-    # entered once on the main thread, before any sweep worker starts
-    with warnings.catch_warnings(), _one_blas_thread() as blas:
-        # scipy's LOBPCG warns when a column misses scipy's own stopping test;
-        # the eigensolver checks every residual against its own target and
-        # hands a miss to the LU, so here the warning reports no failure
-        warnings.filterwarnings(
-            "ignore", r"(Exited|Failed) (postprocessing|at iteration)", UserWarning
-        )
+    # entered once on the main thread, before any sweep worker starts; the
+    # eigensolver owns the filter for scipy's LOBPCG tolerance warning
+    with _one_blas_thread() as blas:
         log.info("blas: %s", blas)
         try:
             return args.func(cfg, out, args)

@@ -7,32 +7,30 @@ solver.dense_threshold. Otherwise, one of two iterations:
 
   * LOBPCG (Knyazev 2001) for layer operators on a 2-D chart (operators that
     carry the surface factor S of their decoupled comparison operator, whose
-    chart has two axes) with eps/rho_m <= LOBPCG_MAX_WIDTH_RATIO, with a
-    seeded random start block of n_pairs columns. The preconditioner inverts
-    S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis, the dense
-    sine_modes(m_u), splits it into m_u surface-sized blocks S + d_j I (fast
-    diagonalization). A soft mode block takes a sparse LU that solves the
-    whole LOBPCG block at once; a stiff one, whose Gershgorin ratio
-    max_i sum_{k != i} |S_ik| / (S_ii + d_j) is at most DIAGONAL_MAX_RATIO on
-    positive rows, takes its diagonal. The
+    chart has two axes), with a seeded random start block of n_pairs
+    columns. The preconditioner inverts S (x) I + I (x) T/eps^2 - sigma: the
+    transverse sine basis, the dense sine_modes(m_u), splits it into m_u
+    surface-sized blocks S + d_j I (fast diagonalization). A soft mode block
+    takes a sparse LU that solves the whole LOBPCG block at once; a stiff
+    one, whose Gershgorin ratio max_i sum_{k != i} |S_ik| / (S_ii + d_j) is
+    at most DIAGONAL_MAX_RATIO on positive rows, takes its diagonal. The
     O(eps^-2) transverse gap makes every excited mode stiff on the 24x24x17
     torus layer at eps 0.05 (1 LU instead of 17; LOBPCG 0.88 -> 0.35 s, 44
     -> 43 iterations), while the pole rows of a sphere shell keep all its
-    LUs. The comparison operators bound the layer operator with eps-uniform
-    constants, so the iteration counts do not grow as eps shrinks, while a
-    sparse LU of the whole layer fills super-linearly on a 2-D grid. Every
-    returned pair meets the residual target
-    max(tol, ROUNDOFF_FACTOR * u * h_max), u the unit round-off and h_max the
-    upper Gershgorin bound. A solve that misses it is handed to the LU path
-    below (meta fallback_from="lobpcg"): a block whose last column cuts a
-    near-degenerate cluster can stall, and guard columns past the block only
-    move the cut;
+    LUs. The comparison operators bound the layer operator with constants
+    that hold for every eps < rho_m, so the iteration counts do not grow as
+    eps shrinks, while a sparse LU of the whole layer fills super-linearly
+    on a 2-D grid; near rho_m the constants (1 -/+ eps/rho_m)^2 make the
+    counts grow like (1 + eps/rho_m)/(1 - eps/rho_m). LOBPCG restarts from its
+    own block every LOBPCG_RESTART iterations within one budget of
+    LOBPCG_MAXITER: unrestarted, a block whose last column cuts a
+    near-degenerate cluster stalled. Every returned pair meets the residual
+    target max(tol, ROUNDOFF_FACTOR * u * h_max), u the unit round-off and
+    h_max the upper Gershgorin bound, or the solve raises SolverError;
   * shift-invert Lanczos (ARPACK) with a factorization of H - sigma for
     everything else: layers over curves, where a factorization is cheaper,
-    2-D layers near rho_m, where the sandwich constants (1 -/+ eps/rho_m)^2
-    weaken the preconditioner and the iteration counts grow like
-    (1 + eps/rho_m)/(1 - eps/rho_m), surface operators and explicit
-    matrices.
+    surface operators, explicit matrices and operators with no surface
+    factor.
 
 Both use sigma = certified spectral floor - 1, built afresh for each call.
 resolvent(op, k, lambda_min) factors H + k once and returns the solve; the
@@ -49,8 +47,9 @@ picks how (George & Liu 1981):
     solves in 0.7 ms against 1.7 ms, and stores 0.6M entries against 1.04M
     (one BLAS thread). scipy's band LAPACK wrappers hold the GIL while they
     run, so threaded sweep rows overlap less than under SuperLU;
-  * two axes (surface h_eff, 2-D layers off LOBPCG): SuperLU in its
-    symmetric mode, a minimum-degree order on A + A^H with diagonal pivots.
+  * two axes (surface h_eff, 2-D operators with no surface factor): SuperLU
+    in its symmetric mode, a minimum-degree order on A + A^H with diagonal
+    pivots.
     Without pivoting the factorization of an HPD matrix is stable, and a
     whole operator fills about a third less than under the default COLAMD
     column order with partial pivoting (13.0M against 19.3M entries for the
@@ -62,6 +61,7 @@ SuperLU that meets a zero one.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +73,11 @@ from .errors import SolverError
 from .operators import AssembledOperator, sine_modes, transverse_energies
 
 DEFAULT_TOL = 1e-10
-#: LOBPCG iterations before a missed residual target hands the solve to the LU
-LOBPCG_MAXITER = 400
-#: 2-D layers with a larger eps/rho_m take the sparse LU (measured crossover)
-LOBPCG_MAX_WIDTH_RATIO = 0.6
+#: LOBPCG iterations, summed over its restarts, before a missed residual
+#: target raises
+LOBPCG_MAXITER = 500
+#: LOBPCG iterations between restarts from the current block
+LOBPCG_RESTART = 60
 #: the LOBPCG residual target is at least this multiple of u * h_max
 ROUNDOFF_FACTOR = 16.0
 #: preconditioner mode blocks with a smaller Gershgorin ratio take their
@@ -84,6 +85,15 @@ ROUNDOFF_FACTOR = 16.0
 DIAGONAL_MAX_RATIO = 0.125
 #: relative residual a resolvent solve must meet
 RESOLVENT_RTOL = 1e-10
+
+# scipy's LOBPCG warns whenever a column misses its own stopping test, as
+# every restart chunk but the last does; _lobpcg_pairs raises on a real miss.
+# One filter at import, not catch_warnings in a solve: sweep rows solve in
+# threads, and catch_warnings is not thread-safe.
+warnings.filterwarnings(
+    "ignore", r"(Exited|Failed) (postprocessing|at iteration)", UserWarning,
+    module=r"thinlayer\.eigensolve",
+)
 
 
 @dataclass
@@ -262,7 +272,8 @@ def _certified_shift(op):
 
 
 def _lobpcg_pairs(op, n_pairs, tol, seed):
-    """LOBPCG on H - sigma >= I, preconditioned by the decoupled inverse.
+    """LOBPCG on H - sigma >= I, preconditioned by the decoupled inverse and
+    restarted every LOBPCG_RESTART iterations from the block it returned.
 
     The shift keeps the Rayleigh-Ritz Gram matrices of order lambda - sigma;
     unshifted, an unrenormalized layer (lambda ~ eps^-2) stalled at residuals
@@ -277,7 +288,8 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
     H = op.matrix
     target = max(tol, ROUNDOFF_FACTOR * 2.0**-53 * gershgorin_bounds(H)[1])
     sigma = _certified_shift(op)
-    X0 = np.random.default_rng(seed).standard_normal((op.n_dof, n_pairs)).astype(H.dtype)
+    A = _shifted(H, sigma)
+    X = np.random.default_rng(seed).standard_normal((op.n_dof, n_pairs)).astype(H.dtype)
     precondition, surface_lus = _decoupled_inverse(op, sigma, H.dtype)
     iterations = 0
 
@@ -286,16 +298,16 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
         iterations += 1
         return precondition(r)
 
-    vals, vecs = spla.lobpcg(
-        _shifted(H, sigma),
-        X0,
-        M=M,
-        tol=target / 2,
-        maxiter=LOBPCG_MAXITER,
-        largest=False,
-    )
-    vals = vals + sigma
-    residuals = _residuals(H, vals, vecs)
+    while iterations < LOBPCG_MAXITER:
+        start = iterations
+        # scipy's maxiter counts the steps after the first
+        maxiter = min(LOBPCG_RESTART, LOBPCG_MAXITER - start) - 1
+        vals, X = spla.lobpcg(A, X, M=M, tol=target / 2, maxiter=maxiter, largest=False)
+        vals = vals + sigma
+        residuals = _residuals(H, vals, X)
+        # a chunk that ran no iteration would repeat itself from its block
+        if np.max(residuals) <= target or iterations == start:
+            break
     if np.max(residuals) > target:
         raise SolverError(
             f"LOBPCG missed the residual target {target:.3e} within "
@@ -304,7 +316,7 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
         )
     return Spectrum(
         values=vals,
-        vectors=vecs,
+        vectors=X,
         residuals=residuals,
         meta={
             "method": "lobpcg",
@@ -383,23 +395,14 @@ def lowest_eigenpairs(
     n = op.n_dof
     if n_pairs > n:
         raise SolverError(f"requested {n_pairs} pairs from a {n}-dof operator")
-    lobpcg = (
-        len(op.dofmap.grid_shape) >= 2
-        and op.surface_block is not None
-        and op.meta.get("width_ratio", 0.0) <= LOBPCG_MAX_WIDTH_RATIO
-    )
+    lobpcg = len(op.dofmap.grid_shape) >= 2 and op.surface_block is not None
     # ARPACK needs a Krylov basis below n - 1 (so n_pairs < n - 1), LOBPCG a
     # block of at most n/5 columns
     ncv = max(40, 4 * n_pairs + 1)
     if n <= (dense_cutoff or 0) or ncv >= n - 1 or (lobpcg and 5 * n_pairs > n):
         return _dense_pairs(op, n_pairs, tol, seed)
     if lobpcg:
-        try:
-            return _lobpcg_pairs(op, n_pairs, tol, seed)
-        except SolverError:
-            spec = _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
-            spec.meta["fallback_from"] = "lobpcg"
-            return spec
+        return _lobpcg_pairs(op, n_pairs, tol, seed)
     return _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
 
 

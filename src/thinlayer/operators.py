@@ -613,9 +613,6 @@ def assemble_full(
         # the ground energy: a cheap certified spectral floor
         "spectral_lower_bound": float(np.min(V))
         + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
-        # how far the surface factor below is from this operator; the
-        # comparison operators carry it exactly and need no such record
-        "width_ratio": _width_ratio(layer),
     }
     block = _surface_block(patch, pot.a_surf0, electric)
     return _layer_operator(layer, Hsurf, V, "full-H", pot.field_label, meta, block)

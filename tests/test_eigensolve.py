@@ -209,21 +209,42 @@ def test_lobpcg_raises_when_it_misses_the_residual_target(small_torus, monkeypat
     assert info.value.residuals.shape == (4,)
 
 
-def test_missed_lobpcg_target_hands_the_solve_to_the_lu(small_torus, monkeypatch):
+def test_missed_lobpcg_target_raises_from_lowest_eigenpairs(small_torus, monkeypatch):
     import thinlayer.eigensolve as es
 
     op = _torus_layer(small_torus, 0.05, m_u=5)
     monkeypatch.setattr(es, "LOBPCG_MAXITER", 2)
-    with pytest.warns(UserWarning, match="requested tolerance"):
-        spec = lowest_eigenpairs(op, 4)
-    assert spec.meta["method"] == "shift-invert-lanczos"
-    assert spec.meta["fallback_from"] == "lobpcg"
-    assert np.array_equal(spec.values, _on_lu(op, 4).values)
+    with pytest.raises(SolverError, match="LOBPCG missed the residual target") as info:
+        lowest_eigenpairs(op, 4)
+    assert info.value.residuals.shape == (4,)
+    assert np.max(info.value.residuals) > 0
+
+
+@pytest.mark.filterwarnings("ignore:Exited:UserWarning")  # raised at the spy
+def test_restarted_lobpcg_sums_iterations_over_its_chunks(small_torus, monkeypatch):
+    import thinlayer.eigensolve as es
+
+    op = _torus_layer(small_torus, 0.05)
+    chunks, lobpcg = [], es.spla.lobpcg
+
+    def spy(*args, maxiter, **kwargs):
+        chunks.append(maxiter + 1)  # steps run, the first included
+        return lobpcg(*args, maxiter=maxiter, **kwargs)
+
+    monkeypatch.setattr(es, "LOBPCG_RESTART", 5)
+    monkeypatch.setattr(es.spla, "lobpcg", spy)
+    spec = lowest_eigenpairs(op, 4)
+    assert spec.meta["method"] == "lobpcg" and len(chunks) > 1 and set(chunks) == {5}
+    # the count runs on across restarts, within the one budget
+    assert 5 < spec.meta["iterations"] <= min(sum(chunks), es.LOBPCG_MAXITER)
+    assert np.max(spec.residuals) <= spec.meta["residual_target"]
+    assert np.max(np.abs(spec.values - _on_lu(op, 4).values)) < 1e-9
 
 
 @pytest.mark.parametrize("factor", [1e-6, -1.0])  # weak / indefinite
 def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor, monkeypatch):
-    # a bad preconditioner may cost the LOBPCG attempt, never the answer
+    # a weak preconditioner costs iterations, never the answer; an indefinite
+    # one costs the solve, which raises
     import thinlayer.eigensolve as es
 
     op = _torus_layer(small_torus, 0.025)
@@ -245,11 +266,12 @@ def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor, monkeypat
             es._decoupled_inverse(wrong, es._certified_shift(op), op.matrix.dtype)
         assert min(factored_rows) < 0
         # the indefinite preconditioner stalls LOBPCG
-        with pytest.warns(UserWarning, match="requested tolerance"):
-            spec = lowest_eigenpairs(wrong, 4)
+        with pytest.raises(SolverError, match="LOBPCG missed the residual target"):
+            lowest_eigenpairs(wrong, 4)
     else:
         spec = lowest_eigenpairs(wrong, 4)
-    assert np.max(np.abs(spec.values - _on_lu(op, 4).values)) < 1e-9
+        assert spec.meta["method"] == "lobpcg"
+        assert np.max(np.abs(spec.values - _on_lu(op, 4).values)) < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +287,7 @@ def test_blocks_that_cut_sphere_clusters_match_lu(zero_field_shell, n_pairs):
     # clusters of 1, 3, 5, 7: 6 pairs cut the l = 2 cluster, 12 the l = 3 one
     op, lu_values = zero_field_shell
     spec = lowest_eigenpairs(op, n_pairs)
+    assert spec.meta["method"] == "lobpcg"
     assert np.max(np.abs(spec.values - lu_values[:n_pairs])) < 1e-9
     hi = gershgorin_bounds(op.matrix)[1]
     assert np.max(spec.residuals) <= max(1e-10, 16 * 2.0**-53 * hi)
@@ -280,18 +303,15 @@ def test_pole_clustered_shell_keeps_every_mode_lu(zero_field_shell):
     assert surface_lus == op.dofmap.m_u
 
 
-def test_layer_near_rho_m_takes_the_lu(small_torus):
-    # at eps/rho_m = 0.9 the sandwich constants leave a weak preconditioner;
-    # the exactly decoupled comparison operator keeps LOBPCG
+def test_layer_near_rho_m_takes_lobpcg(small_torus):
+    # at eps/rho_m = 0.9 the sandwich constants leave a weak but spectrally
+    # equivalent preconditioner: more iterations, the same path
     op = _torus_layer(small_torus, 0.45, m_u=5)
-    assert op.meta["width_ratio"] == pytest.approx(0.9)
+    assert 0.45 / small_torus.rho_m == pytest.approx(0.9)
     spec = lowest_eigenpairs(op, 4)
-    assert spec.meta["method"] == "shift-invert-lanczos"
-    assert "fallback_from" not in spec.meta
-    assert np.array_equal(spec.values, _on_lu(op, 4).values)
-    lay = layer_geometry(small_torus, 0.45, 5)
-    lower, _ = assemble_comparison(lay, layer_potential(zero_field(3), lay), -1)
-    assert lowest_eigenpairs(lower, 4).meta["method"] == "lobpcg"
+    assert spec.meta["method"] == "lobpcg"
+    assert spec.meta["iterations"] <= LOBPCG_MAXITER
+    assert np.max(np.abs(spec.values - _on_lu(op, 4).values)) < 1e-9
 
 
 def test_circle_layer_stays_on_lu(circle_patch):
