@@ -22,8 +22,6 @@ from .config import (
     build_field,
     load_config,
 )
-from .convergence import SweepSpec, run_sweep, sweep_acceptance
-from .eigensolve import lowest_eigenpairs
 from .errors import ConfigError, EmbeddingError, GeometryError, SolverError, ThinLayerError
 from .geometry import (
     build_patch,
@@ -33,12 +31,6 @@ from .geometry import (
     v_eff,
 )
 from .magnetics import effective_field, layer_potential
-from .operators import (
-    assemble_comparison,
-    assemble_effective,
-    assemble_full,
-    renormalize,
-)
 
 log = logging.getLogger("thinlayer")
 
@@ -50,11 +42,11 @@ EXIT_ACCEPTANCE = 4
 
 def _bundled_openblas() -> list:
     """(get, set) thread-count functions of the OpenBLAS that the numpy and
-    scipy wheels bundle; empty where they link another BLAS."""
-    import scipy
-
+    scipy wheels bundle; empty where they link another BLAS. scipy's counts
+    only once scipy is imported: a command that never imports it (`geometry`)
+    runs none of its BLAS."""
     found = []
-    for package in (np, scipy):
+    for package in filter(None, (np, sys.modules.get("scipy"))):
         libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
         for path in sorted(libs.glob("*openblas*")):
             lib = ctypes.CDLL(str(path))
@@ -245,6 +237,9 @@ def cmd_geometry(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
+    from .eigensolve import lowest_eigenpairs
+    from .operators import assemble_comparison, assemble_effective, assemble_full, renormalize
+
     family, grid = build_family(cfg)
     patch = build_patch(family, grid)
     dim = patch.ambient_dim
@@ -312,6 +307,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
+    from .convergence import SweepSpec, run_sweep, sweep_acceptance
+
     family, grid = build_family(cfg)
     field = build_field(cfg, family.ambient_dim)
     electric = build_electric(cfg, family.ambient_dim)
@@ -355,10 +352,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, doc in (
-        ("geometry", cmd_geometry, "emit curvature and effective-potential tables"),
-        ("spectrum", cmd_spectrum, "assemble one operator and solve lowest pairs"),
-        ("converge", cmd_converge, "run a shrinking-width convergence sweep"),
+    # the solver modules a command imports before it loads its config, so
+    # that `geometry` runs on numpy alone
+    for name, fn, solvers, doc in (
+        ("geometry", cmd_geometry, (),
+         "emit curvature and effective-potential tables"),
+        ("spectrum", cmd_spectrum, ("operators", "eigensolve"),
+         "assemble one operator and solve lowest pairs"),
+        ("converge", cmd_converge, ("convergence",),
+         "run a shrinking-width convergence sweep"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON run configuration")
@@ -368,7 +370,7 @@ def _parser() -> argparse.ArgumentParser:
                            help="sweep row threads (0 = all cores)")
         p.add_argument("--seed", type=int, default=None, help="override solver seed")
         p.add_argument("--verbose", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, solvers=solvers)
     return parser
 
 
@@ -382,6 +384,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    for module in args.solvers:
+        __import__(f"{__package__}.{module}")
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

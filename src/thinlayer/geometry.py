@@ -18,6 +18,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -693,6 +694,77 @@ def _chart_arclengths(patch):
     return coords.reshape(-1, naxes), periods
 
 
+#: cells per search radius on each axis of the _close_pairs cell list, and the
+#: most candidate pairs it expands at a time (a block of 2**15 stays in cache:
+#: check_embedding ran 25-35% faster on the torus clouds than with 1e6)
+CELLS_PER_RADIUS = 2
+PAIR_BLOCK = 1 << 15
+
+
+def _close_pairs(pts, r):
+    """The point pairs within r, in blocks: (a, b) index arrays with a != b,
+    each unordered pair once, where the squared distance summed over the
+    axes in order is at most r*r.
+
+    A cell list (Hockney & Eastwood, Computer Simulation Using Particles,
+    1981): the points are binned into cubes of side r/2, so the two points of
+    a pair within r lie at most 2 cells apart on each axis. Sorted by cell
+    key, the last axis varying fastest, the cells at one offset on the other
+    axes and within reach on the last hold a run of the sorted points, which
+    two searchsorted calls on the occupied cells (np.unique) bound. Each point
+    is matched with the runs of one half of the offsets, against the points
+    that follow it, and the candidate pairs are expanded and measured at most
+    PAIR_BLOCK at a time.
+    """
+    n, d = pts.shape
+    lo = pts.min(axis=0)
+    span = float(np.max(pts.max(axis=0) - lo))
+    # at most 2**(60 // d) cells per axis keep the int64 cell keys exact
+    side = max(r / CELLS_PER_RADIUS, span / 2 ** (60 // d))
+    reach = min(CELLS_PER_RADIUS, int(np.ceil(r / side)))
+    # a slightly wider cell keeps the rounding of the binning from putting
+    # the points of a pair within r more than `reach` cells apart
+    side *= 1.0 + 1e-6
+    # `reach` empty cells pad each end of an axis, so no offset wraps round
+    cell = np.floor((pts - lo) / side).astype(np.int64) + reach
+    extent = cell.max(axis=0) + reach + 1
+    strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1)
+    keys = cell @ strides
+    order = np.argsort(keys, kind="stable")
+    cells, first = np.unique(keys[order], return_index=True)
+    bound = np.append(first, n)  # cells [c, e) hold the sorted points bound[c]:bound[e]
+    cell_of = np.repeat(np.arange(cells.size), np.diff(bound))
+    pos = np.arange(n)
+    # offsets on the leading axes in lexicographic order; the second half
+    # starts at zero and is the half space whose cells follow a point's own
+    lead = np.array(list(itertools.product(range(-reach, reach + 1), repeat=d - 1)))
+    lead = lead[len(lead) // 2 :]
+    rows = []  # (sorted point, first and end sorted position of its run)
+    for shift in lead @ strides[:-1]:
+        start = bound[np.searchsorted(cells, cells + shift - reach)][cell_of]
+        end = bound[np.searchsorted(cells, cells + shift + reach, side="right")][cell_of]
+        start = np.maximum(start, pos + 1)
+        live = end > start
+        rows.append((pos[live], start[live], end[live]))
+    row_pt, row_start, row_end = (np.concatenate(c) for c in zip(*rows))
+    row_len = row_end - row_start
+    ends = np.cumsum(row_len)
+    cols = [np.ascontiguousarray(c) for c in pts[order].T]
+    i, done = 0, 0
+    while i < ends.size:
+        j = max(i + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")))
+        lens = row_len[i:j]
+        a = np.repeat(row_pt[i:j], lens)
+        b = np.arange(a.size) + np.repeat(row_start[i:j] - (ends[i:j] - lens - done), lens)
+        dist2 = np.zeros(a.size)
+        for c in cols:
+            diff = c[a] - c[b]
+            dist2 += diff * diff
+        near = dist2 <= r * r
+        yield order[a[near]], order[b[near]]
+        i, done = j, int(ends[j - 1])
+
+
 def _clearance(schart, period, plo, phi, cutoff, radius):
     """Minimum layer clearance over chart-separated node pairs.
 
@@ -702,35 +774,25 @@ def _clearance(schart, period, plo, phi, cutoff, radius):
     first (i, j) among equal clearances; (inf, -1, -1) when no pair passes the
     cutoff.
 
-    A k-d tree over the 2n layer points (point a belongs to node a mod n)
-    lists the pairs within a search radius that starts at `radius` (> 0) and
-    doubles until a chart-distant pair lies within it or the radius covers the
-    point cloud. Every pair within the radius is listed, so the minimum over
-    the listed pairs is the minimum over all pairs, and each listed pair is
-    measured by the same formulas as an all-pairs scan: the result is that
-    scan's, bit for bit.
+    A cell list over the 2n layer points (point a belongs to node a mod n,
+    `_close_pairs`) lists the pairs within a search radius that starts at
+    `radius` (> 0) and doubles until a chart-distant pair lies within it or
+    the radius covers the point cloud. Every pair within the radius is
+    listed, so the minimum over the listed pairs is the minimum over all
+    pairs, and each listed pair is measured by the same formulas as an
+    all-pairs scan: the result is that scan's, bit for bit.
     """
-    from scipy.spatial import cKDTree
-
     n = schart.shape[0]
     pts = np.concatenate([plo, phi])
-    tree = cKDTree(pts)
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    # query points per block, so that a block lists at most 1e6 point pairs;
-    # blocks follow the tree's leaf order, which keeps each one compact
-    block = max(1, int(1.0e6 // (2 * n)))
     r = radius
     while True:
         best, bkey = np.inf, -1
-        for start in range(0, 2 * n, block):
-            a = tree.indices[start : start + block]
-            # the relative slack keeps the tree's rounding from dropping a
-            # pair that the formulas below place within r
-            near = cKDTree(pts[a]).sparse_distance_matrix(
-                tree, r * (1.0 + 1e-9), output_type="ndarray"
-            )
-            i = a[near["i"]] % n
-            j = near["j"] % n
+        # the relative slack keeps the search's rounding from dropping a
+        # pair that the formulas below place within r
+        for a, b in _close_pairs(pts, r * (1.0 + 1e-9)):
+            a, b = a % n, b % n
+            i, j = np.minimum(a, b), np.maximum(a, b)
             keep = i < j
             i, j = i[keep], j[keep]
             dk = np.abs(schart[i] - schart[j])
@@ -773,9 +835,9 @@ def check_embedding(patch: HypersurfacePatch, eps: float) -> EmbeddingReport:
     The eps < rho_m condition is exact; global injectivity is probed by a
     sampling heuristic: any two sampled nodes whose chart distance exceeds
     3*eps must keep their extreme layer points at least eps/2 apart in
-    ambient space. The closest such pair is found by a k-d tree radius search
-    that starts at the margin eps/2 (`_clearance`), with the same result as an
-    all-pairs scan.
+    ambient space. The closest such pair is found by a cell-list radius
+    search that starts at the margin eps/2 and doubles (`_clearance`), with
+    the same result as an all-pairs scan. It needs numpy only.
     """
     if not np.isfinite(eps) or eps <= 0:
         raise EmbeddingError(f"layer half-width must be positive and finite, got {eps}")

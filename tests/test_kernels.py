@@ -3,9 +3,11 @@
 ``operators._diag_triplets`` emits the COO triplets of the divergence-form
 edges; ``operators._surface_operator`` adds the mixed-metric terms of a 2-D
 chart from the same neighbour windows as the edges; ``geometry._clearance``
-finds the smallest layer clearance over chart-distant node pairs. Each is
-checked here against a plain-Python loop that spells out the same triplet
-slots, the same mixed-term matrix and the same pair scan one entry at a time.
+finds the smallest layer clearance over chart-distant node pairs, from the
+point pairs that the cell list ``geometry._close_pairs`` finds within a
+radius. Each is checked here against a plain-Python loop that spells out the
+same triplet slots, the same mixed-term matrix and the same pair scan one
+entry at a time, and the cell list against every pair measured by brute force.
 """
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from thinlayer import (
     layer_geometry,
     pullback,
 )
-from thinlayer.geometry import _chart_arclengths, _clearance
+from thinlayer import geometry
+from thinlayer.geometry import _chart_arclengths, _clearance, _close_pairs
 from thinlayer.operators import _diag_triplets, _surface_operator
 
 
@@ -250,3 +253,58 @@ def test_clearance_cases_match_loop_oracle(case):
         assert got == (np.inf, -1, -1)
     if case == "radius-doubles":
         assert got[0] > 8 * radius
+
+
+def _all_pairs_within(pts, r):
+    # every pair a < b whose squared distance, summed over the axes in order
+    # as the cell list sums it, is at most r*r
+    dd = pts[:, None, :] - pts[None, :, :]
+    a, b = np.nonzero(np.triu(np.sum(dd * dd, axis=-1) <= r * r, 1))
+    return sorted(zip(a.tolist(), b.tolist()))
+
+
+def _boundary_pair():
+    # two points exactly the search radius r(1 + 1e-9) of _clearance apart,
+    # one at the cloud's corner, plus a third just beyond that radius
+    rng = np.random.default_rng(11)
+    r = 0.3 * (1.0 + 1e-9)
+    beyond = np.nextafter(r, np.inf)
+    pts = np.concatenate([[[0.0, 0.0, 0.0], [r, 0.0, 0.0], [0.0, beyond, 0.0]],
+                          rng.uniform(2.0, 3.0, (40, 3))])
+    return pts, r
+
+
+def _lattice(spacing):
+    # a grid at the search radius: every axis neighbour lies exactly r away,
+    # on a cell boundary
+    pts = np.stack(np.meshgrid(*(np.arange(6.0),) * 3, indexing="ij"), -1).reshape(-1, 3)
+    return pts * spacing, spacing
+
+
+_CLOUDS = {
+    "random-2d": lambda: (np.random.default_rng(1).normal(size=(400, 2)), 0.15),
+    "random-3d": lambda: (np.random.default_rng(2).normal(size=(500, 3)), 0.4),
+    "duplicates": lambda: (np.repeat(np.random.default_rng(3).normal(size=(60, 3)), 3, axis=0),
+                           0.2),
+    "boundary-pair": _boundary_pair,
+    "lattice": lambda: _lattice(0.7),
+    "single-point": lambda: (np.array([[0.5, -1.0, 2.0]]), 0.3),
+    "radius-wider-than-cloud": lambda: (np.random.default_rng(4).uniform(size=(120, 3)), 10.0),
+}
+
+
+@pytest.mark.parametrize("block", [7, geometry.PAIR_BLOCK])
+@pytest.mark.parametrize("cloud", sorted(_CLOUDS))
+def test_close_pairs_match_brute_force(cloud, block, monkeypatch):
+    pts, r = _CLOUDS[cloud]()
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+    blocks = list(_close_pairs(pts, r))
+    assert all(a.size <= max(block, len(pts)) for a, _ in blocks)
+    found = [tuple(sorted(p)) for a, b in blocks for p in zip(a.tolist(), b.tolist())]
+    assert sorted(found) == _all_pairs_within(pts, r)  # each pair once, none missed
+    if cloud == "boundary-pair":
+        assert (0, 1) in found and (0, 2) not in found
+    if cloud == "single-point":
+        assert found == []
+    if cloud == "radius-wider-than-cloud":
+        assert len(found) == len(pts) * (len(pts) - 1) // 2
