@@ -93,14 +93,15 @@ CSV_CHUNK_ROWS = 8192  # rows _write_csv formats and writes at a time; bounds th
 
 
 @contextlib.contextmanager
-def _atomic_file(path: Path):
-    """A text file to write `path` through: it is opened beside `path` under
-    a per-process name, moved onto `path` when the block succeeds, and
-    removed when the block raises, leaving any earlier `path` as it was."""
+def _atomic_file(path: Path, mode: str = "w"):
+    """A file to write `path` through (text, or binary with mode "wb"): it is
+    opened beside `path` under a per-process name, moved onto `path` when the
+    block succeeds, and removed when the block raises, leaving any earlier
+    `path` as it was. Every output of every command goes through here."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -124,18 +125,19 @@ def _format_column(values: np.ndarray) -> list:
 
 def _write_csv(path: Path, header: list, n_rows: int, columns: list):
     """One CSV table: the header line, then the columns side by side, every
-    number in %.17g (integers held as floats print without a point); the
-    bytes equal numpy.savetxt's with that format. The columns of a chart-grid
-    table repeat few values, so each chunk formats each distinct one once."""
+    number in %.17g (integers held as floats print without a point) and a
+    text (object or str) column as it is; the bytes equal numpy.savetxt's
+    with %.17g and %s. The columns of a chart-grid table repeat few values,
+    so each chunk formats each distinct number once."""
     blocks = [np.reshape(c, (n_rows, -1)) for c in columns]
     with _atomic_file(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
             text = [
-                _format_column(np.ascontiguousarray(block[rows, j], dtype=np.float64))
+                list(map(str, column)) if column.dtype.kind in "OU"
+                else _format_column(np.ascontiguousarray(column, dtype=np.float64))
                 for block in blocks
-                for j in range(block.shape[1])
+                for column in block[start:start + CSV_CHUNK_ROWS].T
             ]
             fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
@@ -289,21 +291,45 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     log.info("spectrum: %s", csv_path)
 
     if spec_cfg.get("dump_eigenvectors"):
-        vec_path = out / outs.get("eigenvectors", "eigenvectors.npz")
-        vec_path.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(
-            vec_path,
-            values=spectrum.values,
-            vectors=spectrum.vectors,
-            weights=op.weights,
-            grid_shape=np.asarray(op.dofmap.grid_shape),
-            m_u=op.dofmap.m_u,
-        )
+        with _atomic_file(out / outs.get("eigenvectors", "eigenvectors.npz"), "wb") as fh:
+            np.savez(
+                fh,
+                values=spectrum.values,
+                vectors=spectrum.vectors,
+                weights=op.weights,
+                grid_shape=np.asarray(op.dofmap.grid_shape),
+                m_u=op.dofmap.m_u,
+            )
     if spec_cfg.get("dump_operator"):
-        base = out / outs.get("matrix", "operator")
-        out.mkdir(parents=True, exist_ok=True)
-        op.export_matrix_market(base)
+        from scipy.io import mmwrite
+
+        # <matrix>.mtx in coordinate format, and a JSON dof-map sidecar
+        base = outs.get("matrix", "operator")
+        with _atomic_file(out / f"{base}.mtx", "wb") as fh:
+            mmwrite(fh, op.matrix.tocoo())
+        sidecar = {
+            "kind": op.kind,
+            "eps": op.eps,
+            "geometry": op.geometry,
+            "field": op.field_label,
+            "n_dof": op.n_dof,
+            "nnz": int(op.matrix.nnz),
+            "grid_shape": list(op.dofmap.grid_shape),
+            "m_u": op.dofmap.m_u,
+            "closures": list(op.dofmap.closures),
+            "ordering": "surface nodes row-major, transverse index fastest",
+            "boundary": op.dofmap.boundary_record(),
+            "scaling": "matrix is W^(1/2) A W^(-1/2); weights in this file",
+            "weights_cell": op.meta.get("weights_cell"),
+        }
+        _atomic_write(out / f"{base}.json", _json_dump(sidecar))
     return EXIT_OK
+
+
+#: the columns of converge.csv: one line per sweep row, its numbers in the
+#: order of `SweepRow`'s fields, then its flags or why it was skipped
+_CONVERGE_COLUMNS = ("eps", "n", "lambda", "mu", "gap", "cluster_gap", "efunc_discrepancy",
+                    "transverse_leakage", "resolvent_diff", "disc_estimate", "overlap", "flags")
 
 
 def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
@@ -334,7 +360,12 @@ def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
     ok, problems = sweep_acceptance(report)
     summary = report.summary()
     summary["acceptance"] = {"passed": ok, "problems": problems}
-    _atomic_write(csv_path, report.to_csv())
+    rows = report.rows
+    _write_csv(csv_path, _CONVERGE_COLUMNS, len(rows), [
+        np.array([[r.eps, r.n, r.lam, r.mu, r.gap, r.cluster_gap, r.efunc, r.leakage,
+                   r.resolvent, r.disc_est, r.overlap] for r in rows]),
+        np.array([f"skipped:{r.reason}" if r.skipped else ";".join(r.flags) for r in rows]),
+    ])
     _atomic_write(json_path, _json_dump(summary))
     log.info("sweep report: %s, %s", csv_path, json_path)
     if not ok:

@@ -3,7 +3,6 @@ convergence of the renormalized layer operator toward the effective surface
 Hamiltonian, plus the transverse spectral-gap check and rate fitting."""
 from __future__ import annotations
 
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -257,22 +256,6 @@ class SweepRow:
     reason: str = ""
 
 
-_CSV_COLUMNS = (
-    "eps",
-    "n",
-    "lambda",
-    "mu",
-    "gap",
-    "cluster_gap",
-    "efunc_discrepancy",
-    "transverse_leakage",
-    "resolvent_diff",
-    "disc_estimate",
-    "overlap",
-    "flags",
-)
-
-
 @dataclass
 class ConvergenceReport:
     rows: list
@@ -289,21 +272,6 @@ class ConvergenceReport:
             eps.append(r.eps)
             vals.append(getattr(r, name))
         return np.asarray(eps), np.asarray(vals)
-
-    def to_csv(self) -> str:
-        table = np.array(
-            [
-                [r.eps, r.n, r.lam, r.mu, r.gap, r.cluster_gap, r.efunc, r.leakage,
-                 r.resolvent, r.disc_est, r.overlap,
-                 ";".join(r.flags) if not r.skipped else f"skipped:{r.reason}"]
-                for r in self.rows
-            ],
-            dtype=object,
-        ).reshape(-1, len(_CSV_COLUMNS))
-        buf = io.StringIO()
-        np.savetxt(buf, table, fmt=["%.17g"] * 11 + ["%s"], delimiter=",",
-                   header=",".join(_CSV_COLUMNS), comments="")
-        return buf.getvalue()
 
     def summary(self) -> dict:
         fits = {

@@ -622,13 +622,6 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
         )
     u, h_u = transverse_nodes(m_u)
     fac = layer_factors(patch.kappa[..., None, :], eps, u[:, None])
-    if np.min(fac) <= 0.0:
-        flat = np.argmin(fac)
-        idx = np.unravel_index(int(flat), fac.shape)
-        raise EmbeddingError(
-            f"layer factor 1 - eps*u*kappa non-positive at node {idx[:-2]}, "
-            f"direction {idx[-1] + 1}, u = {u[idx[-2]]:.4f}"
-        )
     dim = patch.dim
     eye = np.eye(dim)
     M = eye - eps * u[:, None, None] * patch.weingarten[..., None, :, :]

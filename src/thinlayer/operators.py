@@ -24,7 +24,6 @@ Discretization scheme:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,33 +159,6 @@ class AssembledOperator:
             geometry="explicit",
             field_label="none",
         )
-
-    def export_matrix_market(self, basepath) -> tuple[str, str]:
-        """Write <base>.mtx (coordinate format) plus a JSON dof-map sidecar."""
-        from scipy.io import mmwrite
-
-        base = str(basepath)
-        mtx = base + ".mtx"
-        sidecar = base + ".json"
-        mmwrite(mtx, self.matrix.tocoo())
-        payload = {
-            "kind": self.kind,
-            "eps": self.eps,
-            "geometry": self.geometry,
-            "field": self.field_label,
-            "n_dof": self.n_dof,
-            "nnz": int(self.matrix.nnz),
-            "grid_shape": list(self.dofmap.grid_shape),
-            "m_u": self.dofmap.m_u,
-            "closures": list(self.dofmap.closures),
-            "ordering": "surface nodes row-major, transverse index fastest",
-            "boundary": self.dofmap.boundary_record(),
-            "scaling": "matrix is W^(1/2) A W^(-1/2); weights in this file",
-            "weights_cell": self.meta.get("weights_cell"),
-        }
-        with open(sidecar, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        return mtx, sidecar
 
 
 # ---------------------------------------------------------------------------

@@ -355,17 +355,20 @@ def test_write_csv_matches_savetxt_bytes(tmp_path, monkeypatch, n_rows):
     special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16, 2.0**53,
                         3.0, -7.0, 0.1, -0.0, 0.0])
     rows = np.arange(n_rows)
+    text = np.array(["", "flag", "a;b", "skipped:staged overlap", "-0", "nan"], dtype=object)
     columns = [
         rows,  # integer index column
         np.stack([special[rows % 14], special[(5 * rows + 2) % 14]], -1),
         np.full(n_rows, 0.25),  # constant
         np.sin(rows + 1.0) * 1e-300,
+        text[rows % 6],  # passed through as it is
     ]
-    header = ["n", "a", "b", "c", "d"]
+    header = ["n", "a", "b", "c", "d", "flags"]
     cli._write_csv(tmp_path / "t.csv", header, n_rows, columns)
     want = io.StringIO()
     table = np.column_stack([np.reshape(c, (n_rows, -1)) for c in columns])
-    np.savetxt(want, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    np.savetxt(want, table, fmt=["%.17g"] * 5 + ["%s"], delimiter=",",
+               header=",".join(header), comments="")
     assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
@@ -614,20 +617,68 @@ def test_spectrum_sphere_effective(tmp_path):
     assert np.max(np.abs(data[:, 1] - [0.0, 2.0, 2.0, 2.0])) < 1e-3
 
 
-def test_spectrum_dumps_operator_and_vectors(tmp_path):
+def _dump_config(tmp_path):
     cfg = _config(
         {"family": "circle", "params": {"radius": 1.0}, "grid": [64]},
         field={"kind": "zero"},
         solver={"n_eigenpairs": 2},
-        spectrum={"operator": "h-eff", "dump_operator": True, "dump_eigenvectors": True},
+        spectrum={
+            "operator": "h-eff",
+            "dump_operator": True,
+            "dump_eigenvectors": True,
+            "outputs": {"eigenvectors": "vecs.bin", "matrix": "op"},
+        },
     )
-    rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "operator.mtx").exists()
-    sidecar = json.loads((tmp_path / "operator.json").read_text())
+    return ["spectrum", "--config", _write(tmp_path / "c.json", cfg),
+            "--out", str(tmp_path / "out")]
+
+
+def test_spectrum_dumps_operator_and_vectors(tmp_path):
+    from scipy.io import mmread
+
+    from thinlayer import GeometryFamily, assemble_effective, build_patch
+
+    assert main(_dump_config(tmp_path)) == 0
+    out = tmp_path / "out"
+    # configured names are honoured exactly: no ".npz" appended
+    assert sorted(p.name for p in out.iterdir()) == ["op.json", "op.mtx", "spectrum.csv",
+                                                     "vecs.bin"]
+    op = assemble_effective(build_patch(GeometryFamily("circle", {"radius": 1.0}), (64,)))
+    diff = (mmread(out / "op.mtx").tocsr() - op.matrix).tocoo()
+    assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-15
+    text = (out / "op.json").read_text()
+    assert text.endswith("}\n")
+    sidecar = json.loads(text)
+    assert sidecar["kind"] == "h-eff"
+    assert sidecar["grid_shape"] == [64]
     assert sidecar["n_dof"] == 64
-    dump = np.load(tmp_path / "eigenvectors.npz")
+    assert "boundary" in sidecar
+    dump = np.load(out / "vecs.bin")
     assert dump["vectors"].shape == (64, 2)
+
+
+@pytest.mark.parametrize("writer, target", [("numpy.savez", "vecs.bin"),
+                                            ("scipy.io.mmwrite", "op.mtx")])
+def test_failed_dump_keeps_the_earlier_file(tmp_path, monkeypatch, writer, target):
+    argv = _dump_config(tmp_path)
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    names = sorted(p.name for p in out.iterdir())
+    earlier = (out / target).read_bytes()
+
+    class Interrupted(Exception):
+        pass
+
+    def write_some_bytes_then_fail(fh, *args, **kwargs):
+        fh.write(b"partial")
+        assert list(out.glob(f"{target}.*.tmp"))
+        raise Interrupted
+
+    monkeypatch.setattr(writer, write_some_bytes_then_fail)
+    with pytest.raises(Interrupted):
+        main(argv)
+    assert (out / target).read_bytes() == earlier
+    assert sorted(p.name for p in out.iterdir()) == names
 
 
 def test_spectrum_solver_failure_exit_code(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from thinlayer import (
     sweep_acceptance,
     zero_field,
 )
+from thinlayer.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def test_sweep_requires_embedding_at_largest_width():
         run_sweep(spec)
 
 
-def test_sweep_skips_rows_where_embedding_fails(monkeypatch):
+def test_sweep_skips_rows_where_embedding_fails(tmp_path, monkeypatch):
     # failure modes are monotone in the width for the model families, so a
     # mid-sweep embedding failure is staged through the check itself
     import thinlayer.convergence as conv
@@ -226,19 +229,20 @@ def test_sweep_skips_rows_where_embedding_fails(monkeypatch):
         return rep
 
     monkeypatch.setattr(conv, "check_embedding", staged)
-    spec = SweepSpec(
-        family=GeometryFamily("circle", {"radius": 1.0}),
-        grid=(96,),
-        field=zero_field(2),
-        epsilons=(0.2, 0.1, 0.05),
-        m_u=9,
-        grid_doubling=False,
-    )
-    report = run_sweep(spec)
-    skipped = [r for r in report.rows if r.skipped]
-    assert len(skipped) == 1 and skipped[0].eps == 0.1
-    assert "staged overlap" in skipped[0].reason
-    assert "skipped:staged overlap" in report.to_csv()
+    cfg = {
+        "schema": 1,
+        "geometry": {"family": "circle", "params": {"radius": 1.0}, "grid": [96]},
+        "field": {"kind": "zero"},
+        "sweep": {"epsilons": [0.2, 0.1, 0.05], "m_u": 9, "grid_doubling": False},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    main(["converge", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path),
+          "--threads", "1"])
+    rows = [line.split(",") for line in (tmp_path / "converge.csv").read_text().splitlines()[1:]]
+    assert sorted(float(r[0]) for r in rows) == [0.05, 0.1, 0.2]
+    skipped = [r for r in rows if r[-1].startswith("skipped:")]
+    assert len(skipped) == 1 and float(skipped[0][0]) == 0.1
+    assert skipped[0][-1] == "skipped:staged overlap"
 
 
 def test_sweep_acceptance_slope_windows_and_tags():

@@ -413,27 +413,6 @@ def test_comparison_gap_shrinks_linearly(circle_patch):
 
 
 # ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def test_matrix_market_roundtrip(tmp_path, circle_patch):
-    import json
-
-    from scipy.io import mmread
-
-    heff = assemble_effective(circle_patch)
-    mtx, sidecar = heff.export_matrix_market(tmp_path / "op")
-    back = sp.csr_array(mmread(mtx))
-    diff = (back - heff.matrix).tocoo()
-    assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-15
-    meta = json.loads((tmp_path / "op.json").read_text())
-    assert meta["kind"] == "h-eff"
-    assert meta["grid_shape"] == [96]
-    assert "boundary" in meta
-
-
-# ---------------------------------------------------------------------------
 # electric potential
 # ---------------------------------------------------------------------------
 
