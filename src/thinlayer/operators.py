@@ -81,6 +81,15 @@ class DofMap:
     closures: tuple[str, ...]
     axis_names: tuple[str, ...]
 
+    def __post_init__(self):
+        axes = len(self.grid_shape)
+        if len(self.closures) != axes or len(self.axis_names) != axes:
+            raise AssemblyError(
+                f"DofMap on a {axes}-axis grid {self.grid_shape} needs one closure "
+                f"and one name per axis, got closures {self.closures} and names "
+                f"{self.axis_names}"
+            )
+
     def boundary_record(self) -> list[str]:
         rec = []
         labels = {

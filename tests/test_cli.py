@@ -483,17 +483,23 @@ def test_spectrum_verbose_logs_solver_work(tmp_path, caplog, monkeypatch):
     assert (tmp_path / "spectrum.csv").read_text().splitlines()[0] == "n,eigenvalue,residual"
 
 
+_TORUS_12 = {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 12]}
+
+
 @pytest.mark.parametrize(
-    "geometry, factor",
+    "geometry, field, factor",
     [
-        ({"family": "circle", "params": {"radius": 1.0}, "grid": [64]}, "band-cholesky(width="),
-        ({"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [12, 12]},
-         "superlu(nnz="),
+        ({"family": "circle", "params": {"radius": 1.0}, "grid": [64]}, {"kind": "zero"},
+         "band-cholesky(width="),
+        (_TORUS_12, {"kind": "constant", "b": [0.0, 0.0, 1.0]},
+         "fourier-band-cholesky(axis=phi, width="),
+        (_TORUS_12, {"kind": "constant", "b": [0.3, 0.0, 1.0]}, "superlu(nnz="),
     ],
 )
-def test_spectrum_verbose_names_the_factorization(tmp_path, caplog, geometry, factor):
-    # a one-axis chart takes the band Cholesky, a two-axis one SuperLU
-    cfg = _config(geometry, field={"kind": "zero"}, solver={"n_eigenpairs": 2},
+def test_spectrum_verbose_names_the_factorization(tmp_path, caplog, geometry, field, factor):
+    # a one-axis chart takes the band Cholesky, a two-axis one in an axial
+    # field the Fourier route along phi, and a tilted field SuperLU
+    cfg = _config(geometry, field=field, solver={"n_eigenpairs": 2},
                   spectrum={"operator": "h-eff"})
     caplog.set_level("INFO", logger="thinlayer")
     rc = main(["spectrum", "--config", _write(tmp_path / "c.json", cfg),

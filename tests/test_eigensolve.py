@@ -26,8 +26,9 @@ from thinlayer import (
     zero_field,
 )
 from thinlayer.convergence import TransverseMode
-from thinlayer.eigensolve import LOBPCG_MAXITER, RESOLVENT_RTOL
-from thinlayer.operators import SurfaceBlock
+from thinlayer.eigensolve import LOBPCG_MAXITER, RESOLVENT_RTOL, ROUNDOFF_FACTOR
+from thinlayer.geometry import DIRICHLET
+from thinlayer.operators import DofMap, SurfaceBlock
 
 
 def test_interval_laplacian_classical_value():
@@ -130,7 +131,9 @@ def _torus_layer(patch, eps, m_u=9, b=1.0):
 
 
 def _on_lu(op, n_pairs):
-    # the same matrix without its decoupled factor takes the sparse LU
+    # the same matrix without its decoupled factor takes shift-invert with a
+    # whole-operator factorization: SuperLU, or the Fourier route's band
+    # Cholesky where the field keeps the axial symmetry
     spec = lowest_eigenpairs(dataclasses.replace(op, surface_block=None), n_pairs)
     assert spec.meta["method"] == "shift-invert-lanczos"
     return spec
@@ -422,7 +425,7 @@ def test_resolvent_failure_names_residual_and_lambda_min(small_torus, monkeypatc
     assert len(heff.dofmap.grid_shape) == 2
 
     def wrong_factor(op, sigma):
-        return (lambda b: 0.5 * b), "wrong"
+        return (lambda b: 0.5 * b), "wrong", None
 
     def no_eigsh(*args, **kwargs):
         raise AssertionError("a failed resolvent solve must not run eigsh")
@@ -438,11 +441,11 @@ def test_resolvent_failure_names_residual_and_lambda_min(small_torus, monkeypatc
 def test_positive_definite_shifts_factor_with_less_fill(monkeypatch):
     import thinlayer.eigensolve as es
 
-    # 40x80 sphere h_eff with B = e_z, 3,200 dofs: the default COLAMD order
-    # with partial pivoting fills to 341,064 entries and minimum degree on
-    # A + A^H to 268,684 (0.79), so this fails with a default splu call
-    p = build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (40, 80))
-    heff = assemble_effective(p, effective_field(constant_field(3, [0.0, 0.0, 1.0]), p))
+    # 40x80 sphere h_eff with the tilted field B = (0.3, 0, 1), 3,200 dofs,
+    # which breaks the axial symmetry and so takes SuperLU: the default COLAMD
+    # order with partial pivoting fills to 341,064 entries and minimum degree
+    # on A + A^H to 268,684 (0.79), so this fails with a default splu call
+    heff = _sphere_heff([0.3, 0.0, 1.0])
     assert heff.n_dof == 3200
     factors = []
     real_splu = es.spla.splu
@@ -485,8 +488,13 @@ def _curve_layer(family, params, n, field, m_u=9):
 
 
 def _on_two_axes(op):
-    # the same matrix on a two-axis chart, without a LOBPCG factor, takes SuperLU
-    chart = dataclasses.replace(op.dofmap, grid_shape=op.dofmap.grid_shape + (1,))
+    # the same matrix on a two-axis chart with no periodic axis, without a
+    # LOBPCG factor, takes SuperLU
+    shape = op.dofmap.grid_shape
+    if len(shape) == 1:
+        shape = shape + (1,)
+    names = tuple(f"x{k}" for k in range(len(shape)))
+    chart = DofMap(shape, op.dofmap.m_u, (DIRICHLET,) * len(shape), names)
     return dataclasses.replace(op, dofmap=chart, surface_block=None)
 
 
@@ -553,6 +561,137 @@ def test_circle_sweep_makes_no_superlu_call(monkeypatch):
     )
     report = run_sweep(spec)
     assert len(report.rows) == 2 and not any(r.flags or r.skipped for r in report.rows)
+
+
+# ---------------------------------------------------------------------------
+# the Fourier route: operators shift-invariant along a periodic axis
+# ---------------------------------------------------------------------------
+
+
+def _sphere_heff(b):
+    p = build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (40, 80))
+    return assemble_effective(p, effective_field(constant_field(3, b), p))
+
+
+def _factor_label(op):
+    import thinlayer.eigensolve as es
+
+    return es._factor(op, es._certified_shift(op))[1]
+
+
+def test_fourier_route_agrees_with_superlu_on_the_axisymmetric_sphere():
+    heff = _sphere_heff([0.0, 0.0, 1.0])
+    tol = 1e-10
+    route = lowest_eigenpairs(heff, 6, tol=tol)
+    lu = lowest_eigenpairs(_on_two_axes(heff), 6, tol=tol)
+    assert route.meta["factor"] == "fourier-band-cholesky(axis=phi, width=1)"
+    assert lu.meta["factor"].startswith("superlu(nnz=")
+    assert np.max(np.abs(route.values - lu.values) / np.abs(lu.values)) <= 1e-10
+    h_max = gershgorin_bounds(heff.matrix)[1]
+    assert np.max(route.residuals) <= max(tol, ROUNDOFF_FACTOR * 2.0**-53 * h_max)
+
+
+def test_fourier_route_solves_a_real_operator_in_reals(small_torus):
+    import thinlayer.eigensolve as es
+
+    heff = assemble_effective(small_torus)  # no field: real
+    assert not heff.is_complex
+    solve, label, _ = es._factor(heff, es._certified_shift(heff))
+    assert label.startswith("fourier-band-cholesky(axis=phi, width=")
+    b = np.random.default_rng(0).standard_normal((heff.n_dof, 2))
+    assert np.isrealobj(solve(b[:, 0])) and np.isrealobj(solve(b))
+    route = lowest_eigenpairs(heff, 6)
+    lu = lowest_eigenpairs(_on_two_axes(heff), 6)
+    assert np.isrealobj(route.vectors)
+    assert np.max(np.abs(route.values - lu.values)) < 1e-10
+
+
+def test_fourier_route_resolvent_on_a_magnetic_torus_layer(small_torus):
+    op = _torus_layer(small_torus, 0.05)
+    assert op.is_complex and _factor_label(op).startswith("fourier-band-cholesky(axis=phi,")
+    lam_min = lowest_eigenpairs(op, 1).values[0]
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(op.n_dof) + 1j * rng.standard_normal(op.n_dof)
+    x_route = resolvent(op, 2.0, lam_min)(v)
+    x_lu = resolvent(_on_two_axes(op), 2.0, lam_min)(v)
+    assert np.linalg.norm(x_route - x_lu) <= RESOLVENT_RTOL * np.linalg.norm(x_lu)
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_fourier_route_finds_the_partner_that_lanczos_misses(zero_field_shell, seed):
+    # the cut of the 12 lowest pairs of the real shell splits a degenerate
+    # pair (modes m and -m); at these seeds Lanczos returns one vector of it,
+    # through SuperLU as well, and the shifted vectors supply the other
+    op, lu_values = zero_field_shell
+    spec = lowest_eigenpairs(dataclasses.replace(op, surface_block=None), 12, seed=seed)
+    assert spec.meta["factor"].startswith("fourier-band-cholesky(axis=phi,")
+    assert spec.values[11] - spec.values[10] < 1e-9  # the cut pair is whole
+    assert np.max(np.abs(spec.values - lu_values)) < 1e-9
+    # the partner's residual is its found vector's over |sin(2 pi m / n)|
+    assert np.all(spec.residuals <= 100 * spec.meta["tol"] * np.maximum(1.0, spec.values))
+    gram = spec.vectors.T @ spec.vectors
+    assert np.max(np.abs(gram - np.eye(12))) < 1e-12
+
+
+def _edited(op, delta):
+    # one off-diagonal pair outside the axis-index-0 slice and the coupling
+    # along the axis moved by delta, or removed when delta is None; Hermitian
+    H = op.matrix.tolil()
+    i = op.n_dof // 3
+    j = H.rows[i][-1]
+    for a, b in ((i, j), (j, i)):
+        H[a, b] = 0.0 if delta is None else H[a, b] + delta
+    H = sp.csr_array(H.tocsr())
+    H.eliminate_zeros()
+    return dataclasses.replace(op, matrix=H)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["tilted field", "non-periodic chart", "one entry perturbed", "one entry removed"],
+)
+def test_fourier_route_declines_an_operator_without_the_symmetry(case):
+    if case == "tilted field":
+        op = _sphere_heff([0.3, 0.0, 1.0])
+    elif case == "non-periodic chart":
+        params = {"lx": 1.0, "ly": 1.0, "amplitude": 0.1, "width": 0.2}
+        p = build_patch(GeometryFamily("bumped-plane", params), (24, 24))
+        op = assemble_effective(p, effective_field(constant_field(3, [0.0, 0.0, 1.0]), p))
+    else:
+        op = _sphere_heff([0.0, 0.0, 1.0])
+        delta = 1e-10 * np.max(np.abs(op.matrix.data)) if case == "one entry perturbed" else None
+        op = _edited(op, delta)
+    assert _factor_label(op).startswith("superlu(nnz=")
+
+
+def test_fourier_route_keeps_the_torus_sweep_resolvent_column(monkeypatch):
+    import thinlayer.eigensolve as es
+    from thinlayer.convergence import SweepSpec, run_sweep
+
+    spec = SweepSpec(
+        family=GeometryFamily("torus", {"major": 2.0, "minor": 0.5}),
+        grid=(24, 24),
+        field=constant_field(3, [0.0, 0.0, 1.0]),
+        epsilons=(0.1, 0.05),
+        m_u=5,
+        grid_doubling=False,
+    )
+    labels, real_factor = [], es._factor
+
+    def recording_factor(op, sigma):
+        factor = real_factor(op, sigma)
+        labels.append(factor[1])
+        return factor
+
+    monkeypatch.setattr(es, "_factor", recording_factor)
+    route = [r.resolvent for r in run_sweep(spec).rows]
+    assert labels and all(label.startswith("fourier-band-cholesky(") for label in labels)
+    monkeypatch.setattr(es, "_circulant_axis", lambda op: None)
+    labels.clear()
+    lu = [r.resolvent for r in run_sweep(spec).rows]
+    assert labels and all(label.startswith("superlu(nnz=") for label in labels)
+    assert np.all(np.isfinite(lu))
+    assert np.allclose(route, lu, rtol=1e-10, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

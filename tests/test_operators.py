@@ -516,6 +516,21 @@ def test_dof_map_indexing(circle_patch):
     assert any("transverse" in r for r in rec)
 
 
+@pytest.mark.parametrize(
+    "closures, names",
+    [(("periodic",), ("theta", "phi")), (("periodic", "periodic"), ("theta",))],
+)
+def test_dofmap_needs_one_closure_and_name_per_axis(closures, names):
+    from thinlayer.operators import DofMap
+
+    with pytest.raises(AssemblyError, match="one closure and one name per axis"):
+        DofMap((8, 16), 1, closures, names)
+    assert DofMap((8, 16), 1, ("periodic",) * 2, ("theta", "phi")).boundary_record() == [
+        "chart axis theta: periodic identification",
+        "chart axis phi: periodic identification",
+    ]
+
+
 def test_mixed_metric_stencil_exact_on_quadratics():
     # sheared flat chart: constant metric with a nonzero off-diagonal entry;
     # centered differences are exact on chart-quadratic functions, so the
