@@ -329,7 +329,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
 #: the columns of converge.csv: one line per sweep row, its numbers in the
 #: order of `SweepRow`'s fields, then its flags or why it was skipped
 _CONVERGE_COLUMNS = ("eps", "n", "lambda", "mu", "gap", "cluster_gap", "efunc_discrepancy",
-                    "transverse_leakage", "resolvent_diff", "disc_estimate", "overlap", "flags")
+                    "transverse_leakage", "resolvent_diff", "disc_estimate", "flags")
 
 
 def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
@@ -363,7 +363,7 @@ def cmd_converge(cfg: RunConfig, out: Path, args) -> int:
     rows = report.rows
     _write_csv(csv_path, _CONVERGE_COLUMNS, len(rows), [
         np.array([[r.eps, r.n, r.lam, r.mu, r.gap, r.cluster_gap, r.efunc, r.leakage,
-                   r.resolvent, r.disc_est, r.overlap] for r in rows]),
+                   r.resolvent, r.disc_est] for r in rows]),
         np.array([f"skipped:{r.reason}" if r.skipped else ";".join(r.flags) for r in rows]),
     ])
     _atomic_write(json_path, _json_dump(summary))

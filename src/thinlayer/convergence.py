@@ -61,8 +61,9 @@ class TransverseMode:
         return cls(m_u=m_u, u=u, h_u=h, chi=chi, chi_scaled=np.sqrt(h) * chi)
 
     def project_ground(self, vec: np.ndarray) -> np.ndarray:
-        """Ground-mode coefficients of a scaled product-grid vector."""
-        return vec.reshape(-1, self.m_u) @ self.chi_scaled
+        """Ground-mode coefficients of a scaled product-grid vector, or of
+        each column of a block of them."""
+        return np.moveaxis(vec.reshape((-1, self.m_u) + vec.shape[1:]), 1, -1) @ self.chi_scaled
 
     def embed(self, surf: np.ndarray) -> np.ndarray:
         """Surface vector, or block of column vectors, times the ground
@@ -76,8 +77,9 @@ class TransverseMode:
     def apply_q(self, vec: np.ndarray) -> np.ndarray:
         return vec - self.apply_p1(vec)
 
-    def leakage(self, vec: np.ndarray) -> float:
-        return float(np.linalg.norm(self.apply_q(vec)))
+    def leakage(self, block: np.ndarray) -> float:
+        """Spectral norm of Q times a block of column vectors."""
+        return float(np.linalg.norm(self.apply_q(block), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,6 @@ class SweepRow:
     leakage: float = np.nan
     resolvent: float = np.nan
     disc_est: float = np.nan
-    overlap: float = np.nan
     flags: list = field(default_factory=list)
     skipped: bool = False
     reason: str = ""
@@ -287,62 +288,55 @@ class ConvergenceReport:
         }
 
 
-def _match_pairs(overlaps, eff_vals, full_vals, n_pairs):
-    """Greedy maximal-overlap matching with eigenvalue-proximity tie-breaks.
-
-    Returns (assignment, ambiguous): assignment[a] = full index for effective
-    index a < n_pairs; ambiguous lists effective indices whose two best
-    overlaps were within 1% of each other.
-    """
-    n_eff, n_full = overlaps.shape
-    taken = np.zeros(n_full, bool)
-    assignment = np.full(n_pairs, -1)
-    ambiguous = []
-    for a in range(n_pairs):
-        row = np.where(taken, -np.inf, overlaps[a])
-        order = np.argsort(row)[::-1]
-        best, second = order[0], (order[1] if n_full > 1 else order[0])
-        if (
-            n_full > 1
-            and row[best] > 0
-            and (row[best] - row[second]) <= 0.01 * row[best]
-        ):
-            ambiguous.append(a)
-            cand = [best, second]
-            best = min(cand, key=lambda b: abs(full_vals[b] - eff_vals[a]))
-        assignment[a] = best
-        taken[best] = True
-    return assignment, ambiguous
-
-
 def _solve_row(spec: SweepSpec, patch, eff_spec, eps):
-    """Renormalized layer operator at one width on a patch, its lowest
-    eigenpairs and their matching to the effective eigenpairs eff_spec.
+    """Renormalized layer operator at one width on a patch, as many of its
+    lowest eigenpairs as eff_spec holds, and the effective clusters that hold
+    a row.
 
-    Returns (hren, full_spec, overlaps, assignment, ambiguous, cluster_gap);
-    cluster_gap[a] (a < n_pairs) is the distance from mu_a to the mean of the
-    layer eigenvalues matched to mu_a's degenerate cluster.
+    Eigenpairs are matched by position: each effective degenerate cluster
+    (`cluster_indices`) takes the layer eigenpairs in the same positions.
+    Returns (hren, full_spec, clusters, cluster_gap); cluster_gap[a]
+    (a < n_pairs) is the distance from mu_a to the mean of the layer
+    eigenvalues in its cluster's positions.
     """
     layer = layer_geometry(patch, eps, spec.m_u)
     pot = layer_potential(spec.field, layer)
     hren = renormalize(assemble_full(layer, pot, spec.electric))
-    full_solve = min(eff_spec.n_pairs + 3, hren.n_dof)
-    full_spec = lowest_eigenpairs(hren, full_solve, tol=spec.tol, seed=spec.seed,
+    full_spec = lowest_eigenpairs(hren, eff_spec.n_pairs, tol=spec.tol, seed=spec.seed,
                                   dense_cutoff=spec.dense_cutoff)
-    emb = TransverseMode.from_count(spec.m_u).embed(eff_spec.vectors)
-    overlaps = np.abs(emb.conj().T @ full_spec.vectors)
-    assignment, ambiguous = _match_pairs(
-        overlaps, eff_spec.values, full_spec.values, spec.n_pairs
-    )
+    clusters = [cl for cl in cluster_indices(eff_spec.values) if cl[0] < spec.n_pairs]
     cluster_gap = np.full(spec.n_pairs, np.nan)
-    for cl in cluster_indices(eff_spec.values):
-        members = [a for a in cl if a < spec.n_pairs]
-        if not members:
-            continue
-        lam_mean = float(np.mean([full_spec.values[assignment[a]] for a in members]))
-        for a in members:
+    for cl in clusters:
+        lam_mean = float(np.mean(full_spec.values[cl]))
+        for a in range(cl[0], min(cl[-1] + 1, spec.n_pairs)):
             cluster_gap[a] = abs(lam_mean - eff_spec.values[a])
-    return hren, full_spec, overlaps, assignment, ambiguous, cluster_gap
+    return hren, full_spec, clusters, cluster_gap
+
+
+def _cluster_discrepancy(E, Y) -> float:
+    """min over unitary U of |E - Y U|_2 for orthonormal column blocks E and
+    Y, which is 2 sin(theta_max / 2) for their largest principal angle.
+
+    The polar factor U of Y^H E attains the minimum. The difference keeps
+    full precision at small angles, where sqrt(2 (1 - cos theta_max)) loses
+    half the digits to round-off.
+    """
+    W, _, Vh = np.linalg.svd(Y.conj().T @ E)
+    return float(np.linalg.norm(E - Y @ (W @ Vh), 2))
+
+
+def _cluster_mismatch(mu, lam, cl) -> bool:
+    """Whether the layer eigenvalues lam in the positions of the effective
+    cluster cl of mu may belong to another cluster: cl reaches the last
+    solved value, so it may be cut, or a layer value has moved half the way
+    to a neighbouring cluster, so the order may have swapped or the
+    eigensolver may have missed a partner."""
+    if cl[-1] == mu.size - 1:
+        return True
+    sep = mu[cl[-1] + 1] - mu[cl[-1]]
+    if cl[0] > 0:
+        sep = min(sep, mu[cl[0]] - mu[cl[0] - 1])
+    return 2.0 * float(np.max(np.abs(lam[cl] - mu[cl]))) >= sep
 
 
 def _effective_pairs(spec: SweepSpec, patch):
@@ -402,9 +396,7 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
                 SweepRow(eps=eps, n=n + 1, skipped=True, reason=emb.reason or "embedding")
                 for n in range(spec.n_pairs)
             ], None
-        hren, full_spec, overlaps, assignment, ambiguous, cluster_gap = _solve_row(
-            spec, patch, eff_spec, eps
-        )
+        hren, full_spec, clusters, cluster_gap = _solve_row(spec, patch, eff_spec, eps)
         hren_resolvent = resolvent(hren, k, full_spec.values[0])
 
         def mv(v):
@@ -428,35 +420,35 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
 
         gap_floor = max(1e-10, 100.0 * spec.tol)
         rows = []
-        for a in range(spec.n_pairs):
-            b = assignment[a]
-            ov = float(overlaps[a, b])
-            gap = abs(full_spec.values[b] - eff_spec.values[a])
-            flags = []
-            if a in ambiguous:
-                flags.append("matching-ambiguity")
-            if (
-                np.isfinite(disc[a])
-                and cluster_gap[a] > gap_floor
-                and disc[a] > 0.2 * cluster_gap[a]
-            ):
-                flags.append("discretization")
-            rows.append(
-                SweepRow(
-                    eps=eps,
-                    n=a + 1,
-                    lam=float(full_spec.values[b]),
-                    mu=float(eff_spec.values[a]),
-                    gap=float(gap),
-                    cluster_gap=float(cluster_gap[a]),
-                    efunc=float(np.sqrt(max(0.0, 2.0 * (1.0 - ov)))),
-                    leakage=mode.leakage(full_spec.vectors[:, b]),
-                    resolvent=float(res_norm),
-                    disc_est=float(disc[a]) if np.isfinite(disc[a]) else np.nan,
-                    overlap=ov,
-                    flags=flags,
+        for cl in clusters:
+            Y = full_spec.vectors[:, cl]
+            efunc = _cluster_discrepancy(mode.embed(eff_spec.vectors[:, cl]), Y)
+            leakage = mode.leakage(Y)
+            mismatch = _cluster_mismatch(eff_spec.values, full_spec.values, cl)
+            for a in range(cl[0], min(cl[-1] + 1, spec.n_pairs)):
+                flags = ["cluster-match"] if mismatch else []
+                if (
+                    np.isfinite(disc[a])
+                    and cluster_gap[a] > gap_floor
+                    and disc[a] > 0.2 * cluster_gap[a]
+                ):
+                    flags.append("discretization")
+                lam, mu = float(full_spec.values[a]), float(eff_spec.values[a])
+                rows.append(
+                    SweepRow(
+                        eps=eps,
+                        n=a + 1,
+                        lam=lam,
+                        mu=mu,
+                        gap=abs(lam - mu),
+                        cluster_gap=float(cluster_gap[a]),
+                        efunc=efunc,
+                        leakage=leakage,
+                        resolvent=float(res_norm),
+                        disc_est=float(disc[a]) if np.isfinite(disc[a]) else np.nan,
+                        flags=flags,
+                    )
                 )
-            )
         return rows, None if failure is None else {"eps": eps, "reason": failure}
 
     with ThreadPoolExecutor(max_workers=spec.threads) as pool:

@@ -68,7 +68,7 @@ rules that applies (George & Liu 1981):
     S + d_j I take the same LU.
 
 scipy's band LAPACK wrappers hold the GIL while they run, so threaded sweep
-rows overlap less on the band rules than under SuperLU. A band Cholesky that
+rows run less in parallel on the band rules than under SuperLU. A band Cholesky that
 meets a nonpositive pivot raises SolverError, as does a SuperLU that meets a
 zero one.
 """
@@ -184,7 +184,8 @@ def _band_cholesky(A):
     """Solve with the Hermitian positive definite A by a band Cholesky in a
     reverse Cuthill-McKee order, and the band's width (superdiagonals)."""
     # imported here: scipy.sparse.csgraph (5 ms) is not on the import path of
-    # the commands that never factor a one-axis operator
+    # the commands that never factor a one-axis operator or take the Fourier
+    # route
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)

@@ -874,7 +874,7 @@ def check_embedding(patch: HypersurfacePatch, eps: float) -> EmbeddingReport:
         clearance=float(clearance),
         margin=margin,
         offending_pair=pair,
-        reason="" if ok else "sampled layer points of chart-distant nodes overlap",
+        reason="" if ok else "sampled layer points of chart-distant nodes lie within the margin",
     )
 
 

@@ -115,7 +115,7 @@ def test_criterion_4_eigenfunction_convergence(circle_sweep_report):
     assert fit.slope >= 0.9
     _report(
         4,
-        f"phase-minimized eigenfunction discrepancies decreasing, "
+        f"eigenfunction discrepancies, unitary-minimized per cluster, decreasing, "
         f"slope {fit.slope:.3f} >= 0.9",
     )
 

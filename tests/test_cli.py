@@ -768,22 +768,27 @@ def test_converge_csv_roundtrips_at_full_precision(tmp_path):
     assert rc == 0
     import thinlayer
 
-    report = thinlayer.run_sweep(
-        thinlayer.SweepSpec(
-            family=thinlayer.GeometryFamily("circle", {"radius": 1.0}),
-            grid=(64,),
-            field=thinlayer.zero_field(2),
-            epsilons=(0.2, 0.1, 0.05),
-            m_u=9,
-            n_pairs=1,
-            grid_doubling=False,
+    with cli._one_blas_thread():  # the BLAS thread count the CLI runs with
+        report = thinlayer.run_sweep(
+            thinlayer.SweepSpec(
+                family=thinlayer.GeometryFamily("circle", {"radius": 1.0}),
+                grid=(64,),
+                field=thinlayer.zero_field(2),
+                epsilons=(0.2, 0.1, 0.05),
+                m_u=9,
+                n_pairs=1,
+                grid_doubling=False,
+            )
         )
-    )
-    lines = (tmp_path / "converge.csv").read_text().strip().splitlines()[1:]
-    for line, row in zip(lines, report.rows):
-        parts = line.split(",")
-        assert float(parts[2]) == row.lam  # 17 significant digits round-trip
-        assert float(parts[4]) == row.gap
+    header, cols = _csv_columns(tmp_path / "converge.csv")
+    assert header == list(cli._CONVERGE_COLUMNS)
+    fields = ("eps", "n", "lam", "mu", "gap", "cluster_gap", "efunc", "leakage",
+              "resolvent", "disc_est")
+    assert len(fields) == len(header) - 1  # every column but the flags
+    for k, name in enumerate(fields):
+        source = [getattr(row, name) for row in report.rows]
+        assert _same_bits(cols[k], source), header[k]  # 17 significant digits
+    assert cols[-1] == ("",) * len(report.rows)
 
 
 def test_converge_under_resolved_grid_exits_four(tmp_path):

@@ -338,19 +338,6 @@ def test_failed_doubled_grid_effective_solve_is_recorded_for_every_row(monkeypat
     ]
 
 
-def test_match_pairs_near_tie_goes_to_the_closer_eigenvalue():
-    from thinlayer.convergence import _match_pairs
-
-    overlaps = np.array([[0.5, 0.498, 0.1], [0.2, 0.9, 0.3]])
-    assignment, ambiguous = _match_pairs(
-        overlaps, np.array([1.0, 2.1]), np.array([1.3, 1.01, 2.0]), 2
-    )
-    # effective 0: overlaps 0.5 and 0.498 are within 1%, and full 1 lies
-    # closer to its eigenvalue; effective 1 then takes full 2 outright
-    assert ambiguous == [0]
-    assert list(assignment) == [1, 2]
-
-
 def test_doubled_grid_effective_solve_runs_once(monkeypatch):
     import thinlayer.convergence as conv
 
@@ -450,20 +437,96 @@ def test_sandwich_reasserted_across_sweep_widths(circle_patch):
         assert np.max(vl - vm) <= 1e-10 and np.max(vm - vh) <= 1e-10
 
 
-def test_discrepancy_is_phase_invariant():
-    # the reported discrepancy equals the minimum over relative phases
+@pytest.mark.parametrize("scale", [5e-2, 1e-7])
+def test_cluster_discrepancy_is_rotation_invariant_and_the_largest_angle(scale):
+    # inside a degenerate cluster each solver returns an arbitrary orthonormal
+    # basis; the discrepancy of a 2-vector cluster must not see it, and at a
+    # small angle it must keep its digits
+    from scipy.linalg import subspace_angles
+
+    from thinlayer.convergence import _cluster_discrepancy
+
     rng = np.random.default_rng(4)
-    a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    a /= np.linalg.norm(a)
-    b = a + 0.05 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
-    b /= np.linalg.norm(b)
-    reported = np.sqrt(max(0.0, 2.0 * (1.0 - abs(np.vdot(a, b)))))
-    phases = np.exp(1j * np.linspace(0, 2 * np.pi, 720, endpoint=False))
-    brute = min(np.linalg.norm(a - ph * b) for ph in phases)
-    assert reported == pytest.approx(brute, abs=1e-4)
-    for ph in (1j, -1.0, np.exp(0.3j)):
-        shifted = np.sqrt(max(0.0, 2.0 * (1.0 - abs(np.vdot(a, ph * b)))))
-        assert shifted == pytest.approx(reported, abs=1e-14)
+
+    def orthonormal(a):
+        return np.linalg.qr(a)[0]
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    E = orthonormal(gaussian(40, 2))
+    Y = orthonormal(E + scale * gaussian(40, 2))
+    reported = _cluster_discrepancy(E, Y)
+    rotated = _cluster_discrepancy(E, Y @ orthonormal(gaussian(2, 2)))
+    assert abs(rotated - reported) <= 1e-14
+    theta_max = float(np.max(subspace_angles(E, Y)))
+    assert reported == pytest.approx(2.0 * np.sin(theta_max / 2.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("b, doublet", [(0.0, (2, 3)), (1.0, (1, 2))])
+def test_circle_doublet_efunc_converges_and_ignores_the_seed(b, doublet):
+    # B = 0: the doublet above the ground state; B = 1 (half a flux quantum
+    # through the unit circle): the ground doublet
+    eps = (0.1, 0.05, 0.025, 0.0125)
+    efunc = {}
+    for seed in (1, 2):
+        report = run_sweep(SweepSpec(
+            family=GeometryFamily("circle", {"radius": 1.0}),
+            grid=(256,),
+            field=zero_field(2) if b == 0.0 else constant_field(2, b),
+            epsilons=eps,
+            m_u=17,
+            n_pairs=3,
+            tol=1e-12,
+            seed=seed,
+            grid_doubling=False,
+        ))
+        assert sweep_acceptance(report) == (True, [])
+        rows = {n: [r.efunc for r in report.rows if r.n == n] for n in doublet}
+        assert rows[doublet[0]] == rows[doublet[1]]  # one value per cluster
+        efunc[seed] = np.array(rows[doublet[0]])
+    assert fit_rate(eps, efunc[1]).slope >= 2.0
+    np.testing.assert_allclose(efunc[1], efunc[2], rtol=0, atol=1e-10)
+
+
+def test_missed_cluster_partner_flags_the_row(monkeypatch):
+    # a Lanczos run that misses one partner of a doublet returns the next
+    # level in its place; position matching must not trust that row
+    import thinlayer.convergence as conv
+    from thinlayer import Spectrum
+
+    real_solve = conv.lowest_eigenpairs
+
+    def missing_partner(op, n_pairs, **kwargs):
+        if op.eps != 0.1:
+            return real_solve(op, n_pairs, **kwargs)
+        spec = real_solve(op, n_pairs + 1, **kwargs)
+        keep = [0] + list(range(2, n_pairs + 1))
+        return Spectrum(spec.values[keep], spec.vectors[:, keep], spec.residuals[keep])
+
+    monkeypatch.setattr(conv, "lowest_eigenpairs", missing_partner)
+    eps = (0.2, 0.1, 0.05, 0.025)
+    report = run_sweep(SweepSpec(
+        family=GeometryFamily("circle", {"radius": 1.0}),
+        grid=(96,),
+        field=constant_field(2, 1.0),  # half a flux quantum: a ground doublet
+        epsilons=eps,
+        m_u=9,
+        n_pairs=1,
+        grid_doubling=False,
+    ))
+    assert [(r.eps, r.flags) for r in report.rows] == [
+        (0.2, []), (0.1, ["cluster-match"]), (0.05, []), (0.025, [])
+    ]
+    for name in ("cluster_gap", "efunc", "leakage", "resolvent"):
+        assert list(report.observable_values(name)[0]) == [0.2, 0.05, 0.025]
+        assert report.fits[name].n_used == 3
+    ok, problems = sweep_acceptance(report)
+    assert not ok and "1 flagged or skipped rows" in problems
+    # a cluster that reaches the last solved value may be cut
+    mu = np.array([0.0, 1.0, 1.0])
+    assert conv._cluster_mismatch(mu, mu, [1, 2])
+    assert not conv._cluster_mismatch(mu, mu, [0])
 
 
 def test_torus_sweep_end_to_end():
