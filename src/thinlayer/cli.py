@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import json
 import logging
 import os
 import sys
@@ -156,8 +157,6 @@ def _finite_or_null(obj):
 def _json_dump(obj) -> str:
     """Strict JSON: a non-finite float is written as null, never as NaN or
     Infinity."""
-    import json
-
     obj = _finite_or_null(obj)
     return json.dumps(obj, indent=1, sort_keys=True, default=float, allow_nan=False) + "\n"
 

@@ -376,7 +376,9 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     k = max(1.0, 2.0 * abs(float(np.min(pots0.veff))) + 1.0 + consts0.offset)
 
     # everything the rows share is built here, before the rows run, and only
-    # read afterwards
+    # read afterwards; below the round-off floor a gap or an observable is
+    # zero to the solver's accuracy
+    roundoff_floor = max(1e-10, 100.0 * spec.tol)
     heff_resolvent = resolvent(heff, k, eff_spec.values[0])
     patch_fine = eff_spec_fine = fine_failure = None
     if spec.grid_doubling and spec.family.kind != "user-sampled":
@@ -418,7 +420,6 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
             except ThinLayerError as exc:
                 failure = _failure(exc)
 
-        gap_floor = max(1e-10, 100.0 * spec.tol)
         rows = []
         for cl in clusters:
             Y = full_spec.vectors[:, cl]
@@ -429,7 +430,7 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
                 flags = ["cluster-match"] if mismatch else []
                 if (
                     np.isfinite(disc[a])
-                    and cluster_gap[a] > gap_floor
+                    and cluster_gap[a] > roundoff_floor
                     and disc[a] > 0.2 * cluster_gap[a]
                 ):
                     flags.append("discretization")
@@ -477,14 +478,13 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
         meta["disc_estimate_failures"] = disc_failures
     report = ConvergenceReport(rows=rows, fits={}, k=k, meta=meta)
 
-    scalar_tol = max(1e-10, 100.0 * spec.tol)
     # eigenfunction-type observables sit at the square root of round-off when
     # the discrete operators coincide (norms of nearly identical unit vectors)
     exact_tols = {
-        "cluster_gap": scalar_tol,
-        "efunc": max(1e-7, np.sqrt(scalar_tol)),
-        "leakage": max(1e-7, np.sqrt(scalar_tol)),
-        "resolvent": scalar_tol,
+        "cluster_gap": roundoff_floor,
+        "efunc": max(1e-7, np.sqrt(roundoff_floor)),
+        "leakage": max(1e-7, np.sqrt(roundoff_floor)),
+        "resolvent": roundoff_floor,
     }
     for name in ("cluster_gap", "efunc", "leakage", "resolvent"):
         eps_v, vals = report.observable_values(name)

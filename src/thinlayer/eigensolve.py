@@ -49,16 +49,17 @@ rules that applies (George & Liu 1981):
     circle layer (8,704 dofs), where it factors in 15-25 ms against
     SuperLU's 70-80 ms, solves in 0.7 ms against 1.7 ms, and stores 0.6M
     entries against 1.04M (one BLAS thread);
-  * an operator shift-invariant along a periodic chart axis, to within
-    ROUNDOFF_FACTOR * u * max|H| (a surface of revolution in an axial field):
-    the Fourier route. A DFT along that axis splits H - sigma into one block
-    per Fourier mode (fast diagonalization, Buzbee, Golub & Nielson 1970),
-    and a band Cholesky factors the block-diagonal matrix. On the 200x400
-    sphere h_eff (80,000 dofs) it factors in 67-86 ms against SuperLU's
-    1.38-1.71 s (13.0M entries), with band width 1, and solves in 3.5-3.9
-    ms against 40-45 ms (one BLAS thread). An axis whose diagonal or
-    axis-neighbour coupling does not repeat is declined before any entry is
-    compared;
+  * an operator shift-invariant along a periodic chart axis (a surface of
+    revolution in an axial field): the Fourier route. The rows of the dofs
+    at axis index 0 form a slice; the route applies when H equals the
+    matrix that repeats that slice at every node of the axis to within
+    ROUNDOFF_FACTOR * u * max|H| in every entry. A DFT along that axis
+    splits H - sigma into one block per Fourier mode (fast diagonalization,
+    Buzbee, Golub & Nielson 1970), and a band Cholesky factors the
+    block-diagonal matrix. On the 200x400 sphere h_eff (80,000 dofs) it
+    factors in 67-86 ms against SuperLU's 1.38-1.71 s (13.0M entries), with
+    band width 1, and solves in 3.5-3.9 ms against 40-45 ms (one BLAS
+    thread);
   * any other (2-D operators in a field that breaks the symmetry): SuperLU
     in its symmetric mode, a minimum-degree order on A + A^H with diagonal
     pivots. Without pivoting the factorization of an HPD matrix is stable,
@@ -112,7 +113,8 @@ warnings.filterwarnings(
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues with scaled-orthonormal eigenvectors."""
+    """Ascending eigenvalues with scaled-orthonormal eigenvectors; on every
+    path, lowest_eigenpairs fills residuals and meta's tol and seed."""
 
     values: np.ndarray  # (N,) real, ascending
     vectors: np.ndarray  # (n, N), orthonormal in the scaled inner product
@@ -152,17 +154,10 @@ def _residuals(matrix, values, vectors):
     return np.linalg.norm(r, axis=0)
 
 
-def _dense_pairs(op, n_pairs, tol, seed):
-    H = op.matrix.toarray()
-    vals, vecs = sla.eigh(H)
-    vals = vals[:n_pairs]
-    vecs = vecs[:, :n_pairs]
-    return Spectrum(
-        values=np.asarray(vals, float),
-        vectors=vecs,
-        residuals=_residuals(op.matrix, np.asarray(vals, float), vecs),
-        meta={"method": "dense", "tol": tol, "shift": None, "seed": seed},
-    )
+def _dense_pairs(op, n_pairs):
+    vals, vecs = sla.eigh(op.matrix.toarray())
+    work = {"method": "dense", "shift": None}
+    return np.asarray(vals[:n_pairs], float), vecs[:, :n_pairs], work
 
 
 def _shifted(A, sigma):
@@ -210,14 +205,11 @@ def _circulant_axis(op):
     (axis, (pre, n, post), slice), or None.
 
     Dofs are split as (pre, n, post) around the axis of n nodes; the off-axis
-    index of a dof is its pre * post position. H is shift-invariant when every
-    entry equals the entry of the axis-index-0 slice with the same off-axis
-    row and column and the same axis offset d = t_col - t_row mod n, to within
-    ROUNDOFF_FACTOR * u * max|H|; slice holds those entries as (off-axis row,
-    off-axis column, d, value). An axis is declined before any entry is
-    matched when the diagonal or the coupling to the next node along the axis
-    does not repeat: a field enters only through the link phases, so the
-    diagonal alone does not see a field that breaks the symmetry.
+    index of a dof is its pre * post position. slice holds the rows of the
+    axis-index-0 dofs as (off-axis row, off-axis column, axis offset d,
+    value). H is shift-invariant when it equals, to within ROUNDOFF_FACTOR *
+    u * max|H| in every entry, the matrix that repeats slice at every node
+    of the axis, the one the Fourier route factors.
     """
     dof, H = op.dofmap, op.matrix
     tol = ROUNDOFF_FACTOR * 2.0**-53 * np.max(np.abs(H.data), initial=0.0)
@@ -226,37 +218,21 @@ def _circulant_axis(op):
         if closure != PERIODIC:
             continue
         pre, n, post = int(np.prod(sizes[:axis])), sizes[axis], int(np.prod(sizes[axis + 1:]))
-        nodes = np.arange(op.n_dof).reshape(pre, n, post)
-        # the diagonal and the coupling to the next node along the axis
-        near = H[
-            np.concatenate([nodes, nodes]).ravel(),
-            np.concatenate([nodes, np.roll(nodes, -1, axis=1)]).ravel(),
-        ].reshape(2 * pre, n, post)
-        if np.max(np.abs(near - near[:, :1])) > tol:
-            continue
-        # each dof's axis index and off-axis index
-        t_of = np.broadcast_to(np.arange(n)[:, None], nodes.shape).ravel()
-        off_of = np.broadcast_to(np.arange(pre * post).reshape(pre, 1, post), nodes.shape).ravel()
-        C = H.tocoo()
-        t_row = t_of[C.row]
-        offset = t_of[C.col] - t_row
-        offset[offset < 0] += n
-        row, col = off_of[C.row], off_of[C.col]
-        key = (row * (pre * post) + col) * n + offset
-        first = np.flatnonzero(t_row == 0)
-        if first.size == 0:
-            continue
-        order = first[np.argsort(key[first])]
-        keys, values = key[order], C.data[order]
-        at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-        found = keys[at] == key
-        # every slice entry recurs in each of the n slices, and every entry
-        # matches its slice entry (an entry with no slice entry matches 0)
-        if np.count_nonzero(found) < n * keys.size or np.max(
-            np.abs(C.data - np.where(found, values[at], 0.0))
-        ) > tol:
-            continue
-        return axis, (pre, n, post), (row[order], col[order], offset[order], values)
+        shape = (pre, n, post)
+        # the dof at each (axis index, off-axis index)
+        dofs = np.arange(op.n_dof).reshape(shape).transpose(1, 0, 2).reshape(n, pre * post)
+        first = H[dofs[0]].tocoo()
+        p, d, q = np.unravel_index(first.col, shape)
+        row, col = first.row, p * post + q
+        order = np.argsort((row * (pre * post) + col) * n + d)
+        row, col, d, values = row[order], col[order], d[order], first.data[order]
+        t = np.arange(n)[:, None]
+        repeated = sp.csr_array(
+            (np.tile(values, n), (dofs[t, row].ravel(), dofs[(t + d) % n, col].ravel())),
+            shape=H.shape,
+        )
+        if np.max(np.abs((H - repeated).data), initial=0.0) <= tol:
+            return axis, shape, (row, col, d, values)
     return None
 
 
@@ -425,21 +401,14 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
             f"{iterations} iterations (largest residual {np.max(residuals):.3e})",
             residuals=residuals,
         )
-    return Spectrum(
-        values=vals,
-        vectors=X,
-        residuals=residuals,
-        meta={
-            "method": "lobpcg",
-            "shift": sigma,
-            "tol": tol,
-            "seed": seed,
-            "iterations": iterations,
-            "block_size": n_pairs,
-            "residual_target": target,
-            "surface_lus": surface_lus,
-        },
-    )
+    return vals, X, {
+        "method": "lobpcg",
+        "shift": sigma,
+        "iterations": iterations,
+        "block_size": n_pairs,
+        "residual_target": target,
+        "surface_lus": surface_lus,
+    }
 
 
 def _partner_basis(vecs, shape):
@@ -507,18 +476,7 @@ def _shift_invert_pairs(op, n_pairs, tol, seed, ncv):
         # the sphere-heff residuals from 1.8e-9 to 6.5e-8
         vals, y = np.linalg.eigh(basis.conj().T @ (A @ basis))
         vals, vecs = vals[:n_pairs], basis @ y[:, :n_pairs]
-    return Spectrum(
-        values=vals,
-        vectors=vecs,
-        residuals=_residuals(op.matrix, vals, vecs),
-        meta={
-            "method": "shift-invert-lanczos",
-            "shift": sigma,
-            "tol": tol,
-            "seed": seed,
-            "factor": factor,
-        },
-    )
+    return vals, vecs, {"method": "shift-invert-lanczos", "shift": sigma, "factor": factor}
 
 
 def lowest_eigenpairs(
@@ -539,10 +497,13 @@ def lowest_eigenpairs(
     # block of at most n/5 columns
     ncv = max(40, 4 * n_pairs + 1)
     if n <= (dense_cutoff or 0) or ncv >= n - 1 or (lobpcg and 5 * n_pairs > n):
-        return _dense_pairs(op, n_pairs, tol, seed)
-    if lobpcg:
-        return _lobpcg_pairs(op, n_pairs, tol, seed)
-    return _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
+        vals, vecs, work = _dense_pairs(op, n_pairs)
+    elif lobpcg:
+        vals, vecs, work = _lobpcg_pairs(op, n_pairs, tol, seed)
+    else:
+        vals, vecs, work = _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
+    meta = {"tol": tol, "seed": seed, **work}
+    return Spectrum(vals, vecs, _residuals(op.matrix, vals, vecs), meta)
 
 
 def resolvent(op: AssembledOperator, k: float, lambda_min: float):

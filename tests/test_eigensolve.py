@@ -646,9 +646,19 @@ def _edited(op, delta):
     return dataclasses.replace(op, matrix=H)
 
 
+def _symmetry_tolerance(op):
+    return ROUNDOFF_FACTOR * 2.0**-53 * np.max(np.abs(op.matrix.data))
+
+
 @pytest.mark.parametrize(
     "case",
-    ["tilted field", "non-periodic chart", "one entry perturbed", "one entry removed"],
+    [
+        "tilted field",
+        "non-periodic chart",
+        "one entry perturbed",
+        "one entry removed",
+        "one entry moved by 4 tolerances",
+    ],
 )
 def test_fourier_route_declines_an_operator_without_the_symmetry(case):
     if case == "tilted field":
@@ -659,9 +669,21 @@ def test_fourier_route_declines_an_operator_without_the_symmetry(case):
         op = assemble_effective(p, effective_field(constant_field(3, [0.0, 0.0, 1.0]), p))
     else:
         op = _sphere_heff([0.0, 0.0, 1.0])
-        delta = 1e-10 * np.max(np.abs(op.matrix.data)) if case == "one entry perturbed" else None
+        delta = {
+            "one entry perturbed": 1e-10 * np.max(np.abs(op.matrix.data)),
+            "one entry removed": None,
+            "one entry moved by 4 tolerances": 4.0 * _symmetry_tolerance(op),
+        }[case]
         op = _edited(op, delta)
     assert _factor_label(op).startswith("superlu(nnz=")
+
+
+def test_fourier_route_accepts_an_entry_moved_within_its_tolerance():
+    # every entry is bound against the slice at axis index 0 to within
+    # ROUNDOFF_FACTOR * u * max|H|
+    op = _sphere_heff([0.0, 0.0, 1.0])
+    op = _edited(op, 0.5 * _symmetry_tolerance(op))
+    assert _factor_label(op).startswith("fourier-band-cholesky(axis=phi")
 
 
 def test_fourier_route_keeps_the_torus_sweep_resolvent_column(monkeypatch):
@@ -762,6 +784,25 @@ def test_dense_cutoff_is_set_per_call(segment_patch):
     assert below.meta["method"] == "shift-invert-lanczos"
     for cutoff in (n, n + 1):
         assert lowest_eigenpairs(op, 2, dense_cutoff=cutoff).meta["method"] == "dense"
+
+
+@pytest.mark.parametrize("method", ["dense", "lobpcg", "shift-invert-lanczos"])
+def test_every_path_fills_one_spectrum_contract(small_torus, method):
+    if method == "lobpcg":
+        op = _torus_layer(small_torus, 0.05, m_u=3)
+    else:
+        field = effective_field(constant_field(3, [0.0, 0.0, 1.0]), small_torus)
+        op = assemble_effective(small_torus, field)
+    cutoff = op.n_dof if method == "dense" else None
+    spec = lowest_eigenpairs(op, 3, tol=1e-9, seed=7, dense_cutoff=cutoff)
+    assert spec.meta["method"] == method
+    assert spec.meta["tol"] == 1e-9 and spec.meta["seed"] == 7 and "shift" in spec.meta
+    recomputed = [
+        np.linalg.norm(op.matrix @ x - lam * x) for lam, x in zip(spec.values, spec.vectors.T)
+    ]
+    h_max = gershgorin_bounds(op.matrix)[1]
+    atol = ROUNDOFF_FACTOR * 2.0**-53 * h_max
+    np.testing.assert_allclose(spec.residuals, recomputed, rtol=1e-6, atol=atol)
 
 
 def test_dense_rule_on_a_2d_chart(small_torus):
