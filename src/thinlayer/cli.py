@@ -271,7 +271,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     n_pairs = cfg.solver_opt("n_eigenpairs", 6)
     spectrum = lowest_eigenpairs(op, n_pairs, **_solver_args(cfg, args.seed))
     work = ("method", "factor", "shift", "iterations", "block_size",
-            "residual_target", "surface_lus")
+            "residual_target", "surface_lus", "blocks", "skipped")
     log.info(
         "eigensolve: %s max_residual=%.3e",
         " ".join(f"{key}={spectrum.meta.get(key)}" for key in work),

@@ -3,7 +3,7 @@
 A dense eigh runs only where no iteration can run or save work, on any chart:
 when ARPACK's Krylov basis would reach n - 1 vectors or a LOBPCG block exceed
 n/5. dense_cutoff asks for it by size per call; the CLI passes
-solver.dense_threshold. Otherwise, one of two iterations:
+solver.dense_threshold. Otherwise, the first of three paths that applies:
 
   * LOBPCG (Knyazev 2001) for layer operators on a 2-D chart (operators that
     carry the surface factor S of their decoupled comparison operator, whose
@@ -27,21 +27,34 @@ solver.dense_threshold. Otherwise, one of two iterations:
     near-degenerate cluster stalled. Every returned pair meets the residual
     target max(tol, ROUNDOFF_FACTOR * u * h_max), u the unit round-off and
     h_max the upper Gershgorin bound, or the solve raises SolverError;
+  * the Fourier blocks, for any other operator on a chart of two or more
+    axes that is shift-invariant along a periodic axis (the test of the
+    Fourier route below; a surface of revolution in an axial field): the
+    DFT along the axis splits H into one block per Fourier mode, and the
+    lowest pairs of H are the lowest pairs of the blocks (fast
+    diagonalization, Buzbee, Golub & Nielson 1970). Blocks are visited by
+    their Gershgorin lower bounds; a block whose Cholesky at the current
+    n_pairs-th value succeeds holds no wanted pair and is skipped, and the
+    others are solved directly (LAPACK's band eigensolver). No iteration
+    runs, so no seed enters and a degenerate pair of modes m and -m comes
+    back whole. On the 200x400 sphere h_eff (80,000 dofs, B = e_z) it
+    solves 5 of 400 blocks and skips 1, in 0.08-0.09 s against 0.49-0.51 s
+    for Lanczos on the Fourier route's factorization (one BLAS thread);
   * shift-invert Lanczos (ARPACK) with a factorization of H - sigma for
     everything else: layers over curves, where a factorization is cheaper,
-    surface operators, explicit matrices and operators with no surface
-    factor. On the Fourier route below, Lanczos can return one vector of a
-    degenerate pair of modes m and -m; the vectors shifted by one node
-    along the axis supply the missing partner, and Rayleigh-Ritz on both
-    gives the pairs.
+    surface operators without the symmetry, explicit matrices and operators
+    with no surface factor.
 
-Both use sigma = certified spectral floor - 1, built afresh for each call.
-resolvent(op, k, lambda_min) factors H + k once and returns the solve; the
-caller owns it, and nothing is stored on the operator.
+LOBPCG and shift-invert use sigma = certified spectral floor - 1, built
+afresh for each call. resolvent(op, k, lambda_min) factors H + k once and
+returns the solve; the caller owns it, and nothing is stored on the
+operator. lowest_eigenpairs and resolvent each run the symmetry test at
+most once per call.
 
-Both factor a Hermitian positive definite matrix (H - sigma >= I at the
-certified shift, H + k with -k below lambda_min), by the first of three
-rules that applies (George & Liu 1981):
+Shift-invert and resolvent factor a Hermitian positive definite matrix
+(H - sigma >= I at the certified shift, H + k with -k below lambda_min), by
+the first of three rules that applies (George & Liu 1981); shift-invert
+never meets the second, whose operators take the Fourier blocks:
 
   * one chart axis (curve layers, curve h_eff, explicit matrices): a band
     Cholesky in a reverse Cuthill-McKee order. The operator is a chain of
@@ -54,9 +67,8 @@ rules that applies (George & Liu 1981):
     at axis index 0 form a slice; the route applies when H equals the
     matrix that repeats that slice at every node of the axis to within
     ROUNDOFF_FACTOR * u * max|H| in every entry. A DFT along that axis
-    splits H - sigma into one block per Fourier mode (fast diagonalization,
-    Buzbee, Golub & Nielson 1970), and a band Cholesky factors the
-    block-diagonal matrix. On the 200x400 sphere h_eff (80,000 dofs) it
+    splits H - sigma into its Fourier blocks, and a band Cholesky factors
+    the block-diagonal matrix. On the 200x400 sphere h_eff (80,000 dofs) it
     factors in 67-86 ms against SuperLU's 1.38-1.71 s (13.0M entries), with
     band width 1, and solves in 3.5-3.9 ms against 40-45 ms (one BLAS
     thread);
@@ -175,15 +187,20 @@ def _superlu(A):
     )
 
 
-def _band_cholesky(A):
-    """Solve with the Hermitian positive definite A by a band Cholesky in a
-    reverse Cuthill-McKee order, and the band's width (superdiagonals)."""
+def _rcm(A):
+    """A reverse Cuthill-McKee order of the structurally symmetric A."""
     # imported here: scipy.sparse.csgraph (5 ms) is not on the import path of
     # the commands that never factor a one-axis operator or take the Fourier
     # route
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    return reverse_cuthill_mckee(A, symmetric_mode=True)
+
+
+def _upper_band(A, perm):
+    """The upper triangle of A, rows and columns in the order perm, in
+    LAPACK's band storage: row w + i - j of column j holds A[i, j], w the
+    band's width (superdiagonals)."""
     rank = np.argsort(perm)
     C = A.tocoo()
     rows, cols = rank[C.row], rank[C.col]
@@ -192,17 +209,27 @@ def _band_cholesky(A):
     width = int(np.max(cols - rows, initial=0))
     band = np.zeros((width + 1, A.shape[0]), dtype=A.dtype)
     band[width + rows - cols, cols] = C.data[upper]
+    return band
+
+
+def _band_cholesky(A):
+    """Solve with the Hermitian positive definite A by a band Cholesky in a
+    reverse Cuthill-McKee order, and the band's width (superdiagonals)."""
+    perm = _rcm(A)
+    rank = np.argsort(perm)
+    band = _upper_band(A, perm)
     factor = (sla.cholesky_banded(band, check_finite=False), False)
 
     def solve(b):
         return sla.cho_solve_banded(factor, b[perm], check_finite=False)[rank]
 
-    return solve, width
+    return solve, band.shape[0] - 1
 
 
 def _circulant_axis(op):
     """The first periodic chart axis along which H is shift-invariant, as
-    (axis, (pre, n, post), slice), or None.
+    (axis, (pre, n, post), slice), or None; None on a one-axis chart, which
+    the band Cholesky takes whatever its symmetry.
 
     Dofs are split as (pre, n, post) around the axis of n nodes; the off-axis
     index of a dof is its pre * post position. slice holds the rows of the
@@ -212,6 +239,8 @@ def _circulant_axis(op):
     of the axis, the one the Fourier route factors.
     """
     dof, H = op.dofmap, op.matrix
+    if len(dof.grid_shape) == 1:
+        return None
     tol = ROUNDOFF_FACTOR * 2.0**-53 * np.max(np.abs(H.data), initial=0.0)
     sizes = dof.grid_shape + (dof.m_u,)
     for axis, closure in enumerate(dof.closures):
@@ -236,20 +265,15 @@ def _circulant_axis(op):
     return None
 
 
-def _fourier_band_cholesky(slice_, shape, sigma):
-    """Solve with H - sigma for an H that is shift-invariant along one axis,
-    and the band's width.
-
-    The DFT along the axis (numpy's fft) turns H into a block-diagonal
+def _fourier_blocks(slice_, shape):
+    """The DFT (numpy's fft) of H along its axis of symmetry: a block-diagonal
     matrix, one block per Fourier mode m with the entries of slice_ times
-    exp(2 pi i m d / n), stacked mode-major; a band Cholesky factors it. A
-    solve is an FFT along the axis, one band solve and an inverse FFT.
-    """
+    exp(2 pi i m d / n), stacked mode-major."""
     row, col, d, values = slice_
     pre, n, post = shape
     size = pre * post
     m = np.arange(n)[:, None]
-    blocks = sp.csr_array(
+    return sp.csr_array(
         (
             # m d reduced mod n in integers keeps the phase exact to round-off
             (values * np.exp(2j * np.pi * (m * d % n) / n)).ravel(),
@@ -257,41 +281,49 @@ def _fourier_band_cholesky(slice_, shape, sigma):
         ),
         shape=(n * size, n * size),
     )
-    band_solve, width = _band_cholesky(_shifted(blocks, sigma))
+
+
+def _fourier_band_cholesky(slice_, shape, sigma):
+    """Solve with H - sigma for an H that is shift-invariant along one axis,
+    and the band's width.
+
+    A band Cholesky factors the Fourier blocks of H - sigma; a solve is an
+    FFT along the axis, one band solve and an inverse FFT.
+    """
+    pre, n, post = shape
+    size = pre * post
+    band_solve, width = _band_cholesky(_shifted(_fourier_blocks(slice_, shape), sigma))
 
     def solve(b):
         x = np.fft.fft(b.reshape(pre, n, post, -1), axis=1)
         x = band_solve(x.transpose(1, 0, 2, 3).reshape(n * size, -1))
         x = np.fft.ifft(x.reshape(n, pre, post, -1).transpose(1, 0, 2, 3), axis=1)
-        return (x if np.iscomplexobj(values) else x.real).reshape(b.shape)
+        return (x if np.iscomplexobj(slice_[3]) else x.real).reshape(b.shape)
 
     return solve, width
 
 
-def _factor(op, sigma):
-    """Factor the Hermitian positive definite H - sigma once: its solve, a
-    label naming the factorization with its band width or LU fill, and on
-    the Fourier route the (pre, n, post) split of the dofs around the axis
-    of symmetry (None on the other rules).
+def _factor(op, sigma, circulant):
+    """Factor the Hermitian positive definite H - sigma once: its solve and a
+    label naming the factorization with its band width or LU fill.
 
     The first of the three rules in the module docstring that applies picks
     the factorization: a band Cholesky on a one-axis chart, the Fourier route
-    on an operator shift-invariant along a periodic chart axis, SuperLU on
-    any other. A band Cholesky that meets a nonpositive pivot, or a SuperLU a
+    when circulant, the caller's _circulant_axis(op), names an axis, SuperLU
+    on any other. A band Cholesky that meets a nonpositive pivot, or a SuperLU a
     zero one, raises SolverError naming the shift.
     """
     try:
         if len(op.dofmap.grid_shape) == 1:
             solve, width = _band_cholesky(_shifted(op.matrix, sigma))
-            return solve, f"band-cholesky(width={width})", None
-        circulant = _circulant_axis(op)
+            return solve, f"band-cholesky(width={width})"
         if circulant is not None:
             axis, shape, slice_ = circulant
             solve, width = _fourier_band_cholesky(slice_, shape, sigma)
             name = op.dofmap.axis_names[axis]
-            return solve, f"fourier-band-cholesky(axis={name}, width={width})", shape
+            return solve, f"fourier-band-cholesky(axis={name}, width={width})"
         lu = _superlu(_shifted(op.matrix.tocsc(), sigma))
-        return lu.solve, f"superlu(nnz={lu.nnz})", None
+        return lu.solve, f"superlu(nnz={lu.nnz})"
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise SolverError(
             f"factorization of H {-sigma:+g} failed (the shift is not below "
@@ -411,32 +443,76 @@ def _lobpcg_pairs(op, n_pairs, tol, seed):
     }
 
 
-def _partner_basis(vecs, shape):
-    """An orthonormal basis of the span of the orthonormal vecs and of the
-    partners it misses, or None when it misses none.
+def _fourier_pairs(op, n_pairs, circulant):
+    """The n_pairs lowest eigenpairs of an H shift-invariant along an axis of
+    n nodes, from its Fourier blocks.
 
-    A shifted eigenvector of a shift-invariant H is an eigenvector. A
-    degenerate pair (modes m and -m of a real H) spans no more of a Krylov
-    space than one of its vectors, and Lanczos missed the partner at the cut
-    of the 12 lowest pairs of the zero-field sphere shell at half the seeds.
-    A one-node shift along the axis takes a vector of the pair into the
-    pair's span, with a part of norm |sin(2 pi m / n)| >= sin(2 pi / n)
-    outside the vector; a part below half of that bound is round-off.
+    An eigenpair (lambda, y) of the block B_m of mode m gives the eigenpair
+    (lambda, y (x) exp(2 pi i m t / n) / sqrt(n)) of H, t the axis index. The
+    modes are visited by the Gershgorin lower bounds of their blocks,
+    ascending, until a bound exceeds the n_pairs-th value found so far,
+    lambda_k. A block whose B_m - lambda_k takes a band Cholesky has no
+    eigenvalue below lambda_k (Sylvester's law of inertia) and is skipped;
+    every other block gives its n_pairs lowest pairs (eig_banded) in the
+    reverse Cuthill-McKee band that all blocks share. The blocks of a real H
+    at modes m and n - m are conjugate, and those at 0 and n/2 real: only
+    modes 0..n/2 are visited, and each mode 0 < m < n/2 gives the two real
+    eigenvectors sqrt(2) Re x and sqrt(2) Im x of every pair.
     """
+    _, shape, slice_ = circulant
     pre, n, post = shape
-    shifted = np.roll(vecs.reshape(pre, n, post, -1), 1, axis=1).reshape(vecs.shape)
-    outside = shifted - vecs @ (vecs.conj().T @ shifted)
-    missed = np.linalg.norm(outside, axis=0) > 0.5 * np.sin(2.0 * np.pi / n)
-    if not missed.any():
-        return None
-    return np.hstack([vecs, np.linalg.qr(outside[:, missed])[0]])
+    size = pre * post
+    real = not op.is_complex
+    blocks = _fourier_blocks(slice_, shape)
+    lower = (blocks.diagonal().real - _off_diagonal_row_sums(blocks)).reshape(n, size).min(axis=1)
+    perm = _rcm(blocks[:size, :size])
+    rank = np.argsort(perm)
+    band = _upper_band(blocks, (np.arange(n)[:, None] * size + perm).ravel())
+    modes = np.arange(n // 2 + 1 if real else n)
+    # (value, mode, column of the block's pairs, part): part 1 is the
+    # imaginary-part vector of a real H
+    pairs, block_vectors, skipped = [], {}, 0
+    for m in modes[np.argsort(lower[modes], kind="stable")]:
+        block = band[:, m * size:(m + 1) * size]
+        if real and 2 * m % n == 0:
+            block = block.real
+        if len(pairs) >= n_pairs:
+            cut = sorted(p[0] for p in pairs)[n_pairs - 1]
+            if lower[m] > cut:
+                break
+            shifted = block.copy()
+            shifted[-1] -= cut
+            try:
+                sla.cholesky_banded(shifted, check_finite=False)
+                skipped += 1
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        w, block_vectors[m] = sla.eig_banded(
+            block, select="i", select_range=(0, min(n_pairs, size) - 1), check_finite=False
+        )
+        parts = 2 if real and 2 * m % n else 1
+        pairs += [(v, m, j, part) for j, v in enumerate(w) for part in range(parts)]
+    pairs = sorted(pairs)[:n_pairs]
+    t = np.arange(n)
+    vecs = np.empty((pre, n, post, n_pairs), dtype=op.matrix.dtype)
+    for i, (_, m, j, part) in enumerate(pairs):
+        y = block_vectors[m][rank, j].reshape(pre, 1, post)
+        x = y * np.exp(2j * np.pi * (m * t % n) / n)[:, None] / np.sqrt(n)
+        if real:
+            x = np.sqrt(2.0) * (x.imag if part else x.real) if 2 * m % n else x.real
+        vecs[..., i] = x
+    values = np.array([p[0] for p in pairs])
+    work = {"method": "fourier-blocks", "shift": None, "blocks": len(block_vectors),
+            "skipped": skipped}
+    return values, vecs.reshape(op.n_dof, n_pairs), work
 
 
 def _shift_invert_pairs(op, n_pairs, tol, seed, ncv):
     sigma = _certified_shift(op)
     # sigma is a certified lower bound minus 1, so H - sigma >= I: one
     # factorization at one shift, no retries
-    solve, factor, symmetry = _factor(op, sigma)
+    solve, factor = _factor(op, sigma, None)
     A = op.matrix
     n = A.shape[0]
     try:
@@ -469,13 +545,6 @@ def _shift_invert_pairs(op, n_pairs, tol, seed, ncv):
                 Q = np.linalg.qr(vecs[:, block])[0]
                 vals[block], y = np.linalg.eigh(Q.conj().T @ (A @ Q))
                 vecs[:, block] = Q @ y
-    basis = None if symmetry is None else _partner_basis(vecs, symmetry)
-    if basis is not None:
-        # Rayleigh-Ritz on the vectors and their missing partners, run only
-        # when one is missing: it moves each vector by about u, which raised
-        # the sphere-heff residuals from 1.8e-9 to 6.5e-8
-        vals, y = np.linalg.eigh(basis.conj().T @ (A @ basis))
-        vals, vecs = vals[:n_pairs], basis @ y[:, :n_pairs]
     return vals, vecs, {"method": "shift-invert-lanczos", "shift": sigma, "factor": factor}
 
 
@@ -500,6 +569,8 @@ def lowest_eigenpairs(
         vals, vecs, work = _dense_pairs(op, n_pairs)
     elif lobpcg:
         vals, vecs, work = _lobpcg_pairs(op, n_pairs, tol, seed)
+    elif (circulant := _circulant_axis(op)) is not None:
+        vals, vecs, work = _fourier_pairs(op, n_pairs, circulant)
     else:
         vals, vecs, work = _shift_invert_pairs(op, n_pairs, tol, seed, ncv)
     meta = {"tol": tol, "seed": seed, **work}
@@ -520,7 +591,7 @@ def resolvent(op: AssembledOperator, k: float, lambda_min: float):
         raise SolverError(
             f"shift k={k:g} is not in the resolvent set (lambda_min={lambda_min:g})"
         )
-    solve = _factor(op, -k)[0]
+    solve = _factor(op, -k, _circulant_axis(op))[0]
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)

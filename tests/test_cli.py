@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -491,14 +492,14 @@ _TORUS_12 = {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": 
     [
         ({"family": "circle", "params": {"radius": 1.0}, "grid": [64]}, {"kind": "zero"},
          "band-cholesky(width="),
-        (_TORUS_12, {"kind": "constant", "b": [0.0, 0.0, 1.0]},
-         "fourier-band-cholesky(axis=phi, width="),
+        (_TORUS_12, {"kind": "constant", "b": [0.0, 0.0, 1.0]}, None),
         (_TORUS_12, {"kind": "constant", "b": [0.3, 0.0, 1.0]}, "superlu(nnz="),
     ],
 )
 def test_spectrum_verbose_names_the_factorization(tmp_path, caplog, geometry, field, factor):
     # a one-axis chart takes the band Cholesky, a two-axis one in an axial
-    # field the Fourier route along phi, and a tilted field SuperLU
+    # field the Fourier blocks along phi, which factor nothing, and a tilted
+    # field SuperLU
     cfg = _config(geometry, field=field, solver={"n_eigenpairs": 2},
                   spectrum={"operator": "h-eff"})
     caplog.set_level("INFO", logger="thinlayer")
@@ -507,7 +508,10 @@ def test_spectrum_verbose_names_the_factorization(tmp_path, caplog, geometry, fi
     assert rc == 0
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("eigensolve")]
     assert len(lines) == 1
-    assert "method=shift-invert-lanczos" in lines[0] and f"factor={factor}" in lines[0]
+    method = "shift-invert-lanczos" if factor else "fourier-blocks"
+    assert f"method={method}" in lines[0] and f"factor={factor}" in lines[0]
+    if factor is None:
+        assert re.search(r" blocks=\d+ skipped=\d+ ", lines[0])
 
 
 def _env_with_src():

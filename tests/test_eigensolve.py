@@ -132,10 +132,10 @@ def _torus_layer(patch, eps, m_u=9, b=1.0):
 
 def _on_lu(op, n_pairs):
     # the same matrix without its decoupled factor takes shift-invert with a
-    # whole-operator factorization: SuperLU, or the Fourier route's band
-    # Cholesky where the field keeps the axial symmetry
+    # whole-operator SuperLU, or the Fourier blocks where the field keeps the
+    # axial symmetry
     spec = lowest_eigenpairs(dataclasses.replace(op, surface_block=None), n_pairs)
-    assert spec.meta["method"] == "shift-invert-lanczos"
+    assert spec.meta["method"] in ("shift-invert-lanczos", "fourier-blocks")
     return spec
 
 
@@ -368,9 +368,9 @@ def test_resolvent_residual_and_one_factorization(circle_patch, monkeypatch):
     factored = []
     real_factor = es._factor
 
-    def counting_factor(op, sigma):
+    def counting_factor(op, sigma, circulant):
         factored.append(sigma)
-        return real_factor(op, sigma)
+        return real_factor(op, sigma, circulant)
 
     monkeypatch.setattr(es, "_factor", counting_factor)
     rng = np.random.default_rng(0)
@@ -392,9 +392,9 @@ def test_shift_invert_no_convergence_raises_after_one_factorization(circle_patch
     factored = []
     real_factor = es._factor
 
-    def counting_factor(op, sigma):
+    def counting_factor(op, sigma, circulant):
         factored.append(sigma)
-        return real_factor(op, sigma)
+        return real_factor(op, sigma, circulant)
 
     # the constant is the ground state, at -1/4: 1/4 is off by 1/2
     partial = np.array([0.25])
@@ -424,8 +424,8 @@ def test_resolvent_failure_names_residual_and_lambda_min(small_torus, monkeypatc
     heff = assemble_effective(small_torus)
     assert len(heff.dofmap.grid_shape) == 2
 
-    def wrong_factor(op, sigma):
-        return (lambda b: 0.5 * b), "wrong", None
+    def wrong_factor(op, sigma, circulant):
+        return (lambda b: 0.5 * b), "wrong"
 
     def no_eigsh(*args, **kwargs):
         raise AssertionError("a failed resolvent solve must not run eigsh")
@@ -529,7 +529,7 @@ def test_band_of_the_fine_sweep_circle_layer_stays_narrow():
 
     # the grid-doubled layer of the circle converge config: 512 x 17 dofs
     op = _curve_layer("circle", {"radius": 1.0}, 512, zero_field(2), m_u=17)
-    label = es._factor(op, es._certified_shift(op))[1]
+    label = es._factor(op, es._certified_shift(op), None)[1]
     assert label.startswith("band-cholesky(width=")
     assert int(label[len("band-cholesky(width="):-1]) <= 69
 
@@ -573,10 +573,14 @@ def _sphere_heff(b):
     return assemble_effective(p, effective_field(constant_field(3, b), p))
 
 
+def _tilted_field(patch):
+    return effective_field(constant_field(3, [0.3, 0.0, 1.0]), patch)
+
+
 def _factor_label(op):
     import thinlayer.eigensolve as es
 
-    return es._factor(op, es._certified_shift(op))[1]
+    return es._factor(op, es._certified_shift(op), es._circulant_axis(op))[1]
 
 
 def test_fourier_route_agrees_with_superlu_on_the_axisymmetric_sphere():
@@ -584,7 +588,7 @@ def test_fourier_route_agrees_with_superlu_on_the_axisymmetric_sphere():
     tol = 1e-10
     route = lowest_eigenpairs(heff, 6, tol=tol)
     lu = lowest_eigenpairs(_on_two_axes(heff), 6, tol=tol)
-    assert route.meta["factor"] == "fourier-band-cholesky(axis=phi, width=1)"
+    assert route.meta["method"] == "fourier-blocks"
     assert lu.meta["factor"].startswith("superlu(nnz=")
     assert np.max(np.abs(route.values - lu.values) / np.abs(lu.values)) <= 1e-10
     h_max = gershgorin_bounds(heff.matrix)[1]
@@ -596,7 +600,7 @@ def test_fourier_route_solves_a_real_operator_in_reals(small_torus):
 
     heff = assemble_effective(small_torus)  # no field: real
     assert not heff.is_complex
-    solve, label, _ = es._factor(heff, es._certified_shift(heff))
+    solve, label = es._factor(heff, es._certified_shift(heff), es._circulant_axis(heff))
     assert label.startswith("fourier-band-cholesky(axis=phi, width=")
     b = np.random.default_rng(0).standard_normal((heff.n_dof, 2))
     assert np.isrealobj(solve(b[:, 0])) and np.isrealobj(solve(b))
@@ -617,20 +621,91 @@ def test_fourier_route_resolvent_on_a_magnetic_torus_layer(small_torus):
     assert np.linalg.norm(x_route - x_lu) <= RESOLVENT_RTOL * np.linalg.norm(x_lu)
 
 
-@pytest.mark.parametrize("seed", [3, 5])
-def test_fourier_route_finds_the_partner_that_lanczos_misses(zero_field_shell, seed):
-    # the cut of the 12 lowest pairs of the real shell splits a degenerate
-    # pair (modes m and -m); at these seeds Lanczos returns one vector of it,
-    # through SuperLU as well, and the shifted vectors supply the other
-    op, lu_values = zero_field_shell
-    spec = lowest_eigenpairs(dataclasses.replace(op, surface_block=None), 12, seed=seed)
-    assert spec.meta["factor"].startswith("fourier-band-cholesky(axis=phi,")
-    assert spec.values[11] - spec.values[10] < 1e-9  # the cut pair is whole
-    assert np.max(np.abs(spec.values - lu_values)) < 1e-9
-    # the partner's residual is its found vector's over |sin(2 pi m / n)|
-    assert np.all(spec.residuals <= 100 * spec.meta["tol"] * np.maximum(1.0, spec.values))
-    gram = spec.vectors.T @ spec.vectors
-    assert np.max(np.abs(gram - np.eye(12))) < 1e-12
+def test_fourier_blocks_return_whole_clusters_at_every_seed(zero_field_shell):
+    # the cut of the 12 lowest pairs of the real shell splits no degenerate
+    # pair (modes m and -m): both come from one block. The SuperLU reference
+    # is asked for 16 pairs, because its Lanczos returns one vector of the
+    # cut pair at some seeds
+    op, _ = zero_field_shell
+    op = dataclasses.replace(op, surface_block=None)
+    lu_values = lowest_eigenpairs(_on_two_axes(op), 16).values[:12]
+    first = None
+    for seed in (1, 2, 3, 4, 5, 6, 7, 42):
+        spec = lowest_eigenpairs(op, 12, seed=seed)
+        assert spec.meta["method"] == "fourier-blocks"
+        assert spec.values[11] - spec.values[10] < 1e-9  # the cut pair is whole
+        assert np.max(np.abs(spec.values - lu_values)) < 1e-9
+        gram = spec.vectors.T @ spec.vectors
+        assert np.max(np.abs(gram - np.eye(12))) < 1e-12
+        if first is None:
+            first = spec
+        assert np.array_equal(spec.values, first.values)
+        assert np.array_equal(spec.vectors, first.vectors)
+
+
+def _every_block_value(op):
+    # the eigenvalues of every Fourier block, dense and ascending
+    import thinlayer.eigensolve as es
+
+    _, (pre, n, post), slice_ = es._circulant_axis(op)
+    size = pre * post
+    blocks = es._fourier_blocks(slice_, (pre, n, post))
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(blocks[m:m + size, m:m + size].toarray())
+        for m in range(0, n * size, size)
+    ]))
+
+
+def test_fourier_blocks_skip_exactly_the_blocks_without_a_wanted_pair():
+    # the fourth-order stencil leaves the Gershgorin bounds of the 64x64
+    # torus loose: they stop none of its 64 modes, and most blocks take the
+    # band Cholesky at the cut and are skipped
+    p = build_patch(GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (64, 64))
+    heff = assemble_effective(p, effective_field(constant_field(3, [0.0, 0.0, 1.0]), p))
+    tol = 1e-10
+    spec = lowest_eigenpairs(heff, 9, tol=tol)
+    assert spec.meta["method"] == "fourier-blocks"
+    assert spec.meta["skipped"] > spec.meta["blocks"]
+    assert spec.meta["blocks"] + spec.meta["skipped"] <= 64
+    lu = lowest_eigenpairs(_on_two_axes(heff), 9, tol=tol)
+    assert np.max(np.abs(spec.values - lu.values) / np.abs(lu.values)) <= 1e-10
+    h_max = gershgorin_bounds(heff.matrix)[1]
+    assert np.max(spec.residuals) <= max(tol, ROUNDOFF_FACTOR * 2.0**-53 * h_max)
+    # the skipped blocks held none of the 9 lowest values
+    every = _every_block_value(heff)
+    assert np.max(np.abs(spec.values - every[:9]) / np.abs(lu.values)) <= 1e-10
+
+
+def test_fourier_blocks_stop_at_the_first_gershgorin_bound_past_the_cut():
+    # the zero-field sphere is real: modes 0..40 of 80 are visited, and the
+    # Gershgorin bounds of its tridiagonal blocks stop the visit early
+    heff = _sphere_heff([0.0, 0.0, 0.0])
+    assert not heff.is_complex
+    spec = lowest_eigenpairs(heff, 9)
+    assert spec.meta["method"] == "fourier-blocks"
+    assert spec.meta["blocks"] + spec.meta["skipped"] < 41
+    assert np.isrealobj(spec.vectors)
+    assert np.max(np.abs(spec.values - _every_block_value(heff)[:9])) <= 1e-10
+
+
+def test_one_symmetry_test_per_call(small_torus, monkeypatch):
+    import thinlayer.eigensolve as es
+
+    # a tilted field breaks the axial symmetry: the decline sends the
+    # operator to SuperLU without a second test
+    heff = assemble_effective(small_torus, _tilted_field(small_torus))
+    calls, real_test = [], es._circulant_axis
+
+    def counting_test(op):
+        calls.append(op)
+        return real_test(op)
+
+    monkeypatch.setattr(es, "_circulant_axis", counting_test)
+    spec = lowest_eigenpairs(heff, 3)
+    assert spec.meta["factor"].startswith("superlu(nnz=")
+    assert len(calls) == 1
+    resolvent(heff, 2.0, spec.values[0])
+    assert len(calls) == 2
 
 
 def _edited(op, delta):
@@ -700,8 +775,8 @@ def test_fourier_route_keeps_the_torus_sweep_resolvent_column(monkeypatch):
     )
     labels, real_factor = [], es._factor
 
-    def recording_factor(op, sigma):
-        factor = real_factor(op, sigma)
+    def recording_factor(op, sigma, circulant):
+        factor = real_factor(op, sigma, circulant)
         labels.append(factor[1])
         return factor
 
@@ -786,10 +861,12 @@ def test_dense_cutoff_is_set_per_call(segment_patch):
         assert lowest_eigenpairs(op, 2, dense_cutoff=cutoff).meta["method"] == "dense"
 
 
-@pytest.mark.parametrize("method", ["dense", "lobpcg", "shift-invert-lanczos"])
+@pytest.mark.parametrize("method", ["dense", "lobpcg", "fourier-blocks", "shift-invert-lanczos"])
 def test_every_path_fills_one_spectrum_contract(small_torus, method):
     if method == "lobpcg":
         op = _torus_layer(small_torus, 0.05, m_u=3)
+    elif method == "shift-invert-lanczos":
+        op = assemble_effective(small_torus, _tilted_field(small_torus))
     else:
         field = effective_field(constant_field(3, [0.0, 0.0, 1.0]), small_torus)
         op = assemble_effective(small_torus, field)
@@ -808,8 +885,9 @@ def test_every_path_fills_one_spectrum_contract(small_torus, method):
 def test_dense_rule_on_a_2d_chart(small_torus):
     # the iterative paths beat a dense eigh at any size; only a request for
     # (nearly) every pair goes dense
+    tilted = assemble_effective(small_torus, _tilted_field(small_torus))
+    assert lowest_eigenpairs(tilted, 3).meta["method"] == "shift-invert-lanczos"
     heff = assemble_effective(small_torus)
-    assert lowest_eigenpairs(heff, 3).meta["method"] == "shift-invert-lanczos"
     assert lowest_eigenpairs(heff, heff.n_dof - 1).meta["method"] == "dense"
     assert lowest_eigenpairs(heff, 3, dense_cutoff=heff.n_dof).meta["method"] == "dense"
     layer = _torus_layer(small_torus, 0.05, m_u=3)
