@@ -49,16 +49,12 @@ class TransverseMode:
     """Ground transverse profile cos(pi u / 2) and its rank-one projector."""
 
     m_u: int
-    u: np.ndarray
-    h_u: float
-    chi: np.ndarray  # physical samples
-    chi_scaled: np.ndarray  # sqrt(h_u) * chi; exactly unit two-norm
+    chi_scaled: np.ndarray  # sqrt(h_u) * cos(pi u / 2); exactly unit two-norm
 
     @classmethod
     def from_count(cls, m_u: int) -> "TransverseMode":
         u, h = transverse_nodes(m_u)
-        chi = np.cos(0.5 * np.pi * u)
-        return cls(m_u=m_u, u=u, h_u=h, chi=chi, chi_scaled=np.sqrt(h) * chi)
+        return cls(m_u=m_u, chi_scaled=np.sqrt(h) * np.cos(0.5 * np.pi * u))
 
     def project_ground(self, vec: np.ndarray) -> np.ndarray:
         """Ground-mode coefficients of a scaled product-grid vector, or of
@@ -445,7 +441,7 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
                         cluster_gap=float(cluster_gap[a]),
                         efunc=efunc,
                         leakage=leakage,
-                        resolvent=float(res_norm),
+                        resolvent=res_norm,
                         disc_est=float(disc[a]) if np.isfinite(disc[a]) else np.nan,
                         flags=flags,
                     )

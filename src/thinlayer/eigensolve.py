@@ -27,23 +27,26 @@ solver.dense_threshold. Otherwise, the first of three paths that applies:
     near-degenerate cluster stalled. Every returned pair meets the residual
     target max(tol, ROUNDOFF_FACTOR * u * h_max), u the unit round-off and
     h_max the upper Gershgorin bound, or the solve raises SolverError;
-  * the Fourier blocks, for any other operator on a chart of two or more
-    axes that is shift-invariant along a periodic axis (the test of the
-    Fourier route below; a surface of revolution in an axial field): the
-    DFT along the axis splits H into one block per Fourier mode, and the
-    lowest pairs of H are the lowest pairs of the blocks (fast
-    diagonalization, Buzbee, Golub & Nielson 1970). Blocks are visited by
-    their Gershgorin lower bounds; a block whose Cholesky at the current
-    n_pairs-th value succeeds holds no wanted pair and is skipped, and the
-    others are solved directly (LAPACK's band eigensolver). No iteration
-    runs, so no seed enters and a degenerate pair of modes m and -m comes
-    back whole. On the 200x400 sphere h_eff (80,000 dofs, B = e_z) it
-    solves 5 of 400 blocks and skips 1, in 0.08-0.09 s against 0.49-0.51 s
-    for Lanczos on the Fourier route's factorization (one BLAS thread);
-  * shift-invert Lanczos (ARPACK) with a factorization of H - sigma for
-    everything else: layers over curves, where a factorization is cheaper,
-    surface operators without the symmetry, explicit matrices and operators
-    with no surface factor.
+  * the Fourier blocks, for any other operator, on any chart, that is
+    shift-invariant along a periodic axis (the test of the Fourier route
+    below; a circle in a uniform field, curve h_eff or layer, and a surface
+    of revolution in an axial field): the DFT along the axis splits H into
+    one block per Fourier mode, and the lowest pairs of H are the lowest
+    pairs of the blocks (fast diagonalization, Buzbee, Golub & Nielson
+    1970). Blocks are visited by their Gershgorin lower bounds; a block
+    whose Cholesky at the current n_pairs-th value succeeds holds no wanted
+    pair and is skipped, and the others are solved directly (LAPACK's band
+    eigensolver). No iteration runs, so no seed enters and a degenerate pair
+    of modes m and -m comes back whole. On the 200x400 sphere h_eff (80,000
+    dofs, B = e_z) it solves 5 of 400 blocks and skips 1, in 0.08-0.09 s
+    against 0.49-0.51 s for Lanczos on the Fourier route's factorization,
+    and on the 512x17 zero-field circle layer (8,704 dofs) it solves 3 and
+    skips 254, in 34-42 ms against 59-64 ms for Lanczos on a band Cholesky
+    of the whole layer (one BLAS thread);
+  * shift-invert Lanczos (ARPACK) with a SuperLU factorization of H - sigma
+    for the operators without the symmetry: curves of varying curvature (an
+    ellipse, a segment), a circle in a gauge that breaks it, surface
+    operators in a field that breaks it, and explicit matrices.
 
 LOBPCG and shift-invert use sigma = certified spectral floor - 1, built
 afresh for each call. resolvent(op, k, lambda_min) factors H + k once and
@@ -53,37 +56,31 @@ most once per call.
 
 Shift-invert and resolvent factor a Hermitian positive definite matrix
 (H - sigma >= I at the certified shift, H + k with -k below lambda_min), by
-the first of three rules that applies (George & Liu 1981); shift-invert
-never meets the second, whose operators take the Fourier blocks:
+one of two rules (George & Liu 1981), which the symmetry test alone picks;
+shift-invert only meets the second, as its operators lack the symmetry:
 
-  * one chart axis (curve layers, curve h_eff, explicit matrices): a band
-    Cholesky in a reverse Cuthill-McKee order. The operator is a chain of
-    m_u-blocks, so the band stays narrow: 69 superdiagonals on the 512x17
-    circle layer (8,704 dofs), where it factors in 15-25 ms against
-    SuperLU's 70-80 ms, solves in 0.7 ms against 1.7 ms, and stores 0.6M
-    entries against 1.04M (one BLAS thread);
-  * an operator shift-invariant along a periodic chart axis (a surface of
-    revolution in an axial field): the Fourier route. The rows of the dofs
-    at axis index 0 form a slice; the route applies when H equals the
-    matrix that repeats that slice at every node of the axis to within
-    ROUNDOFF_FACTOR * u * max|H| in every entry. A DFT along that axis
-    splits H - sigma into its Fourier blocks, and a band Cholesky factors
-    the block-diagonal matrix. On the 200x400 sphere h_eff (80,000 dofs) it
+  * an operator shift-invariant along a periodic chart axis: the Fourier
+    route. The rows of the dofs at axis index 0 form a slice; the route
+    applies when H equals the matrix that repeats that slice at every node
+    of the axis to within ROUNDOFF_FACTOR * u * max|H| in every entry. A
+    DFT along that axis splits H - sigma into its Fourier blocks, and a
+    band Cholesky factors the block-diagonal matrix in a reverse
+    Cuthill-McKee order. On the 200x400 sphere h_eff (80,000 dofs) it
     factors in 67-86 ms against SuperLU's 1.38-1.71 s (13.0M entries), with
-    band width 1, and solves in 3.5-3.9 ms against 40-45 ms (one BLAS
+    band width 1, and solves in 3.5-3.9 ms against 40-45 ms; on a circle
+    layer the blocks are dense m_u x m_u, band width m_u - 1 (one BLAS
     thread);
-  * any other (2-D operators in a field that breaks the symmetry): SuperLU
-    in its symmetric mode, a minimum-degree order on A + A^H with diagonal
-    pivots. Without pivoting the factorization of an HPD matrix is stable,
-    and a whole operator fills about a third less than under the default
-    COLAMD column order with partial pivoting (13.0M against 19.3M entries
-    for the 200x400 sphere h_eff). The preconditioner's soft surface blocks
-    S + d_j I take the same LU.
+  * any other: SuperLU in its symmetric mode, a minimum-degree order on
+    A + A^H with diagonal pivots. Without pivoting the factorization of an
+    HPD matrix is stable, and a whole operator fills about a third less
+    than under the default COLAMD column order with partial pivoting (13.0M
+    against 19.3M entries for the 200x400 sphere h_eff). The
+    preconditioner's soft surface blocks S + d_j I take the same LU.
 
 scipy's band LAPACK wrappers hold the GIL while they run, so threaded sweep
-rows run less in parallel on the band rules than under SuperLU. A band Cholesky that
-meets a nonpositive pivot raises SolverError, as does a SuperLU that meets a
-zero one.
+rows run less in parallel on the Fourier route than under SuperLU. A band
+Cholesky that meets a nonpositive pivot raises SolverError, as does a SuperLU
+that meets a zero one.
 """
 from __future__ import annotations
 
@@ -190,8 +187,7 @@ def _superlu(A):
 def _rcm(A):
     """A reverse Cuthill-McKee order of the structurally symmetric A."""
     # imported here: scipy.sparse.csgraph (5 ms) is not on the import path of
-    # the commands that never factor a one-axis operator or take the Fourier
-    # route
+    # the commands that never take the Fourier route
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     return reverse_cuthill_mckee(A, symmetric_mode=True)
@@ -212,24 +208,10 @@ def _upper_band(A, perm):
     return band
 
 
-def _band_cholesky(A):
-    """Solve with the Hermitian positive definite A by a band Cholesky in a
-    reverse Cuthill-McKee order, and the band's width (superdiagonals)."""
-    perm = _rcm(A)
-    rank = np.argsort(perm)
-    band = _upper_band(A, perm)
-    factor = (sla.cholesky_banded(band, check_finite=False), False)
-
-    def solve(b):
-        return sla.cho_solve_banded(factor, b[perm], check_finite=False)[rank]
-
-    return solve, band.shape[0] - 1
-
-
 def _circulant_axis(op):
     """The first periodic chart axis along which H is shift-invariant, as
-    (axis, (pre, n, post), slice), or None; None on a one-axis chart, which
-    the band Cholesky takes whatever its symmetry.
+    (axis, (pre, n, post), slice), or None; on a curve the one chart axis is
+    tested like any other.
 
     Dofs are split as (pre, n, post) around the axis of n nodes; the off-axis
     index of a dof is its pre * post position. slice holds the rows of the
@@ -239,8 +221,6 @@ def _circulant_axis(op):
     of the axis, the one the Fourier route factors.
     """
     dof, H = op.dofmap, op.matrix
-    if len(dof.grid_shape) == 1:
-        return None
     tol = ROUNDOFF_FACTOR * 2.0**-53 * np.max(np.abs(H.data), initial=0.0)
     sizes = dof.grid_shape + (dof.m_u,)
     for axis, closure in enumerate(dof.closures):
@@ -285,38 +265,40 @@ def _fourier_blocks(slice_, shape):
 
 def _fourier_band_cholesky(slice_, shape, sigma):
     """Solve with H - sigma for an H that is shift-invariant along one axis,
-    and the band's width.
+    and the band's width (superdiagonals).
 
-    A band Cholesky factors the Fourier blocks of H - sigma; a solve is an
-    FFT along the axis, one band solve and an inverse FFT.
+    A band Cholesky factors the Fourier blocks of H - sigma in a reverse
+    Cuthill-McKee order; a solve is an FFT along the axis, one band solve and
+    an inverse FFT.
     """
     pre, n, post = shape
     size = pre * post
-    band_solve, width = _band_cholesky(_shifted(_fourier_blocks(slice_, shape), sigma))
+    blocks = _shifted(_fourier_blocks(slice_, shape), sigma)
+    perm = _rcm(blocks)
+    rank = np.argsort(perm)
+    band = _upper_band(blocks, perm)
+    factor = (sla.cholesky_banded(band, check_finite=False), False)
 
     def solve(b):
         x = np.fft.fft(b.reshape(pre, n, post, -1), axis=1)
-        x = band_solve(x.transpose(1, 0, 2, 3).reshape(n * size, -1))
+        x = x.transpose(1, 0, 2, 3).reshape(n * size, -1)[perm]
+        x = sla.cho_solve_banded(factor, x, check_finite=False)[rank]
         x = np.fft.ifft(x.reshape(n, pre, post, -1).transpose(1, 0, 2, 3), axis=1)
         return (x if np.iscomplexobj(slice_[3]) else x.real).reshape(b.shape)
 
-    return solve, width
+    return solve, band.shape[0] - 1
 
 
 def _factor(op, sigma, circulant):
     """Factor the Hermitian positive definite H - sigma once: its solve and a
     label naming the factorization with its band width or LU fill.
 
-    The first of the three rules in the module docstring that applies picks
-    the factorization: a band Cholesky on a one-axis chart, the Fourier route
-    when circulant, the caller's _circulant_axis(op), names an axis, SuperLU
-    on any other. A band Cholesky that meets a nonpositive pivot, or a SuperLU a
-    zero one, raises SolverError naming the shift.
+    The two rules of the module docstring: the Fourier route when circulant,
+    the caller's _circulant_axis(op), names an axis, SuperLU otherwise. A band
+    Cholesky that meets a nonpositive pivot, or a SuperLU a zero one, raises
+    SolverError naming the shift.
     """
     try:
-        if len(op.dofmap.grid_shape) == 1:
-            solve, width = _band_cholesky(_shifted(op.matrix, sigma))
-            return solve, f"band-cholesky(width={width})"
         if circulant is not None:
             axis, shape, slice_ = circulant
             solve, width = _fourier_band_cholesky(slice_, shape, sigma)
@@ -611,12 +593,7 @@ def resolvent(op: AssembledOperator, k: float, lambda_min: float):
 @dataclass
 class OperatorNormEstimate:
     value: float
-    history: np.ndarray
-    monotone: bool
     iterations: int
-
-    def __float__(self):
-        return self.value
 
 
 def opnorm_estimate(
@@ -626,28 +603,18 @@ def opnorm_estimate(
     seed: int = 42,
     is_complex: bool = False,
 ) -> OperatorNormEstimate:
-    """Two-norm of a self-adjoint map by seeded power iteration.
-
-    The iterate history theta_k = |M v_k| is nondecreasing for self-adjoint
-    maps up to round-off; a decrease beyond round-off flags the estimate.
-    """
+    """Two-norm of a self-adjoint map by seeded power iteration: the last
+    |M v_k|, after iters steps or at the first that maps to zero."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
     if is_complex:
         v = v + 1j * rng.standard_normal(dim)
     v = v / np.linalg.norm(v)
-    history = np.zeros(iters)
-    theta = 0.0
-    for it in range(iters):
+    theta, iterations = 0.0, 0
+    for iterations in range(1, iters + 1):
         w = matvec(v)
         theta = float(np.linalg.norm(w))
-        history[it] = theta
         if theta == 0.0:
-            history = history[: it + 1]
             break
         v = w / theta
-    tolerance = 1e-12 * max(1.0, float(np.max(history, initial=0.0)))
-    monotone = bool(np.all(np.diff(history) >= -tolerance))
-    return OperatorNormEstimate(
-        value=theta, history=history, monotone=monotone, iterations=len(history)
-    )
+    return OperatorNormEstimate(value=theta, iterations=iterations)

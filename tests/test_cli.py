@@ -490,16 +490,17 @@ _TORUS_12 = {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": 
 @pytest.mark.parametrize(
     "geometry, field, factor",
     [
-        ({"family": "circle", "params": {"radius": 1.0}, "grid": [64]}, {"kind": "zero"},
-         "band-cholesky(width="),
+        ({"family": "circle", "params": {"radius": 1.0}, "grid": [64]}, {"kind": "zero"}, None),
+        ({"family": "ellipse", "params": {"a": 1.0, "b": 0.7}, "grid": [64]}, {"kind": "zero"},
+         "superlu(nnz="),
         (_TORUS_12, {"kind": "constant", "b": [0.0, 0.0, 1.0]}, None),
         (_TORUS_12, {"kind": "constant", "b": [0.3, 0.0, 1.0]}, "superlu(nnz="),
     ],
 )
 def test_spectrum_verbose_names_the_factorization(tmp_path, caplog, geometry, field, factor):
-    # a one-axis chart takes the band Cholesky, a two-axis one in an axial
-    # field the Fourier blocks along phi, which factor nothing, and a tilted
-    # field SuperLU
+    # the circle and the torus in an axial field take the Fourier blocks,
+    # which factor nothing; the ellipse and the torus in a tilted field lack
+    # the symmetry and take SuperLU
     cfg = _config(geometry, field=field, solver={"n_eigenpairs": 2},
                   spectrum={"operator": "h-eff"})
     caplog.set_level("INFO", logger="thinlayer")
