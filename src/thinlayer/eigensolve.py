@@ -64,12 +64,12 @@ shift-invert only meets the second, as its operators lack the symmetry:
     applies when H equals the matrix that repeats that slice at every node
     of the axis to within ROUNDOFF_FACTOR * u * max|H| in every entry. A
     DFT along that axis splits H - sigma into its Fourier blocks, and a
-    band Cholesky factors the block-diagonal matrix in a reverse
-    Cuthill-McKee order. On the 200x400 sphere h_eff (80,000 dofs) it
-    factors in 67-86 ms against SuperLU's 1.38-1.71 s (13.0M entries), with
-    band width 1, and solves in 3.5-3.9 ms against 40-45 ms; on a circle
-    layer the blocks are dense m_u x m_u, band width m_u - 1 (one BLAS
-    thread);
+    band Cholesky factors their bands side by side, in the reverse
+    Cuthill-McKee order that _fourier_pairs reads too; a real H keeps modes
+    0..n/2 and takes the real FFT. On the 200x400 sphere h_eff (80,000
+    dofs, band width 1) it factors in 67-86 ms against SuperLU's 1.38-1.71
+    s (13.0M entries) and solves in 3.5-3.9 ms against 40-45 ms; a circle
+    layer's blocks are dense, band width m_u - 1 (one BLAS thread);
   * any other: SuperLU in its symmetric mode, a minimum-degree order on
     A + A^H with diagonal pivots. Without pivoting the factorization of an
     HPD matrix is stable, and a whole operator fills about a third less
@@ -193,21 +193,6 @@ def _rcm(A):
     return reverse_cuthill_mckee(A, symmetric_mode=True)
 
 
-def _upper_band(A, perm):
-    """The upper triangle of A, rows and columns in the order perm, in
-    LAPACK's band storage: row w + i - j of column j holds A[i, j], w the
-    band's width (superdiagonals)."""
-    rank = np.argsort(perm)
-    C = A.tocoo()
-    rows, cols = rank[C.row], rank[C.col]
-    upper = cols >= rows
-    rows, cols = rows[upper], cols[upper]
-    width = int(np.max(cols - rows, initial=0))
-    band = np.zeros((width + 1, A.shape[0]), dtype=A.dtype)
-    band[width + rows - cols, cols] = C.data[upper]
-    return band
-
-
 def _circulant_axis(op):
     """The first periodic chart axis along which H is shift-invariant, as
     (axis, (pre, n, post), slice), or None; on a curve the one chart axis is
@@ -245,48 +230,65 @@ def _circulant_axis(op):
     return None
 
 
-def _fourier_blocks(slice_, shape):
-    """The DFT (numpy's fft) of H along its axis of symmetry: a block-diagonal
-    matrix, one block per Fourier mode m with the entries of slice_ times
-    exp(2 pi i m d / n), stacked mode-major."""
+def _fourier_blocks(slice_, shape, real):
+    """The DFT (numpy's fft) of H along its axis of symmetry, one block B_m
+    per Fourier mode m with the entries of slice_ times exp(2 pi i m d / n):
+    modes 0..n/2 for a real H, whose blocks at m and n - m are conjugate.
+
+    Returns bands, perm and lower: bands[m] is the upper band of B_m in
+    LAPACK's storage (row w + i - j of column j holds B_m[i, j], w the
+    width), rows and columns in the reverse Cuthill-McKee order perm that
+    all blocks share; lower[m] is the Gershgorin lower bound of B_m.
+    """
     row, col, d, values = slice_
     pre, n, post = shape
     size = pre * post
-    m = np.arange(n)[:, None]
-    return sp.csr_array(
+    m = np.arange(n // 2 + 1 if real else n)[:, None]
+    blocks = sp.csr_array(
         (
             # m d reduced mod n in integers keeps the phase exact to round-off
             (values * np.exp(2j * np.pi * (m * d % n) / n)).ravel(),
             ((m * size + row).ravel(), (m * size + col).ravel()),
         ),
-        shape=(n * size, n * size),
+        shape=(m.size * size, m.size * size),
     )
+    lower = (blocks.diagonal().real - _off_diagonal_row_sums(blocks)).reshape(-1, size).min(axis=1)
+    perm = _rcm(blocks[:size, :size])
+    rank = np.argsort(perm)
+    C = blocks.tocoo()
+    i, j = rank[C.row % size], rank[C.col % size]
+    upper = j >= i
+    width = int(np.max(j[upper] - i[upper], initial=0))
+    bands = np.zeros((m.size, width + 1, size), dtype=complex)
+    bands[C.row[upper] // size, (width + i - j)[upper], j[upper]] = C.data[upper]
+    return bands, perm, lower
 
 
-def _fourier_band_cholesky(slice_, shape, sigma):
+def _fourier_band_cholesky(slice_, shape, real, sigma):
     """Solve with H - sigma for an H that is shift-invariant along one axis,
     and the band's width (superdiagonals).
 
-    A band Cholesky factors the Fourier blocks of H - sigma in a reverse
-    Cuthill-McKee order; a solve is an FFT along the axis, one band solve and
-    an inverse FFT.
+    A band Cholesky factors the bands of the Fourier blocks of H - sigma side
+    by side; a solve is an FFT along the axis, one band solve and the inverse
+    FFT. A real H takes a real b through the real FFT, modes 0..n/2.
     """
     pre, n, post = shape
-    size = pre * post
-    blocks = _shifted(_fourier_blocks(slice_, shape), sigma)
-    perm = _rcm(blocks)
+    bands, perm, _ = _fourier_blocks(slice_, shape, real)
     rank = np.argsort(perm)
-    band = _upper_band(blocks, perm)
+    band = np.concatenate(bands, axis=1)
+    band[-1] -= sigma
     factor = (sla.cholesky_banded(band, check_finite=False), False)
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    modes, size = len(bands), pre * post
 
     def solve(b):
-        x = np.fft.fft(b.reshape(pre, n, post, -1), axis=1)
-        x = x.transpose(1, 0, 2, 3).reshape(n * size, -1)[perm]
-        x = sla.cho_solve_banded(factor, x, check_finite=False)[rank]
-        x = np.fft.ifft(x.reshape(n, pre, post, -1).transpose(1, 0, 2, 3), axis=1)
-        return (x if np.iscomplexobj(slice_[3]) else x.real).reshape(b.shape)
+        x = np.moveaxis(fft(b.reshape(pre, n, post, -1), axis=1), 1, 0)
+        x = x.reshape(modes, size, -1)[:, perm].reshape(modes * size, -1)
+        x = sla.cho_solve_banded(factor, x, check_finite=False).reshape(modes, size, -1)
+        x = np.moveaxis(x[:, rank].reshape(modes, pre, post, -1), 0, 1)
+        return ifft(x, n, axis=1).reshape(b.shape)
 
-    return solve, band.shape[0] - 1
+    return solve, len(band) - 1
 
 
 def _factor(op, sigma, circulant):
@@ -301,7 +303,7 @@ def _factor(op, sigma, circulant):
     try:
         if circulant is not None:
             axis, shape, slice_ = circulant
-            solve, width = _fourier_band_cholesky(slice_, shape, sigma)
+            solve, width = _fourier_band_cholesky(slice_, shape, not op.is_complex, sigma)
             name = op.dofmap.axis_names[axis]
             return solve, f"fourier-band-cholesky(axis={name}, width={width})"
         lu = _superlu(_shifted(op.matrix.tocsc(), sigma))
@@ -435,27 +437,22 @@ def _fourier_pairs(op, n_pairs, circulant):
     ascending, until a bound exceeds the n_pairs-th value found so far,
     lambda_k. A block whose B_m - lambda_k takes a band Cholesky has no
     eigenvalue below lambda_k (Sylvester's law of inertia) and is skipped;
-    every other block gives its n_pairs lowest pairs (eig_banded) in the
-    reverse Cuthill-McKee band that all blocks share. The blocks of a real H
-    at modes m and n - m are conjugate, and those at 0 and n/2 real: only
-    modes 0..n/2 are visited, and each mode 0 < m < n/2 gives the two real
-    eigenvectors sqrt(2) Re x and sqrt(2) Im x of every pair.
+    every other block gives its n_pairs lowest pairs (eig_banded) from its
+    band. A real H has modes 0..n/2, whose blocks at 0 and n/2 are real, and
+    each mode 0 < m < n/2 gives the two real eigenvectors sqrt(2) Re x and
+    sqrt(2) Im x of every pair.
     """
     _, shape, slice_ = circulant
     pre, n, post = shape
     size = pre * post
     real = not op.is_complex
-    blocks = _fourier_blocks(slice_, shape)
-    lower = (blocks.diagonal().real - _off_diagonal_row_sums(blocks)).reshape(n, size).min(axis=1)
-    perm = _rcm(blocks[:size, :size])
+    bands, perm, lower = _fourier_blocks(slice_, shape, real)
     rank = np.argsort(perm)
-    band = _upper_band(blocks, (np.arange(n)[:, None] * size + perm).ravel())
-    modes = np.arange(n // 2 + 1 if real else n)
     # (value, mode, column of the block's pairs, part): part 1 is the
     # imaginary-part vector of a real H
     pairs, block_vectors, skipped = [], {}, 0
-    for m in modes[np.argsort(lower[modes], kind="stable")]:
-        block = band[:, m * size:(m + 1) * size]
+    for m in np.argsort(lower, kind="stable"):
+        block = bands[m]
         if real and 2 * m % n == 0:
             block = block.real
         if len(pairs) >= n_pairs:
@@ -577,7 +574,10 @@ def resolvent(op: AssembledOperator, k: float, lambda_min: float):
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
-        x = solve(v.astype(op.matrix.dtype, copy=False))
+        if op.is_complex or np.isrealobj(v):
+            x = solve(v.astype(op.matrix.dtype, copy=False))
+        else:  # a real factor solves the real and imaginary parts apart
+            x = solve(v.real) + 1j * solve(v.imag)
         res = np.linalg.norm(op.matrix @ x + k * x - v)
         if res > RESOLVENT_RTOL * max(np.linalg.norm(v), 1e-300):
             raise SolverError(

@@ -178,6 +178,22 @@ def test_sweep_with_flux_keeps_complex_operator():
     assert report.rows[0].mu == pytest.approx(0.0, abs=5e-3)
 
 
+def test_in_plane_field_sweep_with_a_real_effective_operator():
+    # B = e_x is tangent to the plane: n.B = 0 gauges the effective field
+    # out, so h_eff is real while the layer, and the vectors of the power
+    # iteration that h_eff's resolvent takes, are complex
+    spec = SweepSpec(
+        family=GeometryFamily("plane-rectangle", {"lx": 1.0, "ly": 1.0}),
+        grid=(16, 16),
+        field=constant_field(3, [1.0, 0.0, 0.0]),
+        epsilons=(0.1, 0.05, 0.025, 0.0125),
+        m_u=5,
+        grid_doubling=False,
+    )
+    ok, problems = sweep_acceptance(run_sweep(spec))
+    assert ok, problems
+
+
 def test_sweep_rejects_nonmonotone_epsilons(segment_patch):
     spec = SweepSpec(
         family=GeometryFamily("segment", {"length": 1.0}),

@@ -626,19 +626,37 @@ def test_fourier_route_agrees_with_superlu_on_the_axisymmetric_sphere():
     assert np.max(route.residuals) <= max(tol, ROUNDOFF_FACTOR * 2.0**-53 * h_max)
 
 
-def test_fourier_route_solves_a_real_operator_in_reals(small_torus):
+@pytest.mark.parametrize("grid", [(16, 16), (16, 15)])  # irfft needs an odd n
+def test_fourier_route_solves_a_real_operator_in_reals(grid):
     import thinlayer.eigensolve as es
 
-    heff = assemble_effective(small_torus)  # no field: real
+    p = build_patch(GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), grid)
+    heff = assemble_effective(p)  # no field: real
     assert not heff.is_complex
-    solve, label = es._factor(heff, es._certified_shift(heff), es._circulant_axis(heff))
+    sigma = es._certified_shift(heff)
+    solve, label = es._factor(heff, sigma, es._circulant_axis(heff))
     assert label.startswith("fourier-band-cholesky(axis=phi, width=")
     b = np.random.default_rng(0).standard_normal((heff.n_dof, 2))
-    assert np.isrealobj(solve(b[:, 0])) and np.isrealobj(solve(b))
+    x, x_lu = solve(b), es._factor(heff, sigma, None)[0](b)
+    assert np.isrealobj(solve(b[:, 0])) and np.isrealobj(x)
+    assert np.linalg.norm(x - x_lu) <= 1e-13 * np.linalg.norm(x_lu)
     route = lowest_eigenpairs(heff, 6)
     lu = lowest_eigenpairs(_on_two_axes(heff), 6)
     assert np.isrealobj(route.vectors)
     assert np.max(np.abs(route.values - lu.values)) < 1e-10
+
+
+@pytest.mark.parametrize("two_axes", [False, True])  # the Fourier route, SuperLU
+def test_resolvent_of_a_real_operator_solves_both_parts_of_a_complex_vector(
+    small_torus, two_axes
+):
+    heff = assemble_effective(small_torus)  # no field: real
+    if two_axes:
+        heff = _on_two_axes(heff)
+    apply = resolvent(heff, 2.0, lowest_eigenpairs(heff, 1).values[0])
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(heff.n_dof) + 1j * rng.standard_normal(heff.n_dof)
+    assert np.array_equal(apply(v), apply(v.real) + 1j * apply(v.imag))
 
 
 def test_fourier_route_resolvent_on_a_magnetic_torus_layer(small_torus):
@@ -675,16 +693,15 @@ def test_fourier_blocks_return_whole_clusters_at_every_seed(zero_field_shell):
 
 
 def _every_block_value(op):
-    # the eigenvalues of every Fourier block, dense and ascending
+    # the eigenvalues of all n Fourier blocks, a real H's too, ascending;
+    # each block is built densely from the slice
     import thinlayer.eigensolve as es
 
-    _, (pre, n, post), slice_ = es._circulant_axis(op)
-    size = pre * post
-    blocks = es._fourier_blocks(slice_, (pre, n, post))
-    return np.sort(np.concatenate([
-        np.linalg.eigvalsh(blocks[m:m + size, m:m + size].toarray())
-        for m in range(0, n * size, size)
-    ]))
+    _, (pre, n, post), (row, col, d, values) = es._circulant_axis(op)
+    m = np.arange(n)[:, None]
+    blocks = np.zeros((n, pre * post, pre * post), dtype=complex)
+    np.add.at(blocks, (m, row, col), values * np.exp(2j * np.pi * m * d / n))
+    return np.sort(np.linalg.eigvalsh(blocks).ravel())
 
 
 def test_fourier_blocks_skip_exactly_the_blocks_without_a_wanted_pair():
