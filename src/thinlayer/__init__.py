@@ -29,9 +29,9 @@ _EXPORTS = {
         "sampled_potential", "surface_trace_potential", "zero_field", "zero_potential",
     ),
     "operators": (
-        "AssembledOperator", "ComparisonConstants", "DofMap", "PotentialGrids",
-        "TRANSVERSE_GROUND_ENERGY", "assemble_comparison", "assemble_effective",
-        "assemble_full", "comparison_constants", "potential_grids", "renormalize",
+        "AssembledOperator", "ComparisonConstants", "DofMap", "TRANSVERSE_GROUND_ENERGY",
+        "assemble_comparison", "assemble_effective", "assemble_full",
+        "comparison_constants", "renormalize",
         "transverse_curvature_potential", "transverse_energies", "transverse_matrix",
     ),
     "eigensolve": (

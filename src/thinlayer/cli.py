@@ -264,7 +264,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
             if kind == "full-H-renormalized":
                 op = renormalize(op)
         elif kind in ("H0+", "H0-"):
-            op, _ = assemble_comparison(layer, pot, 1 if kind == "H0+" else -1, electric)
+            op = assemble_comparison(layer, pot, 1 if kind == "H0+" else -1, electric)
         else:
             raise ConfigError(f"unknown operator kind {kind!r}")
 

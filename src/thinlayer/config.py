@@ -371,6 +371,10 @@ def load_sampled_grid_csv(path, dim, n_values) -> tuple[list, np.ndarray]:
             f"sampled CSV {path} needs {dim + n_values} columns ({dim} point "
             f"coordinates, {n_values} values), got {data.shape[1]}"
         )
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        raise ConfigError(f"sampled CSV {path} has a non-finite number in data row {row}")
     axes = [np.unique(data[:, k]) for k in range(dim)]
     shape = tuple(a.size for a in axes)
     if min(shape) < 2:

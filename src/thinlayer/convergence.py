@@ -18,6 +18,7 @@ from .geometry import (
     check_embedding,
     layer_geometry,
     transverse_nodes,
+    v_eff,
 )
 from .magnetics import (
     AmbientField,
@@ -31,7 +32,6 @@ from .operators import (
     assemble_effective,
     assemble_full,
     comparison_constants,
-    potential_grids,
     renormalize,
 )
 
@@ -367,9 +367,8 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     # k policy: evaluated at the largest width, shared across the sweep
     layer0 = layer_geometry(patch, eps_list[0], spec.m_u)
     pot0 = layer_potential(spec.field, layer0)
-    pots0 = potential_grids(layer0)
-    consts0 = comparison_constants(layer0, pots0, pot0)
-    k = max(1.0, 2.0 * abs(float(np.min(pots0.veff))) + 1.0 + consts0.offset)
+    offset0 = comparison_constants(layer0, pot0).offset
+    k = max(1.0, 2.0 * abs(float(np.min(v_eff(patch.kappa)))) + 1.0 + offset0)
 
     # everything the rows share is built here, before the rows run, and only
     # read afterwards; below the round-off floor a gap or an observable is

@@ -40,7 +40,6 @@ class ChartAxis:
     h: float
     node0: float
     closure: str
-    extent: float
 
     @property
     def nodes(self) -> np.ndarray:
@@ -66,7 +65,7 @@ def _make_axis(name, n, closure, extent, left=0.0):
         node0 = left + 0.5 * h
     else:
         raise GeometryError(f"unknown closure {closure!r}")
-    return ChartAxis(name, int(n), float(h), float(node0), closure, float(extent))
+    return ChartAxis(name, int(n), float(h), float(node0), closure)
 
 
 # ---------------------------------------------------------------------------

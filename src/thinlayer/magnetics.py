@@ -256,17 +256,15 @@ class RawLayerPotential:
 class GaugeFixedPotential:
     """Pulled-back potential with the transverse component removed.
 
-    a_prime is the rescaled transverse Taylor remainder
-    (a_surf(x, u) - a_surf(x, 0)) / eps; sup_quad records the layer sup of
-    its squared metric norm, the quantity whose boundedness the comparison
-    operators need.
+    sup_quad is the layer sup of |a'|^2 in the surface metric, for the
+    rescaled transverse Taylor remainder a' = (a_surf(x, u) - a_surf(x, 0)) / eps:
+    the quantity whose boundedness the comparison operators need. It enters
+    the comparison offset as (eps + eps^2) sup_quad, one of its four terms.
     """
 
     layer: LayerGeometry
     a_surf: np.ndarray  # (*grid, m, dim)
     a_surf0: np.ndarray  # (*grid, dim)
-    a_prime: np.ndarray  # (*grid, m, dim)
-    gauge_integral: np.ndarray  # (*grid, m)
     sup_quad: float
     field_label: str = "unknown"
 
@@ -344,17 +342,13 @@ def gauge_fix(raw: RawLayerPotential) -> GaugeFixedPotential:
     fixed = raw.a_surf - grad
     a_surf0 = raw.a_surf0
     a_prime = (fixed - a_surf0[..., None, :]) / layer.eps
-    tmp = np.einsum("...mi,...mij,...mj->...m", a_prime,
-                    np.broadcast_to(patch.metric_inv[..., None, :, :],
-                                    a_prime.shape[:-1] + (patch.dim, patch.dim)),
-                    a_prime)
+    inv = np.broadcast_to(patch.metric_inv[..., None, :, :], a_prime.shape + (patch.dim,))
+    quad = np.einsum("...mi,...mij,...mj->...m", a_prime, inv, a_prime)
     return GaugeFixedPotential(
         layer=layer,
         a_surf=fixed,
         a_surf0=a_surf0,
-        a_prime=a_prime,
-        gauge_integral=theta,
-        sup_quad=float(np.max(tmp)) if tmp.size else 0.0,
+        sup_quad=float(np.max(quad)) if quad.size else 0.0,
         field_label=raw.field_label,
     )
 
@@ -374,7 +368,6 @@ def layer_potential(field: AmbientField, layer: LayerGeometry) -> GaugeFixedPote
 class EffectiveField:
     """Surface data surviving the thin-layer limit."""
 
-    patch: HypersurfacePatch
     alpha: np.ndarray  # (*grid, dim): surface trace of the potential
     b_eff: np.ndarray | None  # (*grid): normal field component (d=3 only)
     flux: float | None  # circulation of alpha over a closed curve (d=2)
@@ -397,12 +390,12 @@ def effective_field(field: AmbientField, patch: HypersurfacePatch) -> EffectiveF
     if patch.ambient_dim == 3:
         B = field.field_strength(patch.x.reshape(-1, 3)).reshape(patch.x.shape)
         b_eff = np.einsum("...d,...d->...", patch.normal, B)
-        return EffectiveField(patch, alpha, b_eff, None, False)
+        return EffectiveField(alpha, b_eff, None, False)
     ax = patch.axes[0]
     if ax.periodic:
         flux = float(np.sum(alpha[..., 0]) * ax.h)
-        return EffectiveField(patch, alpha, None, flux, False)
-    return EffectiveField(patch, alpha, None, None, True)
+        return EffectiveField(alpha, None, flux, False)
+    return EffectiveField(alpha, None, None, True)
 
 
 def effective_field_from_chart(alpha: np.ndarray, patch: HypersurfacePatch) -> np.ndarray:

@@ -415,95 +415,65 @@ def transverse_curvature_potential(kappa, eps, u):
     return v_eff(kap / (1.0 - eps * uu * kap))
 
 
-@dataclass(frozen=True)
-class PotentialGrids:
-    """Potential of the transformed layer operator and its comparison pieces."""
-
-    v: np.ndarray  # (*grid, m): full potential entering the layer operator
-    v1: np.ndarray  # (*grid, m): surface correction (intrinsic-metric version)
-    v2: np.ndarray  # (*grid, m): closed-form transverse curvature potential
-    veff: np.ndarray  # (*grid): effective surface potential
-    sup_v1: float
-    sup_v2_gap: float  # sup |v2 - veff|
-
-    @property
-    def sup_veff(self) -> float:
-        return float(np.max(np.abs(self.veff)))
-
-
-def potential_grids(layer: LayerGeometry) -> PotentialGrids:
-    patch = layer.patch
-    J = layer.log_jac
-    v2 = transverse_curvature_potential(patch.kappa, layer.eps, layer.u)
-    veff = v_eff(patch.kappa)
-    v1 = surface_laplacian(patch, J) + surface_gradient_sq(patch, J)
-    v1_layer = surface_laplacian(patch, J, metric_inv=layer.metric_inv) + surface_gradient_sq(
-        patch, J, metric_inv=layer.metric_inv
-    )
-    v = v1_layer + v2
-    return PotentialGrids(
-        v=v,
-        v1=v1,
-        v2=v2,
-        veff=veff,
-        sup_v1=float(np.max(np.abs(v1))),
-        sup_v2_gap=float(np.max(np.abs(v2 - veff[..., None]))),
-    )
+def _diagonal_potential(layer: LayerGeometry) -> np.ndarray:
+    """Diagonal potential of the transformed layer operator, (*grid, m): the
+    Jacobian terms of log J in the layer metric plus the closed-form
+    transverse curvature potential."""
+    patch, J, inv = layer.patch, layer.log_jac, layer.metric_inv
+    v1 = surface_laplacian(patch, J, inv) + surface_gradient_sq(patch, J, inv)
+    return v1 + transverse_curvature_potential(patch.kappa, layer.eps, layer.u)
 
 
 @dataclass(frozen=True)
 class ComparisonConstants:
     """Explicit constants of the two-sided decoupled comparison operators."""
 
-    eps: float
-    rho_m: float
-    c_lower: float  # (1 - eps/rho)^2
-    c_upper: float  # (1 + eps/rho)^2
+    c_lower: float  # (1 - eps/rho_m)^2, 1 on a flat chart
+    c_upper: float  # (1 + eps/rho_m)^2
     scale_minus: float  # (1 - eps) / c_upper
     scale_plus: float  # (1 + eps) / c_lower
     offset: float  # admissible O(eps) zero-order bound
-    sup_v1: float
-    sup_v2_gap: float
-    sup_taylor_quad: float
-    sup_veff: float
+    sup_v1: float  # sup |V1|: the Jacobian terms of log J in the surface metric
+    sup_v2_gap: float  # sup |V2 - v_eff|: transverse curvature potential
 
 
-def _width_ratio(layer: LayerGeometry) -> float:
-    """eps / rho_m, 0 on a flat chart: it fixes the metric-sandwich constants
-    (1 -/+ eps/rho_m)^2 between a layer operator and its comparison operators."""
-    return 0.0 if not np.isfinite(layer.patch.rho_m) else layer.eps / layer.patch.rho_m
+def comparison_constants(layer: LayerGeometry, pot: GaugeFixedPotential) -> ComparisonConstants:
+    """Scale factors and offset of the comparison operators H0-/+ of a layer.
 
-
-def comparison_constants(
-    layer: LayerGeometry, pots: PotentialGrids, pot: GaugeFixedPotential
-) -> ComparisonConstants:
+    The metric sandwich takes the ratio eps/rho_m (0 on a flat chart). The
+    offset is the sum of four terms: sup|V1| / c_lower, sup|V2 - v_eff|,
+    (eps + eps^2) sup_quad of the gauge-fixed potential's Taylor remainder,
+    and max|scale -/+ - 1| times sup|v_eff|.
+    """
     eps = layer.eps
-    ratio = _width_ratio(layer)
+    patch = layer.patch
+    ratio = eps / patch.rho_m if np.isfinite(patch.rho_m) else 0.0
     c_lower = (1.0 - ratio) ** 2
     c_upper = (1.0 + ratio) ** 2
     scale_minus = (1.0 - eps) / c_upper
     scale_plus = (1.0 + eps) / c_lower
     sup_scale_dev = max(abs(scale_minus - 1.0), abs(scale_plus - 1.0))
+    J = layer.log_jac
+    sup_v1 = float(np.max(np.abs(surface_laplacian(patch, J) + surface_gradient_sq(patch, J))))
+    veff = v_eff(patch.kappa)
+    v2 = transverse_curvature_potential(patch.kappa, eps, layer.u)
+    sup_v2_gap = float(np.max(np.abs(v2 - veff[..., None])))
     offset = (
-        pots.sup_v1 / c_lower
-        + pots.sup_v2_gap
+        sup_v1 / c_lower
+        + sup_v2_gap
         + (eps + eps * eps) * pot.sup_quad
-        + sup_scale_dev * pots.sup_veff
+        + sup_scale_dev * float(np.max(np.abs(veff)))
     )
-    if offset < 0.0:
+    if not offset >= 0.0:
         raise AssemblyError(f"comparison offset must be nonnegative, got {offset}")
     return ComparisonConstants(
-        eps=eps,
-        rho_m=layer.patch.rho_m,
         c_lower=c_lower,
         c_upper=c_upper,
         scale_minus=scale_minus,
         scale_plus=scale_plus,
         offset=offset,
-        sup_v1=pots.sup_v1,
-        sup_v2_gap=pots.sup_v2_gap,
-        sup_taylor_quad=pot.sup_quad,
-        sup_veff=pots.sup_veff,
+        sup_v1=sup_v1,
+        sup_v2_gap=sup_v2_gap,
     )
 
 
@@ -531,7 +501,7 @@ def _surface_block(patch, alpha, electric) -> SurfaceBlock:
 
 def _check_hermitian(op: AssembledOperator):
     res = op.hermiticity_residual()
-    if res > HERMITICITY_TOL:
+    if not res <= HERMITICITY_TOL:
         raise AssemblyError(
             f"assembled {op.kind} operator has Hermiticity residual {res:.3e}"
         )
@@ -585,7 +555,7 @@ def assemble_full(
     patch = layer.patch
     alpha = None if pot.is_zero() else pot.a_surf
     Hsurf = _surface_operator(patch, layer.metric_inv, alpha, layer.m_u)
-    V = potential_grids(layer).v
+    V = _diagonal_potential(layer)
     if electric is not None:
         V = V + electric.on_layer(layer)
     meta = {
@@ -636,7 +606,7 @@ def assemble_comparison(
     pot: GaugeFixedPotential,
     sign: int,
     electric: ScalarPotential | None = None,
-) -> tuple[AssembledOperator, ComparisonConstants]:
+) -> AssembledOperator:
     """Decoupled comparison operator bounding the layer operator from one side.
 
     sign=+1 gives the upper operator, sign=-1 the lower one: the effective
@@ -647,8 +617,9 @@ def assemble_comparison(
     if sign not in (1, -1):
         raise AssemblyError("comparison sign must be +1 or -1")
     patch = layer.patch
-    consts = comparison_constants(layer, potential_grids(layer), pot)
+    consts = comparison_constants(layer, pot)
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
+    shift = sign * consts.offset
     base = _surface_block(patch, pot.a_surf0, electric)
     Hsurf = sp.csr_array(
         sp.kron(scale * base.matrix, sp.eye_array(layer.m_u, format="csr"), format="csr")
@@ -658,25 +629,15 @@ def assemble_comparison(
         "offset": consts.offset,
         "spectral_lower_bound": scale * min(0.0, base.floor)
         + TRANSVERSE_GROUND_ENERGY / layer.eps**2
-        + sign * consts.offset,
+        + shift,
     }
     block = SurfaceBlock(
-        sp.csr_array(
-            scale * base.matrix
-            + sign * consts.offset * sp.eye_array(patch.n_nodes, format="csr")
-        ),
-        scale * base.floor + sign * consts.offset,
+        sp.csr_array(scale * base.matrix + shift * sp.eye_array(patch.n_nodes, format="csr")),
+        scale * base.floor + shift,
     )
-    op = _layer_operator(
-        layer,
-        Hsurf,
-        np.full(Hsurf.shape[0], float(sign) * consts.offset),
-        "H0+" if sign > 0 else "H0-",
-        pot.field_label,
-        meta,
-        block,
-    )
-    return op, consts
+    kind = "H0+" if sign > 0 else "H0-"
+    V = np.full(Hsurf.shape[0], shift)
+    return _layer_operator(layer, Hsurf, V, kind, pot.field_label, meta, block)
 
 
 def renormalize(op: AssembledOperator) -> AssembledOperator:

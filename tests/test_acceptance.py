@@ -15,6 +15,7 @@ from thinlayer import (
     assemble_effective,
     assemble_full,
     build_patch,
+    comparison_constants,
     constant_field,
     effective_field,
     effective_field_from_chart,
@@ -25,7 +26,6 @@ from thinlayer import (
     layer_potential,
     lowest_eigenpairs,
     polynomial_field,
-    potential_grids,
     pullback,
     renormalize,
     run_sweep,
@@ -145,8 +145,8 @@ def test_criterion_6_sandwich_inequality(family, params, grid, m_u):
     lay = layer_geometry(patch, 0.1, m_u)
     pot = layer_potential(zero_field(patch.ambient_dim), lay)
     H = assemble_full(lay, pot)
-    lo, _ = assemble_comparison(lay, pot, -1)
-    hi, _ = assemble_comparison(lay, pot, +1)
+    lo = assemble_comparison(lay, pot, -1)
+    hi = assemble_comparison(lay, pot, +1)
     vl = lowest_eigenpairs(lo, 10, tol=1e-12).values
     vm = lowest_eigenpairs(H, 10, tol=1e-12).values
     vh = lowest_eigenpairs(hi, 10, tol=1e-12).values
@@ -217,8 +217,8 @@ def test_criterion_9_transverse_potential_convergence(torus_patch):
     eps_list = (0.1, 0.05, 0.025)
     sups = []
     for eps in eps_list:
-        pots = potential_grids(layer_geometry(torus_patch, eps, 9))
-        sups.append(pots.sup_v2_gap)
+        lay = layer_geometry(torus_patch, eps, 9)
+        sups.append(comparison_constants(lay, layer_potential(zero_field(3), lay)).sup_v2_gap)
     fit = fit_rate(np.array(eps_list), np.array(sups))
     assert fit.slope >= 0.9
     spot = transverse_curvature_potential(np.array([1.0]), 0.1, 1.0)

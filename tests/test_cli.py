@@ -977,6 +977,36 @@ def test_sampled_csv_needs_two_nodes_per_axis(tmp_path, capsys, kind):
     assert "at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, kind", [
+    ("geometry", "field"), ("spectrum", "field"), ("spectrum", "electric"),
+])
+def test_sampled_csv_rejects_non_finite_values(tmp_path, capsys, command, kind, value):
+    # a 9x9 grid on [-2, 2]^2 with the bad value at node (1, 0), data row 59
+    axis = np.linspace(-2.0, 2.0, 9)
+    rows = []
+    for y1 in axis:
+        for y2 in axis:
+            vals = (1.0,) if kind == "electric" else (-0.5 * y2, 0.5 * y1)
+            rows.append(",".join(format(float(v), ".17g") for v in (y1, y2, *vals)))
+    rows[58] = rows[58].rsplit(",", 1)[0] + "," + value
+    (tmp_path / "s.csv").write_text("\n".join(rows) + "\n")
+    if kind == "electric":
+        field = {"kind": "zero", "electric": {"kind": "sampled", "csv": "s.csv"}}
+    else:
+        field = {"kind": "sampled", "csv": "s.csv"}
+    cfg = _config(
+        {"family": "circle", "params": {"radius": 1.0}, "grid": [64]},
+        field=field,
+        solver={"n_eigenpairs": 1},
+        spectrum={"operator": "h-eff"},
+    )
+    rc = main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "s.csv" in err and "non-finite" in err and "row 59" in err
+
+
 # ---------------------------------------------------------------------------
 # imports
 # ---------------------------------------------------------------------------
@@ -1010,7 +1040,7 @@ PUBLIC_NAMES = [
     "ConfigError", "ConvergenceReport", "DofMap", "EffectiveField", "EmbeddingError",
     "EmbeddingReport", "FieldError", "FitError", "FitResult", "GapBoundReport",
     "GaugeFixedPotential", "GeometryError", "GeometryFamily", "HypersurfacePatch",
-    "LayerGeometry", "OperatorNormEstimate", "PotentialGrids", "RawLayerPotential",
+    "LayerGeometry", "OperatorNormEstimate", "RawLayerPotential",
     "RunConfig", "ScalarPotential", "SolverError", "Spectrum", "SweepRow", "SweepSpec",
     "TRANSVERSE_GROUND_ENERGY", "ThinLayerError", "TransverseMode", "assemble_comparison",
     "assemble_effective", "assemble_full", "build_patch", "check_embedding",
@@ -1019,7 +1049,7 @@ PUBLIC_NAMES = [
     "eigensolve", "errors", "fit_rate", "gap_bound_report", "gauge_fix", "geometry",
     "gershgorin_bounds", "layer_factors", "layer_geometry", "layer_potential",
     "load_config", "lowest_eigenpairs", "magnetics", "operators", "opnorm_estimate",
-    "polynomial_field", "polynomial_potential", "potential_grids", "pullback",
+    "polynomial_field", "polynomial_potential", "pullback",
     "renormalize", "resolvent", "run_sweep", "sampled_field", "sampled_potential",
     "surface_trace_potential", "sweep_acceptance", "transverse_curvature_potential",
     "transverse_energies", "transverse_matrix", "transverse_nodes", "v_eff", "zero_field",

@@ -448,8 +448,8 @@ def test_sandwich_reasserted_across_sweep_widths(circle_patch):
         lay = layer_geometry(circle_patch, eps, 9)
         pot = layer_potential(zero_field(2), lay)
         vm = lowest_eigenpairs(assemble_full(lay, pot), 3).values
-        vl = lowest_eigenpairs(assemble_comparison(lay, pot, -1)[0], 3).values
-        vh = lowest_eigenpairs(assemble_comparison(lay, pot, +1)[0], 3).values
+        vl = lowest_eigenpairs(assemble_comparison(lay, pot, -1), 3).values
+        vh = lowest_eigenpairs(assemble_comparison(lay, pot, +1), 3).values
         assert np.max(vl - vm) <= 1e-10 and np.max(vm - vh) <= 1e-10
 
 

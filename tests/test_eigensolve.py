@@ -883,7 +883,7 @@ def test_opnorm_difference_map_against_dense(circle_patch):
 
 def test_dense_and_iterative_agree_on_comparison_operator(circle_patch):
     lay = layer_geometry(circle_patch, 0.1, 9)
-    op, _ = assemble_comparison(lay, layer_potential(zero_field(2), lay), +1)
+    op = assemble_comparison(lay, layer_potential(zero_field(2), lay), +1)
     dense = lowest_eigenpairs(op, 4, dense_cutoff=10_000)
     sparse = lowest_eigenpairs(op, 4, dense_cutoff=100)
     assert np.max(np.abs(dense.values - sparse.values)) < 1e-8

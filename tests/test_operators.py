@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.fft import dst
 
 from thinlayer import (
+    AssembledOperator,
     AssemblyError,
     GeometryFamily,
     TRANSVERSE_GROUND_ENERGY,
@@ -20,15 +21,15 @@ from thinlayer import (
     layer_potential,
     lowest_eigenpairs,
     polynomial_field,
-    potential_grids,
     pullback,
     renormalize,
     transverse_curvature_potential,
     transverse_energies,
     transverse_matrix,
+    v_eff,
     zero_field,
 )
-from thinlayer.operators import sine_modes
+from thinlayer.operators import _check_hermitian, _diagonal_potential, sine_modes
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,15 @@ def test_hermiticity_across_geometries(family, grid, field):
     assert H.hermiticity_residual() <= 1e-13
 
 
+def test_hermiticity_check_rejects_a_nan_entry():
+    M = np.diag([2.0, 2.0, 2.0]) - np.eye(3, k=1) - np.eye(3, k=-1)
+    M[1, 2] = np.nan
+    op = AssembledOperator.from_matrix(M)
+    assert np.isnan(op.hermiticity_residual())
+    with pytest.raises(AssemblyError, match="Hermiticity residual nan"):
+        _check_hermitian(op)
+
+
 def test_zero_field_operators_are_real():
     # the zero field takes the general pull-back and gauge fix; only an exact
     # is_zero() keeps the layer operator on real arithmetic
@@ -198,7 +208,7 @@ def test_spectral_lower_bound_is_below_the_lowest_eigenvalue(family, params, gri
         lay = layer_geometry(p, 0.1, 5)
         pot = layer_potential(field, lay)
         if kind in ("H0+", "H0-"):
-            op, _ = assemble_comparison(lay, pot, 1 if kind == "H0+" else -1)
+            op = assemble_comparison(lay, pot, 1 if kind == "H0+" else -1)
         else:
             op = assemble_full(lay, pot)
             if kind == "full-H-renormalized":
@@ -276,12 +286,17 @@ def test_diamagnetic_ground_state_shift(circle_patch):
 # ---------------------------------------------------------------------------
 
 
-def test_potential_grids_flat(segment_patch):
+def _zero_field_constants(patch, eps, m_u=9):
+    lay = layer_geometry(patch, eps, m_u)
+    return comparison_constants(lay, layer_potential(zero_field(patch.ambient_dim), lay))
+
+
+def test_layer_potential_flat(segment_patch):
     lay = layer_geometry(segment_patch, 0.2, 9)
-    pots = potential_grids(lay)
-    for arr in (pots.v, pots.v1, pots.v2):
+    v2 = transverse_curvature_potential(segment_patch.kappa, lay.eps, lay.u)
+    for arr in (_diagonal_potential(lay), v2, v_eff(segment_patch.kappa)):
         assert np.max(np.abs(arr)) < 1e-14
-    assert np.max(np.abs(pots.veff)) < 1e-14
+    assert _zero_field_constants(segment_patch, 0.2).sup_v1 < 1e-14
 
 
 def test_v2_circle_closed_form_values():
@@ -296,9 +311,7 @@ def test_v2_converges_to_veff_uniformly(torus_patch):
     sups = []
     eps_list = (0.1, 0.05, 0.025)
     for eps in eps_list:
-        lay = layer_geometry(torus_patch, eps, 9)
-        pots = potential_grids(lay)
-        sups.append(pots.sup_v2_gap)
+        sups.append(_zero_field_constants(torus_patch, eps).sup_v2_gap)
     from thinlayer import fit_rate
 
     fit = fit_rate(np.array(eps_list), np.array(sups))
@@ -307,12 +320,8 @@ def test_v2_converges_to_veff_uniformly(torus_patch):
 
 
 def test_v1_vanishes_on_circle_and_scales_on_torus(circle_patch, torus_patch):
-    lay = layer_geometry(circle_patch, 0.1, 9)
-    assert potential_grids(lay).sup_v1 < 1e-12
-    sups = [
-        potential_grids(layer_geometry(torus_patch, eps, 9)).sup_v1
-        for eps in (0.1, 0.05)
-    ]
+    assert _zero_field_constants(circle_patch, 0.1).sup_v1 < 1e-12
+    sups = [_zero_field_constants(torus_patch, eps).sup_v1 for eps in (0.1, 0.05)]
     assert sups[1] < 0.7 * sups[0]
 
 
@@ -351,15 +360,15 @@ def test_flat_renormalized_matches_interval_spectrum(segment_patch):
 def test_comparison_constants_flat_are_unit(segment_patch):
     lay = layer_geometry(segment_patch, 0.2, 9)
     pot = layer_potential(zero_field(2), lay)
-    pots = potential_grids(lay)
-    c = comparison_constants(lay, pots, pot)
+    c = comparison_constants(lay, pot)
     assert c.c_lower == pytest.approx(1.0)
     assert c.c_upper == pytest.approx(1.0)
     assert c.scale_minus == pytest.approx(0.8)
     assert c.scale_plus == pytest.approx(1.2)
     assert c.offset == pytest.approx(0.0, abs=1e-14)
-    op, _ = assemble_comparison(lay, pot, +1)
+    op = assemble_comparison(lay, pot, +1)
     assert op.kind == "H0+"
+    assert op.meta["offset"] == c.offset
 
 
 def test_comparison_constants_scale_linearly(circle_patch):
@@ -368,7 +377,7 @@ def test_comparison_constants_scale_linearly(circle_patch):
     for eps in (0.2, 0.1, 0.05, 0.025):
         lay = layer_geometry(circle_patch, eps, 9)
         pot = layer_potential(zero_field(2), lay)
-        c = comparison_constants(lay, potential_grids(lay), pot)
+        c = comparison_constants(lay, pot)
         ratios.append((c.scale_plus - 1.0) / eps)
         ratios.append((1.0 - c.scale_minus) / eps)
         offsets.append(c.offset / eps)
@@ -386,8 +395,8 @@ def test_sandwich_ordering(family, grid, m_u):
     lay = layer_geometry(p, 0.1, m_u)
     pot = layer_potential(zero_field(p.ambient_dim), lay)
     H = assemble_full(lay, pot)
-    lo, _ = assemble_comparison(lay, pot, -1)
-    hi, _ = assemble_comparison(lay, pot, +1)
+    lo = assemble_comparison(lay, pot, -1)
+    hi = assemble_comparison(lay, pot, +1)
     n = 10
     specs = [lowest_eigenpairs(op, n, tol=1e-12) for op in (lo, H, hi)]
     if family == "torus":
@@ -398,13 +407,33 @@ def test_sandwich_ordering(family, grid, m_u):
     assert np.max(vm - vh) <= 1e-10
 
 
+@pytest.mark.parametrize("family,params,grid,b,eps", [
+    ("circle", {"radius": 1.0}, (96,), 1.0, 0.2),
+    ("circle", {"radius": 1.0}, (96,), 1.0, 0.1),
+    ("ellipse", {"a": 1.0, "b": 0.7}, (96,), 1.5, 0.2),
+    ("ellipse", {"a": 1.0, "b": 0.7}, (96,), 1.5, 0.1),
+    ("torus", {"major": 2.0, "minor": 0.5}, (24, 24), [0.3, 0.0, 1.0], 0.1),
+])
+def test_sandwich_ordering_in_a_magnetic_field(family, params, grid, b, eps):
+    # a nonzero field makes the offset's (eps + eps^2) sup_quad term count
+    p = build_patch(GeometryFamily(family, params), grid)
+    lay = layer_geometry(p, eps, 9)
+    pot = gauge_fix(pullback(constant_field(p.ambient_dim, b), lay))
+    assert pot.sup_quad > 0.0
+    ops = (assemble_comparison(lay, pot, -1), assemble_full(lay, pot),
+           assemble_comparison(lay, pot, +1))
+    vl, vm, vh = (lowest_eigenpairs(op, 6, tol=1e-12).values for op in ops)
+    assert np.max(vl - vm) <= 1e-12
+    assert np.max(vm - vh) <= 1e-12
+
+
 def test_comparison_gap_shrinks_linearly(circle_patch):
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         lay = layer_geometry(circle_patch, eps, 9)
         pot = layer_potential(zero_field(2), lay)
-        lo, _ = assemble_comparison(lay, pot, -1)
-        hi, _ = assemble_comparison(lay, pot, +1)
+        lo = assemble_comparison(lay, pot, -1)
+        hi = assemble_comparison(lay, pot, +1)
         l1 = lowest_eigenpairs(lo, 1).values[0]
         h1 = lowest_eigenpairs(hi, 1).values[0]
         gaps.append(h1 - l1)
