@@ -322,14 +322,19 @@ def load_config(path) -> RunConfig:
 
 def _load_numeric_csv(path) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read CSV {path}: {exc}")
     except ValueError:
         try:  # tolerate one header row
-            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot parse CSV {path}: {exc}")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad)) + 1
+        raise ConfigError(f"sampled CSV {path} has a non-finite number in data row {row}")
+    return data
 
 
 def load_sampled_geometry(path, n_index_cols=None) -> np.ndarray:
@@ -371,10 +376,6 @@ def load_sampled_grid_csv(path, dim, n_values) -> tuple[list, np.ndarray]:
             f"sampled CSV {path} needs {dim + n_values} columns ({dim} point "
             f"coordinates, {n_values} values), got {data.shape[1]}"
         )
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad)) + 1
-        raise ConfigError(f"sampled CSV {path} has a non-finite number in data row {row}")
     axes = [np.unique(data[:, k]) for k in range(dim)]
     shape = tuple(a.size for a in axes)
     if min(shape) < 2:

@@ -38,11 +38,10 @@ solver.dense_threshold. Otherwise, the first of three paths that applies:
     pair and is skipped, and the others are solved directly (LAPACK's band
     eigensolver). No iteration runs, so no seed enters and a degenerate pair
     of modes m and -m comes back whole. On the 200x400 sphere h_eff (80,000
-    dofs, B = e_z) it solves 5 of 400 blocks and skips 1, in 0.08-0.09 s
-    against 0.49-0.51 s for Lanczos on the Fourier route's factorization,
-    and on the 512x17 zero-field circle layer (8,704 dofs) it solves 3 and
-    skips 254, in 34-42 ms against 59-64 ms for Lanczos on a band Cholesky
-    of the whole layer (one BLAS thread);
+    dofs, B = e_z) it solves 5 of 400 blocks and skips 1, in 51-61 ms with
+    the symmetry test, and on the 512x17 zero-field circle layer (8,704
+    dofs) it solves 3 and skips 254, in 11-14 ms (one BLAS thread; 103-139
+    and 16-20 ms with all blocks built as one sparse matrix);
   * shift-invert Lanczos (ARPACK) with a SuperLU factorization of H - sigma
     for the operators without the symmetry: curves of varying curvature (an
     ellipse, a segment), a circle in a gauge that breaks it, surface
@@ -67,9 +66,10 @@ shift-invert only meets the second, as its operators lack the symmetry:
     band Cholesky factors their bands side by side, in the reverse
     Cuthill-McKee order that _fourier_pairs reads too; a real H keeps modes
     0..n/2 and takes the real FFT. On the 200x400 sphere h_eff (80,000
-    dofs, band width 1) it factors in 67-86 ms against SuperLU's 1.38-1.71
-    s (13.0M entries) and solves in 3.5-3.9 ms against 40-45 ms; a circle
-    layer's blocks are dense, band width m_u - 1 (one BLAS thread);
+    dofs, band width 1) it factors in 25-32 ms, symmetry test included,
+    against SuperLU's 1.85-1.99 s (13.0M entries) and solves in 3.1-5.4 ms
+    against 44-58 ms; a circle layer's blocks are dense, band width m_u - 1
+    (one BLAS thread);
   * any other: SuperLU in its symmetric mode, a minimum-degree order on
     A + A^H with diagonal pivots. Without pivoting the factorization of an
     HPD matrix is stable, and a whole operator fills about a third less
@@ -203,10 +203,14 @@ def _circulant_axis(op):
     axis-index-0 dofs as (off-axis row, off-axis column, axis offset d,
     value). H is shift-invariant when it equals, to within ROUNDOFF_FACTOR *
     u * max|H| in every entry, the matrix that repeats slice at every node
-    of the axis, the one the Fourier route factors.
+    of the axis, the one the Fourier route factors. H is read at the repeated
+    positions only: it has no entry past the bound elsewhere when as many of
+    its entries (duplicates summed) pass the bound as of those read.
     """
     dof, H = op.dofmap, op.matrix
+    H = H if H.has_canonical_format else H.tocoo().tocsr()  # duplicates summed
     tol = ROUNDOFF_FACTOR * 2.0**-53 * np.max(np.abs(H.data), initial=0.0)
+    beyond = np.count_nonzero(np.abs(H.data) > tol)
     sizes = dof.grid_shape + (dof.m_u,)
     for axis, closure in enumerate(dof.closures):
         if closure != PERIODIC:
@@ -217,23 +221,22 @@ def _circulant_axis(op):
         dofs = np.arange(op.n_dof).reshape(shape).transpose(1, 0, 2).reshape(n, pre * post)
         first = H[dofs[0]].tocoo()
         p, d, q = np.unravel_index(first.col, shape)
-        row, col = first.row, p * post + q
+        row, col = first.row.astype(np.intp), p * post + q  # intp: the sort key passes 2^31
         order = np.argsort((row * (pre * post) + col) * n + d)
         row, col, d, values = row[order], col[order], d[order], first.data[order]
         t = np.arange(n)[:, None]
-        repeated = sp.csr_array(
-            (np.tile(values, n), (dofs[t, row].ravel(), dofs[(t + d) % n, col].ravel())),
-            shape=H.shape,
-        )
-        if np.max(np.abs((H - repeated).data), initial=0.0) <= tol:
-            return axis, shape, (row, col, d, values)
+        at = H[dofs[t, row].ravel(), dofs[(t + d) % n, col].ravel()].reshape(n, -1)
+        if np.count_nonzero(np.abs(at) > tol) == beyond:
+            at -= values
+            if np.max(np.abs(at), initial=0.0) <= tol:
+                return axis, shape, (row, col, d, values)
     return None
 
 
 def _fourier_blocks(slice_, shape, real):
     """The DFT (numpy's fft) of H along its axis of symmetry, one block B_m
-    per Fourier mode m with the entries of slice_ times exp(2 pi i m d / n):
-    modes 0..n/2 for a real H, whose blocks at m and n - m are conjugate.
+    per Fourier mode m, sum_d exp(2 pi i m d / n) times the slice_ part at
+    axis offset d: modes 0..n/2 for a real H (blocks m, n - m conjugate).
 
     Returns bands, perm and lower: bands[m] is the upper band of B_m in
     LAPACK's storage (row w + i - j of column j holds B_m[i, j], w the
@@ -243,25 +246,26 @@ def _fourier_blocks(slice_, shape, real):
     row, col, d, values = slice_
     pre, n, post = shape
     size = pre * post
-    m = np.arange(n // 2 + 1 if real else n)[:, None]
-    blocks = sp.csr_array(
-        (
-            # m d reduced mod n in integers keeps the phase exact to round-off
-            (values * np.exp(2j * np.pi * (m * d % n) / n)).ravel(),
-            ((m * size + row).ravel(), (m * size + col).ravel()),
-        ),
-        shape=(m.size * size, m.size * size),
-    )
-    lower = (blocks.diagonal().real - _off_diagonal_row_sums(blocks)).reshape(-1, size).min(axis=1)
-    perm = _rcm(blocks[:size, :size])
-    rank = np.argsort(perm)
-    C = blocks.tocoo()
-    i, j = rank[C.row % size], rank[C.col % size]
+    perm = _rcm(sp.csr_array((values, (row, col)), shape=(size, size)))
+    i, j = np.argsort(perm)[[row, col]]
     upper = j >= i
-    width = int(np.max(j[upper] - i[upper], initial=0))
+    i, j, d, values = i[upper], j[upper], d[upper], values[upper]
+    width = int(np.max(j - i, initial=0))
+    offsets, k = np.unique(d, return_inverse=True)
+    band_d = np.zeros((offsets.size, width + 1, size), dtype=values.dtype)
+    band_d[k, width + i - j, j] = values
+    m = np.arange(n // 2 + 1 if real else n)[:, None]
     bands = np.zeros((m.size, width + 1, size), dtype=complex)
-    bands[C.row[upper] // size, (width + i - j)[upper], j[upper]] = C.data[upper]
-    return bands, perm, lower
+    # m d reduced mod n in integers keeps the phase exact to round-off
+    for phase, band in zip(np.exp(2j * np.pi * (m * offsets % n) / n).T, band_d):
+        bands += phase[:, None, None] * band
+    # |B_ik| over k != i: row i's part above the diagonal, and column i's, the
+    # part below by Hermitian symmetry
+    above = np.abs(bands[:, :-1])
+    off = above.sum(axis=1)
+    for r in range(width):
+        off[:, : size - width + r] += above[:, r, width - r:]
+    return bands, perm, (bands[:, -1].real - off).min(axis=1)
 
 
 def _fourier_band_cholesky(slice_, shape, real, sigma):

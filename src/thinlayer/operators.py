@@ -146,11 +146,10 @@ class AssembledOperator:
         return np.iscomplexobj(self.matrix)
 
     def hermiticity_residual(self) -> float:
-        d = (self.matrix - self.matrix.conj().T).tocoo()
-        if d.nnz == 0:
-            return 0.0
-        scale = max(float(np.abs(self.matrix.data).max()), 1e-300)
-        return float(np.abs(d.data).max()) / scale
+        M = self.matrix
+        d = (M - M.conj(copy=False).T.tocsr()).data  # csr - csc copies once more
+        scale = max(float(np.max(np.abs(M.data), initial=0.0)), 1e-300)
+        return float(np.max(np.abs(d), initial=0.0)) / scale
 
     @staticmethod
     def from_matrix(matrix, weights=None, kind="custom", eps=None) -> "AssembledOperator":
@@ -229,8 +228,8 @@ def _ghost_coef(F, axis, side):
 
 def _diag_triplets(gi, gj, coff, di, dj, theta):
     n = gi.size
-    rows = np.empty(4 * n, np.int64)
-    cols = np.empty(4 * n, np.int64)
+    rows = np.empty(4 * n, gi.dtype)
+    cols = np.empty(4 * n, gi.dtype)
     rows[0::4] = gi
     cols[0::4] = gj
     rows[1::4] = gj
@@ -267,21 +266,21 @@ def _surface_operator(patch, inv, alpha, m):
     inv: (*grid, m, dim, dim) inverse-metric coefficients; alpha: chart
     components of the potential, (*grid, m, dim) or None; an all-zero alpha
     counts as None and keeps the matrix real. Returns a csr_array of size
-    (n_surface * m).
+    (n_surface * m), with int32 indices below 2^31 dofs.
     """
     gshape = patch.grid_shape
     ns = patch.n_nodes
     if alpha is not None and not np.any(alpha):
         alpha = None
 
-    I = np.arange(ns, dtype=np.int64).reshape(gshape)
+    I = np.arange(ns, dtype=np.int32 if ns * m < 2**31 else np.int64).reshape(gshape)
     sg_m = np.broadcast_to(patch.sqrt_g[..., None], gshape + (m,))
     isqrt_sg = 1.0 / np.sqrt(patch.sqrt_g)
     isg2 = isqrt_sg**2
     # (rows, cols, vals) blocks, duplicates summed by the COO -> CSR build;
     # the ghost diagonals go after every edge
     entries, ghosts = [], []
-    slab = np.arange(m, dtype=np.int64)
+    slab = np.arange(m, dtype=I.dtype)
 
     def slabs(surf):
         return (surf[..., None] * m + slab).reshape(-1)
@@ -350,7 +349,8 @@ def _surface_operator(patch, inv, alpha, m):
                 v = v.reshape(-1)
                 entries += [(slabs(a), slabs(b), v), (slabs(b), slabs(a), np.conj(v))]
 
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries, *ghosts))
+    rows, cols, vals = [np.concatenate(part) for part in zip(*entries, *ghosts)]
+    del entries[:], ghosts[:]  # freed before the CSR build
     dtype = np.float64 if alpha is None else np.complex128
     return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(ns * m,) * 2, dtype=dtype))
 
@@ -518,9 +518,7 @@ def _layer_operator(layer, Hsurf, V, kind, field_label, meta, block) -> Assemble
     patch = layer.patch
     m = layer.m_u
     T = transverse_matrix(m) / layer.eps**2
-    Ht = sp.csr_array(
-        sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
-    )
+    Ht = sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
     op = AssembledOperator(
         matrix=Hsurf + Ht + sp.csr_array(sp.diags_array(V.reshape(-1))),
         weights=layer.full_weights(),
@@ -621,9 +619,7 @@ def assemble_comparison(
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
     shift = sign * consts.offset
     base = _surface_block(patch, pot.a_surf0, electric)
-    Hsurf = sp.csr_array(
-        sp.kron(scale * base.matrix, sp.eye_array(layer.m_u, format="csr"), format="csr")
-    )
+    Hsurf = sp.kron(scale * base.matrix, sp.eye_array(layer.m_u, format="csr"), format="csr")
     meta = {
         "scale": scale,
         "offset": consts.offset,
@@ -650,15 +646,13 @@ def renormalize(op: AssembledOperator) -> AssembledOperator:
     if op.eps is None:
         raise AssemblyError("operator has no layer half-width")
     shift = TRANSVERSE_GROUND_ENERGY / op.eps**2
-    H = op.matrix - sp.csr_array(
-        sp.diags_array(np.full(op.matrix.shape[0], shift))
-    ).astype(op.matrix.dtype)
+    H = op.matrix - shift * sp.eye_array(op.n_dof, dtype=op.matrix.dtype, format="csr")
     meta = dict(op.meta)
     meta["renormalization_shift"] = shift
     if meta.get("spectral_lower_bound") is not None:
         meta["spectral_lower_bound"] = meta["spectral_lower_bound"] - shift
     return AssembledOperator(
-        matrix=sp.csr_array(H),
+        matrix=H,
         weights=op.weights,
         dofmap=op.dofmap,
         kind=op.kind + "-renormalized",

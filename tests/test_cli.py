@@ -859,6 +859,30 @@ def test_user_sampled_geometry_index_must_be_nonnegative_integer(tmp_path, capsy
     assert "non-negative integers" in capsys.readouterr().err
 
 
+def test_user_sampled_geometry_rejects_non_finite_values(tmp_path, capsys, recwarn):
+    # node 10 of a sampled unit circle, data row 11, has no x coordinate: the
+    # loader names it before any curvature is computed
+    n = 64
+    t = 2 * np.pi * np.arange(n) / n
+    rows = ["i,x,y"] + [f"{i},{np.cos(t[i]):.17g},{np.sin(t[i]):.17g}" for i in range(n)]
+    rows[11] = "10,nan,0.5"
+    (tmp_path / "curve.csv").write_text("\n".join(rows) + "\n")
+    cfg = _config(
+        {
+            "family": "user-sampled",
+            "params": {"h1": float(2 * np.pi / n)},
+            "csv": "curve.csv",
+            "closure": ["periodic"],
+        }
+    )
+    rc = main(["geometry", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "curve.csv" in err and "non-finite" in err and "row 11" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _sampled_torus_csv(path, n=16):
     t = 2 * np.pi * np.arange(n) / n
     rows = []

@@ -809,6 +809,115 @@ def test_fourier_route_accepts_an_entry_moved_within_its_tolerance():
     assert _factor_label(op).startswith("fourier-band-cholesky(axis=phi")
 
 
+def _non_canonical(op, index_dtype):
+    # the same matrix with every entry stored as two halves (duplicates), one
+    # explicit zero off the pattern in a row away from axis index 0, and
+    # indices of index_dtype
+    H = op.matrix.tocoo()
+    i = op.n_dof // 3
+    j = (i + op.n_dof // 2) % op.n_dof
+    assert op.matrix[i, j] == 0 and i % op.dofmap.grid_shape[1] != 0
+    rows = np.concatenate([H.row, H.row, [i]])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([H.col, H.col, [j]])[order]
+    data = np.concatenate([H.data / 2, H.data / 2, [0.0]])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=op.n_dof))])
+    M = sp.csr_array((data, cols, indptr), shape=H.shape)
+    M.indices, M.indptr = M.indices.astype(index_dtype), M.indptr.astype(index_dtype)
+    assert not M.has_canonical_format and M.nnz == 2 * H.nnz + 1
+    return dataclasses.replace(op, matrix=M)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("b", [[0.0, 0.0, 1.0], [0.3, 0.0, 1.0]])  # accepted, declined
+def test_symmetry_test_decides_on_a_non_canonical_matrix_as_on_its_canonical_copy(
+    b, index_dtype
+):
+    import thinlayer.eigensolve as es
+
+    op = _sphere_heff(b)
+    assert op.matrix.indices.dtype == np.int32  # the assembly's triplets
+    canonical = es._circulant_axis(op)
+    edited = es._circulant_axis(_non_canonical(op, index_dtype))
+    assert (canonical is None) == (b[0] != 0.0) == (edited is None)
+    if canonical is not None:
+        assert edited[:2] == canonical[:2]
+        for a, e in zip(canonical[2], edited[2]):
+            assert np.array_equal(a, e)
+
+
+def _torus_layer_8x8():
+    p = build_patch(GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (8, 8))
+    return _torus_layer(p, 0.1, m_u=5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _torus_layer_8x8,  # complex, post = m_u > 1
+        lambda: assemble_effective(
+            build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (20, 40))
+        ),  # real
+        lambda: _curve_layer("circle", {"radius": 1.0}, 32, constant_field(2, 0.7)),  # complex
+    ],
+    ids=["torus-layer", "sphere-heff", "circle-layer"],
+)
+def test_fourier_blocks_match_the_dense_dft_of_the_slice(make):
+    import thinlayer.eigensolve as es
+
+    op = make()
+    _, (pre, n, post), (row, col, d, values) = es._circulant_axis(op)
+    real = not op.is_complex
+    bands, perm, lower = es._fourier_blocks((row, col, d, values), (pre, n, post), real)
+    modes, size = (n // 2 + 1 if real else n), pre * post
+    assert bands.shape[0] == modes == lower.size
+    m = np.arange(modes)[:, None]
+    blocks = np.zeros((modes, size, size), dtype=complex)
+    np.add.at(blocks, (m, row, col), values * np.exp(2j * np.pi * (m * d % n) / n))
+    width = bands.shape[1] - 1
+    permuted = blocks[:, perm][:, :, perm]
+    upper = np.triu(np.ones((size, size), dtype=bool))
+    band_rows = np.subtract.outer(np.arange(size), np.arange(size)) + width  # w + i - j
+    assert np.all(permuted[:, upper & (band_rows < 0)] == 0)  # the band holds B_m
+    expected = np.zeros_like(bands)
+    i, j = np.nonzero(upper & (band_rows >= 0))
+    expected[:, width + i - j, j] = permuted[:, i, j]
+    h_max = np.max(np.abs(op.matrix.data))
+    assert np.max(np.abs(bands - expected)) <= 4 * 2.0**-53 * h_max
+    # Gershgorin: below every eigenvalue of its block, to the eigensolver's
+    # round-off
+    floor = np.linalg.eigvalsh(blocks).min(axis=1)
+    assert np.all(lower <= floor + ROUNDOFF_FACTOR * 2.0**-53 * h_max)
+
+
+def test_surface_path_holds_no_whole_operator_transient():
+    # tracemalloc peaks per stored entry of H on the 100x200 sphere h-eff in
+    # B = e_z: the assembly, the symmetry test and the Fourier blocks take
+    # 89, 42 and 13 bytes, and 159, 92 and 67 with int64 triplets, a second
+    # and a third whole-size CSR in the test and one CSR of every block
+    import tracemalloc
+
+    import thinlayer.eigensolve as es
+
+    p = build_patch(GeometryFamily("full-sphere", {"radius": 1.0}), (100, 200))
+    eff = effective_field(constant_field(3, [0.0, 0.0, 1.0]), p)
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            return f(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    op, assembly = peak(lambda: assemble_effective(p, eff))
+    circulant, symmetry = peak(lambda: es._circulant_axis(op))
+    _, blocks = peak(lambda: es._fourier_blocks(circulant[2], circulant[1], not op.is_complex))
+    nnz = op.matrix.nnz
+    assert assembly / nnz <= 120
+    assert symmetry / nnz <= 70
+    assert blocks / nnz <= 30
+
+
 def test_fourier_route_keeps_the_torus_sweep_resolvent_column(monkeypatch):
     import thinlayer.eigensolve as es
     from thinlayer.convergence import SweepSpec, run_sweep
