@@ -23,7 +23,9 @@ from .config import (
     build_field,
     load_config,
 )
-from .errors import ConfigError, EmbeddingError, GeometryError, SolverError, ThinLayerError
+from .errors import (
+    ConfigError, EmbeddingError, FieldError, GeometryError, SolverError, ThinLayerError,
+)
 from .geometry import (
     build_patch,
     check_embedding,
@@ -409,6 +411,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threads", 0) < 0:
         parser.error(f"--threads must be >= 0, got {args.threads}")
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
@@ -428,7 +432,7 @@ def main(argv=None) -> int:
         log.info("blas: %s", blas)
         try:
             return args.func(cfg, out, args)
-        except (ConfigError, GeometryError, EmbeddingError) as exc:
+        except (ConfigError, GeometryError, EmbeddingError, FieldError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except SolverError as exc:

@@ -93,7 +93,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .geometry import PERIODIC
 from .operators import AssembledOperator, sine_modes, transverse_energies
 
 DEFAULT_TOL = 1e-10
@@ -212,8 +211,8 @@ def _circulant_axis(op):
     tol = ROUNDOFF_FACTOR * 2.0**-53 * np.max(np.abs(H.data), initial=0.0)
     beyond = np.count_nonzero(np.abs(H.data) > tol)
     sizes = dof.grid_shape + (dof.m_u,)
-    for axis, closure in enumerate(dof.closures):
-        if closure != PERIODIC:
+    for axis, ax in enumerate(dof.axes):
+        if not ax.periodic:
             continue
         pre, n, post = int(np.prod(sizes[:axis])), sizes[axis], int(np.prod(sizes[axis + 1:]))
         shape = (pre, n, post)
@@ -308,7 +307,7 @@ def _factor(op, sigma, circulant):
         if circulant is not None:
             axis, shape, slice_ = circulant
             solve, width = _fourier_band_cholesky(slice_, shape, not op.is_complex, sigma)
-            name = op.dofmap.axis_names[axis]
+            name = op.dofmap.axes[axis].name
             return solve, f"fourier-band-cholesky(axis={name}, width={width})"
         lu = _superlu(_shifted(op.matrix.tocsc(), sigma))
         return lu.solve, f"superlu(nnz={lu.nnz})"

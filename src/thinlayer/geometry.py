@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,26 @@ PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 POLE_POLE = "pole-pole"
 POLE_DIRICHLET = "pole-dirichlet"
+
+
+class _Closure(NamedTuple):
+    extra: float  # cells beyond n that the n nodes span
+    first: float  # offset of the first node from the left end, in cells
+    dirichlet_ends: tuple[int, ...]  # eliminated Dirichlet ends: 0 left, 1 right
+    pole: bool  # the ends that are not Dirichlet carry a coordinate pole
+    boundary: str  # the boundary-record text
+
+
+#: what each closure implies: node layout, eliminated ends, pole, record text
+_CLOSURES = {
+    PERIODIC: _Closure(0.0, 0.0, (), False, "periodic identification"),
+    DIRICHLET: _Closure(1.0, 1.0, (0, 1), False, "Dirichlet rows eliminated at both ends"),
+    POLE_POLE: _Closure(0.0, 0.5, (), True, "zero-flux pole closure at both ends"),
+    POLE_DIRICHLET: _Closure(
+        0.5, 0.5, (1,), True, "zero-flux pole at left end, Dirichlet at right end"
+    ),
+}
+
 
 @dataclass(frozen=True)
 class ChartAxis:
@@ -49,23 +69,25 @@ class ChartAxis:
     def periodic(self) -> bool:
         return self.closure == PERIODIC
 
+    @property
+    def dirichlet_ends(self) -> tuple[int, ...]:
+        return _CLOSURES[self.closure].dirichlet_ends
+
+    @property
+    def pole(self) -> bool:
+        return _CLOSURES[self.closure].pole
+
+    @property
+    def boundary(self) -> str:
+        return _CLOSURES[self.closure].boundary
+
 
 def _make_axis(name, n, closure, extent, left=0.0):
-    if closure == PERIODIC:
-        h = extent / n
-        node0 = left
-    elif closure == DIRICHLET:
-        h = extent / (n + 1)
-        node0 = left + h
-    elif closure == POLE_POLE:
-        h = extent / n
-        node0 = left + 0.5 * h
-    elif closure == POLE_DIRICHLET:
-        h = extent / (n + 0.5)
-        node0 = left + 0.5 * h
-    else:
+    if closure not in _CLOSURES:
         raise GeometryError(f"unknown closure {closure!r}")
-    return ChartAxis(name, int(n), float(h), float(node0), closure)
+    rule = _CLOSURES[closure]
+    h = extent / (n + rule.extra)
+    return ChartAxis(name, int(n), float(h), float(left + rule.first * h), closure)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +109,11 @@ _D2_EDGE = np.array(
 ) / 12.0
 
 
-def grid_deriv1(arr, axis, h, periodic):
-    """Fourth-order first derivative along one grid axis."""
+def grid_deriv1(arr, axis, ax):
+    """Fourth-order first derivative along grid axis `axis`, the chart axis ax."""
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
-    if periodic:
+    h = ax.h
+    if ax.periodic:
         out = (
             np.roll(a, 2, 0) - 8.0 * np.roll(a, 1, 0) + 8.0 * np.roll(a, -1, 0) - np.roll(a, -2, 0)
         ) / (12.0 * h)
@@ -106,10 +129,11 @@ def grid_deriv1(arr, axis, h, periodic):
     return np.moveaxis(out, 0, axis)
 
 
-def grid_deriv2(arr, axis, h, periodic):
-    """Fourth-order second derivative along one grid axis."""
+def grid_deriv2(arr, axis, ax):
+    """Fourth-order second derivative along grid axis `axis`, the chart axis ax."""
     a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
-    if periodic:
+    h = ax.h
+    if ax.periodic:
         out = (
             -np.roll(a, 2, 0)
             + 16.0 * np.roll(a, 1, 0)
@@ -446,11 +470,9 @@ def _sampled_fields(samples, closures, grid, params):
         closure = closures[k]
         if closure not in (PERIODIC, DIRICHLET):
             raise GeometryError("user-sampled charts support periodic or dirichlet closure")
-        extent = spacings[k] * (gshape[k] if closure == PERIODIC else gshape[k] + 1)
+        extent = spacings[k] * (gshape[k] + _CLOSURES[closure].extra)
         axes.append(_make_axis(f"x{k + 1}", gshape[k], closure, extent))
-    tan = np.stack(
-        [grid_deriv1(x, k, axes[k].h, axes[k].periodic) for k in range(naxes)], axis=-2
-    )
+    tan = np.stack([grid_deriv1(x, k, axes[k]) for k in range(naxes)], axis=-2)
     if d == 2:
         t = tan[..., 0, :]
         nrm = np.stack([-t[..., 1], t[..., 0]], -1)
@@ -474,11 +496,9 @@ def _sampled_fields(samples, closures, grid, params):
             )
     hess = np.empty(gshape + (naxes, naxes, d))
     for k in range(naxes):
-        hess[..., k, k, :] = grid_deriv2(x, k, axes[k].h, axes[k].periodic)
+        hess[..., k, k, :] = grid_deriv2(x, k, axes[k])
     if naxes == 2:
-        m = grid_deriv1(
-            grid_deriv1(x, 0, axes[0].h, axes[0].periodic), 1, axes[1].h, axes[1].periodic
-        )
+        m = grid_deriv1(grid_deriv1(x, 0, axes[0]), 1, axes[1])
         hess[..., 0, 1, :] = m
         hess[..., 1, 0, :] = m
     hform = np.einsum("...abd,...d->...ab", hess, nrm)
@@ -893,7 +913,7 @@ def surface_gradient_sq(patch, f, metric_inv=None):
     """|grad f|_g^2 on the chart; f may carry trailing non-grid axes."""
     inv = patch.metric_inv if metric_inv is None else metric_inv
     naxes = len(patch.axes)
-    df = [grid_deriv1(f, k, patch.axes[k].h, patch.axes[k].periodic) for k in range(naxes)]
+    df = [grid_deriv1(f, k, ax) for k, ax in enumerate(patch.axes)]
     out = np.zeros_like(np.asarray(f, dtype=float))
     for a in range(naxes):
         for b in range(naxes):
@@ -906,14 +926,14 @@ def surface_laplacian(patch, f, metric_inv=None):
     inv = patch.metric_inv if metric_inv is None else metric_inv
     naxes = len(patch.axes)
     sg_b = _coef_like(patch.sqrt_g, f)
-    df = [grid_deriv1(f, k, patch.axes[k].h, patch.axes[k].periodic) for k in range(naxes)]
+    df = [grid_deriv1(f, k, ax) for k, ax in enumerate(patch.axes)]
     out = np.zeros_like(np.asarray(f, dtype=float))
     for a in range(naxes):
         flux = np.zeros_like(out)
         for b in range(naxes):
             flux = flux + _coef_like(inv[..., a, b], f) * df[b]
         flux = sg_b * flux
-        out = out + grid_deriv1(flux, a, patch.axes[a].h, patch.axes[a].periodic)
+        out = out + grid_deriv1(flux, a, patch.axes[a])
     return out / sg_b
 
 

@@ -84,8 +84,14 @@ def constant_field(dim: int, b) -> AmbientField:
     d=3: b is a 3-vector and A(y) = b x y / 2. d=2: b is the scalar
     out-of-plane strength and A(y) = b (-y2, y1) / 2.
     """
+    b = np.asarray(b, dtype=float)
+    if dim in (2, 3) and b.size != (3 if dim == 3 else 1):
+        raise FieldError(
+            f"constant field b in R^{dim} must be {'a 3-vector' if dim == 3 else 'a number'}, "
+            f"got {b.tolist()}"
+        )
     if dim == 3:
-        b = np.asarray(b, dtype=float).reshape(3)
+        b = b.reshape(3)
 
         def pot(p):
             return 0.5 * np.cross(np.broadcast_to(b, p.shape), p)
@@ -93,7 +99,7 @@ def constant_field(dim: int, b) -> AmbientField:
         return AmbientField(3, "constant", f"constant(b={b.tolist()})", pot,
                             lambda p: np.broadcast_to(b, (p.shape[0], 3)).copy())
     if dim == 2:
-        b = float(np.asarray(b).reshape(()))
+        b = float(b.reshape(()))
 
         def pot(p):
             return 0.5 * b * np.stack([-p[:, 1], p[:, 0]], -1)
@@ -106,7 +112,8 @@ def constant_field(dim: int, b) -> AmbientField:
 def polynomial_field(dim: int, components) -> AmbientField:
     """Explicit gauge with polynomial components.
 
-    components[i] is a list of (coeff, exponents) monomials for A_i(y).
+    components[i] is a list of (coeff, exponents) monomials for A_i(y), with
+    at most dim exponents; missing trailing exponents are 0.
     """
     comp = [
         [(float(c), tuple(int(p) for p in e)) for c, e in terms]
@@ -114,6 +121,14 @@ def polynomial_field(dim: int, components) -> AmbientField:
     ]
     if len(comp) != dim:
         raise FieldError(f"need {dim} potential components, got {len(comp)}")
+    for i, terms in enumerate(comp):
+        for j, (c, e) in enumerate(terms):
+            if len(e) > dim:
+                raise FieldError(
+                    f"potential components[{i}][{j}] has exponents {list(e)}: more "
+                    f"than the {dim} coordinates of R^{dim}"
+                )
+            terms[j] = (c, e + (0,) * (dim - len(e)))
 
     def pot(p):
         return _eval_polynomial(comp, p)
@@ -215,10 +230,20 @@ def zero_potential() -> ScalarPotential:
 
 
 def polynomial_potential(terms) -> ScalarPotential:
+    """Sum of (coeff, exponents) monomials; a term may not have more exponents
+    than the points it is evaluated at have coordinates."""
     tt = [(float(c), tuple(int(p) for p in e)) for c, e in terms]
-    return ScalarPotential(
-        "polynomial", "polynomial", lambda p: _eval_polynomial([tt], p)[:, 0]
-    )
+
+    def func(p):
+        for i, (_, e) in enumerate(tt):
+            if len(e) > p.shape[1]:
+                raise FieldError(
+                    f"electric terms[{i}] has exponents {list(e)}: more than the "
+                    f"{p.shape[1]} coordinates of R^{p.shape[1]}"
+                )
+        return _eval_polynomial([tt], p)[:, 0]
+
+    return ScalarPotential("polynomial", "polynomial", func)
 
 
 def sampled_potential(grid_axes, values) -> ScalarPotential:
@@ -332,13 +357,7 @@ def gauge_fix(raw: RawLayerPotential) -> GaugeFixedPotential:
     j0 = layer.m_u // 2  # u = 0 node (transverse grid is odd)
     running = _cumulative_simpson(raw.a_trans, layer.h_u)
     theta = running - running[..., j0 : j0 + 1]
-    grad = np.stack(
-        [
-            grid_deriv1(theta, k, patch.axes[k].h, patch.axes[k].periodic)
-            for k in range(len(patch.axes))
-        ],
-        axis=-1,
-    )
+    grad = np.stack([grid_deriv1(theta, k, ax) for k, ax in enumerate(patch.axes)], axis=-1)
     fixed = raw.a_surf - grad
     a_surf0 = raw.a_surf0
     a_prime = (fixed - a_surf0[..., None, :]) / layer.eps
@@ -406,6 +425,6 @@ def effective_field_from_chart(alpha: np.ndarray, patch: HypersurfacePatch) -> n
     """
     if patch.dim != 2:
         raise FieldError("chart-route field recovery needs a 2d surface")
-    d1a2 = grid_deriv1(alpha[..., 1], 0, patch.axes[0].h, patch.axes[0].periodic)
-    d2a1 = grid_deriv1(alpha[..., 0], 1, patch.axes[1].h, patch.axes[1].periodic)
+    d1a2 = grid_deriv1(alpha[..., 1], 0, patch.axes[0])
+    d2a1 = grid_deriv1(alpha[..., 0], 1, patch.axes[1])
     return (d1a2 - d2a1) / patch.sqrt_g

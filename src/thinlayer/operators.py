@@ -32,9 +32,7 @@ import scipy.sparse as sp
 from .errors import AssemblyError
 from .geometry import (
     DIRICHLET,
-    PERIODIC,
-    POLE_DIRICHLET,
-    POLE_POLE,
+    ChartAxis,
     HypersurfacePatch,
     LayerGeometry,
     surface_gradient_sq,
@@ -76,30 +74,19 @@ def transverse_energies(m_u: int) -> np.ndarray:
 class DofMap:
     """Flat indexing of (chart nodes) x (transverse nodes), surface-major."""
 
-    grid_shape: tuple[int, ...]
+    axes: tuple[ChartAxis, ...]
     m_u: int
-    closures: tuple[str, ...]
-    axis_names: tuple[str, ...]
 
-    def __post_init__(self):
-        axes = len(self.grid_shape)
-        if len(self.closures) != axes or len(self.axis_names) != axes:
-            raise AssemblyError(
-                f"DofMap on a {axes}-axis grid {self.grid_shape} needs one closure "
-                f"and one name per axis, got closures {self.closures} and names "
-                f"{self.axis_names}"
-            )
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        return tuple(ax.n for ax in self.axes)
+
+    @property
+    def closures(self) -> tuple[str, ...]:
+        return tuple(ax.closure for ax in self.axes)
 
     def boundary_record(self) -> list[str]:
-        rec = []
-        labels = {
-            PERIODIC: "periodic identification",
-            DIRICHLET: "Dirichlet rows eliminated at both ends",
-            POLE_POLE: "zero-flux pole closure at both ends",
-            POLE_DIRICHLET: "zero-flux pole at left end, Dirichlet at right end",
-        }
-        for name, closure in zip(self.axis_names, self.closures):
-            rec.append(f"chart axis {name}: {labels[closure]}")
+        rec = [f"chart axis {ax.name}: {ax.boundary}" for ax in self.axes]
         if self.m_u > 1:
             rec.append("transverse axis u: Dirichlet rows eliminated at u = -1, 1")
         return rec
@@ -157,11 +144,10 @@ class AssembledOperator:
         M = sp.csr_array(matrix)
         n = M.shape[0]
         w = np.ones(n) if weights is None else np.asarray(weights, float)
-        dof = DofMap((n,), 1, (DIRICHLET,), ("i",))
         return AssembledOperator(
             matrix=M,
             weights=w,
-            dofmap=dof,
+            dofmap=DofMap((ChartAxis("i", n, 1.0, 1.0, DIRICHLET),), 1),
             kind=kind,
             eps=eps,
             geometry="explicit",
@@ -172,15 +158,6 @@ class AssembledOperator:
 # ---------------------------------------------------------------------------
 # surface stencil assembly
 # ---------------------------------------------------------------------------
-
-
-#: chart-axis ends that are eliminated Dirichlet boundaries (0 left, 1 right);
-#: pole ends carry zero flux and periodic axes have no ends
-_DIRICHLET_ENDS = {PERIODIC: (), DIRICHLET: (0, 1), POLE_POLE: (), POLE_DIRICHLET: (1,)}
-
-
-def _is_pole_axis(ax):
-    return ax.closure in (POLE_POLE, POLE_DIRICHLET)
 
 
 def _interp_edges_periodic(F, axis):
@@ -306,7 +283,7 @@ def _surface_operator(patch, inv, alpha, m):
 
     for k, ax in enumerate(patch.axes):
         h, n = ax.h, ax.n
-        fourth = not _is_pole_axis(ax)
+        fourth = not ax.pole
         scale1 = 4.0 / 3.0 if fourth else 1.0
         Fnode = sg_m * inv[..., k, k]
 
@@ -322,7 +299,7 @@ def _surface_operator(patch, inv, alpha, m):
         # (value 0 beyond them)
         th = None if alpha is None else h * interp(alpha[..., k])
         emit_edges(hop(I, 0, n - 1), hop(I, 1, n - 1), interp(Fnode), th, scale1, h)
-        for side in _DIRICHLET_ENDS[ax.closure]:
+        for side in ax.dirichlet_ends:
             ghost(k, _END_NODES[side][0], scale1 * _ghost_coef(Fnode, k, side) / h**2)
         if not fourth:
             continue
@@ -331,7 +308,7 @@ def _surface_operator(patch, inv, alpha, m):
         emit_edges(
             hop(I, 0, n - 2), hop(I, 2, n - 2), hop(Fnode, 1, n - 2), thw, -1.0 / 3.0, 2.0 * h
         )
-        for side in _DIRICHLET_ENDS[ax.closure]:
+        for side in ax.dirichlet_ends:
             # double-hop sublattices meet the eliminated boundary in two
             # ways: the sublattice through the first node reflects
             # oddly across it (doubled diagonal), the one through the
@@ -367,7 +344,7 @@ def _mixed_terms(patch, inv, alpha, I, sg_m, isqrt_sg):
     w = |g|^{-1/4} and theta_a the midpoint phase of the hop c -> a; the
     conjugate entries belong at (b, a).
     """
-    if any(_is_pole_axis(ax) for ax in patch.axes):
+    if any(ax.pole for ax in patch.axes):
         raise AssemblyError(
             "mixed metric terms on a chart with a coordinate pole are not supported"
         )
@@ -505,16 +482,11 @@ def _check_hermitian(op: AssembledOperator):
         raise AssemblyError(
             f"assembled {op.kind} operator has Hermiticity residual {res:.3e}"
         )
-    op.meta["hermiticity_residual"] = res
-
-
-def _dofmap(patch, m) -> DofMap:
-    return DofMap(patch.grid_shape, m, patch.closures, tuple(ax.name for ax in patch.axes))
 
 
 def _layer_operator(layer, Hsurf, V, kind, field_label, meta, block) -> AssembledOperator:
     """Hsurf + I (x) T/eps^2 + diag(V) on the product grid, checked Hermitian;
-    meta gets the transverse node count and the weight cell."""
+    meta gets the weight cell."""
     patch = layer.patch
     m = layer.m_u
     T = transverse_matrix(m) / layer.eps**2
@@ -522,12 +494,12 @@ def _layer_operator(layer, Hsurf, V, kind, field_label, meta, block) -> Assemble
     op = AssembledOperator(
         matrix=Hsurf + Ht + sp.csr_array(sp.diags_array(V.reshape(-1))),
         weights=layer.full_weights(),
-        dofmap=_dofmap(patch, m),
+        dofmap=DofMap(patch.axes, m),
         kind=kind,
         eps=layer.eps,
         geometry=patch.label(),
         field_label=field_label,
-        meta={"m_u": m, "weights_cell": patch.cell_area * layer.h_u, **meta},
+        meta={"weights_cell": patch.cell_area * layer.h_u, **meta},
         surface_block=block,
     )
     _check_hermitian(op)
@@ -556,13 +528,9 @@ def assemble_full(
     V = _diagonal_potential(layer)
     if electric is not None:
         V = V + electric.on_layer(layer)
-    meta = {
-        "electric": None if electric is None else electric.label,
-        # kinetic part is nonnegative, transverse block bounded below by
-        # the ground energy: a cheap certified spectral floor
-        "spectral_lower_bound": float(np.min(V))
-        + TRANSVERSE_GROUND_ENERGY / layer.eps**2,
-    }
+    # kinetic part is nonnegative, transverse block bounded below by the
+    # ground energy: a cheap certified spectral floor
+    meta = {"spectral_lower_bound": float(np.min(V)) + TRANSVERSE_GROUND_ENERGY / layer.eps**2}
     block = _surface_block(patch, pot.a_surf0, electric)
     return _layer_operator(layer, Hsurf, V, "full-H", pot.field_label, meta, block)
 
@@ -583,17 +551,12 @@ def assemble_effective(
     op = AssembledOperator(
         matrix=block.matrix,
         weights=patch.surface_weights(),
-        dofmap=_dofmap(patch, 1),
+        dofmap=DofMap(patch.axes, 1),
         kind="h-eff",
         eps=None,
         geometry=patch.label(),
         field_label=label,
-        meta={
-            "m_u": 1,
-            "electric": None if electric is None else electric.label,
-            "weights_cell": patch.cell_area,
-            "spectral_lower_bound": block.floor,
-        },
+        meta={"weights_cell": patch.cell_area, "spectral_lower_bound": block.floor},
     )
     _check_hermitian(op)
     return op

@@ -163,6 +163,15 @@ def test_threads_is_a_nonnegative_converge_option(tmp_path):
         assert info.value.code == 2
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path / "c.json", _config({"family": "circle", "params": {"radius": 1.0},
+                                                 "grid": [16]}))
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum", "--seed", "-1", "--config", path, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "block, key, value",
     [
@@ -1029,6 +1038,46 @@ def test_sampled_csv_rejects_non_finite_values(tmp_path, capsys, command, kind, 
     assert rc == 2
     err = capsys.readouterr().err
     assert "s.csv" in err and "non-finite" in err and "row 59" in err
+
+
+_TORUS = {"family": "torus", "params": {"major": 2.0, "minor": 0.5}, "grid": [16, 16]}
+_CIRCLE = {"family": "circle", "params": {"radius": 1.0}, "grid": [32]}
+
+
+@pytest.mark.parametrize(
+    "command, geometry, field, entry",
+    [
+        ("geometry", _TORUS, {"kind": "constant", "b": 1.0}, "b in R^3 must be a 3-vector"),
+        ("converge", _CIRCLE, {"kind": "constant", "b": [0, 0, 1.0]}, "b in R^2 must be a number"),
+        ("geometry", _TORUS,
+         {"kind": "linear-gauge", "components": [[[1.0, [0, 1, 0, 2]]], [], []]},
+         "components[0][0] has exponents [0, 1, 0, 2]"),
+        ("spectrum", _CIRCLE,
+         {"kind": "zero", "electric": {"kind": "polynomial", "terms": [[1.0, [0, 0, 2]]]}},
+         "electric terms[0] has exponents [0, 0, 2]"),
+        ("geometry", _TORUS, {"kind": "linear-gauge", "components": [[], []]},
+         "need 3 potential components, got 2"),
+        ("geometry", _TORUS, {"kind": "sampled", "csv": "cube.csv"},
+         "vector potential undefined at ambient point"),
+    ],
+    ids=["torus-b-number", "circle-b-vector", "long-exponents", "long-electric-term",
+         "two-components", "sampled-box-too-small"],
+)
+def test_field_that_does_not_fit_the_geometry_is_a_config_error(
+    tmp_path, capsys, command, geometry, field, entry
+):
+    # a zero potential on the 3x3x3 grid of [-1, 1]^3, which a torus of major
+    # radius 2 leaves
+    axis = np.linspace(-1.0, 1.0, 3)
+    rows = [f"{y1},{y2},{y3},0,0,0" for y1 in axis for y2 in axis for y3 in axis]
+    (tmp_path / "cube.csv").write_text("\n".join(rows) + "\n")
+    cfg = _config(geometry, field=field, solver={"n_eigenpairs": 1},
+                  spectrum={"operator": "h-eff"}, sweep={"epsilons": [0.2, 0.1], "m_u": 5})
+    # in process, an exception that escaped main would fail the call itself
+    rc = main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and entry in err
 
 
 # ---------------------------------------------------------------------------

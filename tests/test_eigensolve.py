@@ -28,7 +28,7 @@ from thinlayer import (
 )
 from thinlayer.convergence import TransverseMode
 from thinlayer.eigensolve import LOBPCG_MAXITER, RESOLVENT_RTOL, ROUNDOFF_FACTOR
-from thinlayer.geometry import DIRICHLET
+from thinlayer.geometry import DIRICHLET, ChartAxis
 from thinlayer.operators import DofMap, SurfaceBlock
 
 
@@ -510,9 +510,8 @@ def _on_two_axes(op):
     shape = op.dofmap.grid_shape
     if len(shape) == 1:
         shape = shape + (1,)
-    names = tuple(f"x{k}" for k in range(len(shape)))
-    chart = DofMap(shape, op.dofmap.m_u, (DIRICHLET,) * len(shape), names)
-    return dataclasses.replace(op, dofmap=chart, surface_block=None)
+    axes = tuple(ChartAxis(f"x{k}", n, 1.0, 1.0, DIRICHLET) for k, n in enumerate(shape))
+    return dataclasses.replace(op, dofmap=DofMap(axes, op.dofmap.m_u), surface_block=None)
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,40 @@ def test_grid_size_and_parameter_validation():
         build_patch(GeometryFamily("torus", {"major": 0.5, "minor": 0.6}), (16, 16))
 
 
+def _reference_axis(n, closure, extent, left=0.0):
+    # the node layout of each closure, written out closure by closure
+    if closure == "periodic":
+        h = extent / n
+        node0 = left
+    elif closure == "dirichlet":
+        h = extent / (n + 1)
+        node0 = left + h
+    elif closure == "pole-pole":
+        h = extent / n
+        node0 = left + 0.5 * h
+    else:
+        h = extent / (n + 0.5)
+        node0 = left + 0.5 * h
+    return h, node0 + h * np.arange(n)
+
+
+@pytest.mark.parametrize("closure", ["periodic", "dirichlet", "pole-pole", "pole-dirichlet"])
+def test_closure_table_lays_out_nodes_bit_for_bit(closure):
+    from thinlayer.geometry import _make_axis
+
+    for n in (8, 9, 17, 64, 200, 401):
+        for extent, left in ((2 * np.pi, 0.0), (np.pi, 0.0), (0.7, 0.0), (3.3, -0.5 * 3.3)):
+            ax = _make_axis("x", n, closure, extent, left)
+            h, nodes = _reference_axis(n, closure, extent, left)
+            assert ax.h == h and np.array_equal(ax.nodes, nodes)
+
+
+def test_catenary_chart_is_centred_on_its_vertex():
+    (ax,) = build_patch(GeometryFamily("catenary-curve", {"a": 1.0, "length": 2.6}), (33,)).axes
+    h, nodes = _reference_axis(33, "dirichlet", 2.6, -0.5 * 2.6)
+    assert ax.h == h and np.array_equal(ax.nodes, nodes)
+
+
 @pytest.mark.parametrize("h1", [-0.04, 0.0, np.nan])
 def test_sampled_chart_spacing_must_be_finite_and_positive(h1):
     # a negative spacing used to build a patch with negative surface weights,

@@ -106,8 +106,8 @@ def _discrete_two_form(alpha_surf, lay):
     from thinlayer.geometry import grid_deriv1
 
     patch = lay.patch
-    d1a2 = grid_deriv1(alpha_surf[..., 1], 0, patch.axes[0].h, patch.axes[0].periodic)
-    d2a1 = grid_deriv1(alpha_surf[..., 0], 1, patch.axes[1].h, patch.axes[1].periodic)
+    d1a2 = grid_deriv1(alpha_surf[..., 1], 0, patch.axes[0])
+    d2a1 = grid_deriv1(alpha_surf[..., 0], 1, patch.axes[1])
     return d1a2 - d2a1
 
 
@@ -241,6 +241,10 @@ def test_polynomial_field_strength_closed_forms():
     f2 = polynomial_field(2, [[(1.0, (1, 2))], [(1.0, (3, 0))]])
     want2 = 3.0 * y0**2 - 2.0 * y0 * y1
     assert np.max(np.abs(f2.field_strength(pts[:, :2]) - want2)) < 1e-14
+    # missing trailing exponents are 0: A = (y1, 0, y0)
+    f3 = polynomial_field(3, [[(1.0, (0, 1))], [], [(1.0, (1,))]])
+    assert np.array_equal(f3.vector_potential(pts), np.stack([y1, 0.0 * y0, y0], -1))
+    assert np.array_equal(f3.field_strength(pts), np.tile([0.0, -1.0, -1.0], (7, 1)))
 
 
 def test_sampled_field_curl_in_three_dimensions():

@@ -546,17 +546,35 @@ def test_dof_map_indexing(circle_patch):
 
 
 @pytest.mark.parametrize(
-    "closures, names",
-    [(("periodic",), ("theta", "phi")), (("periodic", "periodic"), ("theta",))],
+    "family, params, grid, record",
+    [
+        ("torus", {"major": 2.0, "minor": 0.5}, (8, 8), [
+            "chart axis theta: periodic identification",
+            "chart axis phi: periodic identification",
+        ]),
+        ("segment", {"length": 1.0}, (8,), [
+            "chart axis s: Dirichlet rows eliminated at both ends",
+        ]),
+        ("full-sphere", {"radius": 1.0}, (8, 8), [
+            "chart axis theta: zero-flux pole closure at both ends",
+            "chart axis phi: periodic identification",
+        ]),
+        ("sphere-cap", {"radius": 1.0, "theta_max": 1.0}, (8, 8), [
+            "chart axis theta: zero-flux pole at left end, Dirichlet at right end",
+            "chart axis phi: periodic identification",
+        ]),
+    ],
+    ids=["periodic", "dirichlet", "pole-pole", "pole-dirichlet"],
 )
-def test_dofmap_needs_one_closure_and_name_per_axis(closures, names):
-    from thinlayer.operators import DofMap
-
-    with pytest.raises(AssemblyError, match="one closure and one name per axis"):
-        DofMap((8, 16), 1, closures, names)
-    assert DofMap((8, 16), 1, ("periodic",) * 2, ("theta", "phi")).boundary_record() == [
-        "chart axis theta: periodic identification",
-        "chart axis phi: periodic identification",
+def test_boundary_record_names_each_chart_axis_closure(family, params, grid, record):
+    patch = build_patch(GeometryFamily(family, params), grid)
+    op = assemble_effective(patch)
+    assert op.dofmap.axes == patch.axes
+    assert op.dofmap.boundary_record() == record
+    layer = layer_geometry(patch, 0.05, 3)
+    H = assemble_full(layer, layer_potential(zero_field(patch.ambient_dim), layer))
+    assert H.dofmap.boundary_record() == record + [
+        "transverse axis u: Dirichlet rows eliminated at u = -1, 1"
     ]
 
 
