@@ -158,8 +158,8 @@ def cluster_indices(values, rtol=1e-8):
 
 
 def _residuals(matrix, values, vectors):
-    r = matrix @ vectors - vectors * values[None, :]
-    return np.linalg.norm(r, axis=0)
+    """|H x - lambda x| per pair, one column at a time: no (n, k) temporary."""
+    return np.array([np.linalg.norm(matrix @ x - lam * x) for lam, x in zip(values, vectors.T)])
 
 
 def _dense_pairs(op, n_pairs):

@@ -289,7 +289,7 @@ def _build_bumped_plane(params, grid):
     hform[..., 0, 1] = fxy / s
     hform[..., 1, 0] = fxy / s
     hform[..., 1, 1] = fyy / s
-    g = np.einsum("...id,...jd->...ij", tan, tan)
+    g = _matmul(tan, np.swapaxes(tan, -1, -2))
     L = np.linalg.solve(g, hform)
     kap = _curvatures_from_forms(g, hform)
     return (ax1, ax2), x, tan, nrm, kap, L
@@ -445,6 +445,28 @@ class HypersurfacePatch:
         return f"{self.family.label()}[{'x'.join(str(n) for n in self.grid_shape)}]"
 
 
+def _matmul(A, B):
+    """A @ B over the last two axes of stacks of small chart matrices, by
+    explicit products: the even-indexed terms summed, then the odd ones (the
+    order of np.einsum's loop, so g = t t^T keeps its bits)."""
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    out = np.empty(shape)
+    for i, j in np.ndindex(shape[-2:]):
+        terms = [A[..., i, k] * B[..., k, j] for k in range(A.shape[-1])]
+        out[..., i, j] = sum(terms[0::2]) + sum(terms[1::2])
+    return out
+
+
+def _det_adj(g):
+    """Determinant and adjugate of stacked symmetric 1x1 or 2x2 matrices in
+    closed form: a d - b^2 and [[d, -b], [-b, a]]; g^-1 is adj / det."""
+    if g.shape[-1] == 1:
+        return g[..., 0, 0].copy(), np.ones_like(g)
+    a, b, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    adj = np.stack([np.stack([d, -b], -1), np.stack([-b, a], -1)], -2)
+    return a * d - b * b, adj
+
+
 def _freeze(*arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -502,14 +524,15 @@ def _sampled_fields(samples, closures, grid, params):
         hess[..., 0, 1, :] = m
         hess[..., 1, 0, :] = m
     hform = np.einsum("...abd,...d->...ab", hess, nrm)
-    g = np.einsum("...id,...jd->...ij", tan, tan)
+    g = _matmul(tan, np.swapaxes(tan, -1, -2))
     L = np.linalg.solve(g, hform)
     kap = _curvatures_from_forms(g, hform)
     return tuple(axes), x, tan, nrm, kap, L
 
 
 def build_patch(family: GeometryFamily, grid_sizes) -> HypersurfacePatch:
-    """Build a sampled chart with metric, normal and curvature data.
+    """Build a sampled chart with metric, normal and curvature data; the
+    metric's determinant and inverse in closed form (at most two axes).
 
     grid_sizes: one int per chart direction (>= 8 each). Ignored for
     user-sampled geometry, whose grid comes with the samples.
@@ -539,14 +562,14 @@ def build_patch(family: GeometryFamily, grid_sizes) -> HypersurfacePatch:
     if np.max(np.abs(nlen - 1.0)) > 1e-12:
         raise GeometryError("normal field is not unit length")
 
-    g = np.einsum("...id,...jd->...ij", tan, tan)
-    detg = np.linalg.det(g)
+    g = _matmul(tan, np.swapaxes(tan, -1, -2))
+    detg, adj = _det_adj(g)
     if np.any(detg < 1e-14):
         bad = np.unravel_index(int(np.argmin(detg)), x.shape[:-1])
         raise GeometryError(
             f"degenerate parametrization at node {bad}: det g = {detg.min():.3e}"
         )
-    g_inv = np.linalg.inv(g)
+    g_inv = adj / detg[..., None, None]
     sqrt_g = np.sqrt(detg)
     if L is None:
         L = np.zeros(kap.shape + (kap.shape[-1],))
@@ -632,7 +655,8 @@ def transverse_nodes(m_u: int) -> tuple[np.ndarray, float]:
 
 
 def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeometry:
-    """Layer metric and log-Jacobian on the product grid."""
+    """Layer metric G = g M M (M = I - eps u L), its inverse in closed form
+    and the log-Jacobian on the product grid."""
     if not np.isfinite(eps) or eps <= 0:
         raise EmbeddingError(f"layer half-width must be positive and finite, got {eps}")
     if eps >= patch.rho_m:
@@ -644,9 +668,10 @@ def layer_geometry(patch: HypersurfacePatch, eps: float, m_u: int) -> LayerGeome
     dim = patch.dim
     eye = np.eye(dim)
     M = eye - eps * u[:, None, None] * patch.weingarten[..., None, :, :]
-    G = np.einsum("...ar,...mrs,...msb->...mab", patch.metric, M, M)
+    G = _matmul(patch.metric[..., None, :, :], _matmul(M, M))
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    G_inv = np.linalg.inv(G)
+    detG, adj = _det_adj(G)
+    G_inv = adj / detG[..., None, None]
     J = 0.5 * np.sum(np.log(fac), axis=-1)
     _freeze(G, G_inv, J)
     return LayerGeometry(

@@ -204,7 +204,6 @@ class ScalarPotential:
     """Optional ambient electric potential, evaluated on layer or surface."""
 
     kind: str
-    label: str
     _func: object
 
     def __call__(self, pts):
@@ -226,7 +225,7 @@ class ScalarPotential:
 
 
 def zero_potential() -> ScalarPotential:
-    return ScalarPotential("zero", "zero", lambda p: np.zeros(p.shape[0]))
+    return ScalarPotential("zero", lambda p: np.zeros(p.shape[0]))
 
 
 def polynomial_potential(terms) -> ScalarPotential:
@@ -243,7 +242,7 @@ def polynomial_potential(terms) -> ScalarPotential:
                 )
         return _eval_polynomial([tt], p)[:, 0]
 
-    return ScalarPotential("polynomial", "polynomial", func)
+    return ScalarPotential("polynomial", func)
 
 
 def sampled_potential(grid_axes, values) -> ScalarPotential:
@@ -258,7 +257,7 @@ def sampled_potential(grid_axes, values) -> ScalarPotential:
         _require_inside(axes, p, "scalar potential")
         return interp(p)
 
-    return ScalarPotential("sampled", "sampled", func)
+    return ScalarPotential("sampled", func)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ Discretization scheme:
     as the edges: rolled on periodic axes, sliced on bounded ones;
   * the transverse operator is the spectral sine-basis matrix on the uniform
     interior grid, whose eigenvalues are exactly (m pi / 2)^2 and whose
-    eigenvectors are the sampled sine modes.
+    eigenvectors are the sampled sine modes;
+  * each operator is one COO -> CSR build: every off-diagonal entry one
+    triplet, the diagonal one dense vector summed before the build.
 """
 from __future__ import annotations
 
@@ -133,8 +135,14 @@ class AssembledOperator:
         return np.iscomplexobj(self.matrix)
 
     def hermiticity_residual(self) -> float:
+        """max |M - M^H| / max |M| over the stored entries M_ij, each mirror
+        M_ji read by one lookup (0 where it is not stored): no transpose."""
         M = self.matrix
-        d = (M - M.conj(copy=False).T.tocsr()).data  # csr - csc copies once more
+        if M.nnz == 0:  # scipy returns an empty lookup as a sparse array
+            return 0.0
+        rows = np.arange(M.shape[0], dtype=M.indices.dtype)
+        d = M[M.indices, np.repeat(rows, np.diff(M.indptr))]
+        np.subtract(M.data, np.conj(d, out=d), out=d)
         scale = max(float(np.max(np.abs(M.data), initial=0.0)), 1e-300)
         return float(np.max(np.abs(d), initial=0.0)) / scale
 
@@ -193,40 +201,9 @@ def _ghost_coef(F, axis, side):
     return np.where(val > 0, val, f0)
 
 
-# ---------------------------------------------------------------------------
-# divergence-form edge triplets
-#
-# One edge couples dofs gi <-> gj with off-diagonal magnitude coff (already
-# weight-normalized) and diagonal additions di, dj. theta is the line integral
-# of the vector potential along the edge; the off-diagonal entry picks up the
-# unit phase exp(-i theta).
-# ---------------------------------------------------------------------------
-
-
-def _diag_triplets(gi, gj, coff, di, dj, theta):
-    n = gi.size
-    rows = np.empty(4 * n, gi.dtype)
-    cols = np.empty(4 * n, gi.dtype)
-    rows[0::4] = gi
-    cols[0::4] = gj
-    rows[1::4] = gj
-    cols[1::4] = gi
-    rows[2::4] = gi
-    cols[2::4] = gi
-    rows[3::4] = gj
-    cols[3::4] = gj
-    if theta is None:
-        vals = np.empty(4 * n, np.float64)
-        vals[0::4] = -coff
-        vals[1::4] = -coff
-    else:
-        vals = np.empty(4 * n, np.complex128)
-        off = -coff * np.exp(-1j * theta)
-        vals[0::4] = off
-        vals[1::4] = np.conj(off)
-    vals[2::4] = di
-    vals[3::4] = dj
-    return rows, cols, vals
+def _slabs(surf, m):
+    """The dofs of surface nodes `surf` on each of the m transverse slabs."""
+    return (surf[..., None] * m + np.arange(m, dtype=surf.dtype)).reshape(-1)
 
 
 def _hop(arr, k, ax, offset, count):
@@ -238,12 +215,17 @@ def _hop(arr, k, ax, offset, count):
 
 
 def _surface_operator(patch, inv, alpha, m):
-    """Scaled surface stencil on (chart grid) x (m transverse slabs).
+    """Scaled surface stencil on (chart grid) x (m transverse slabs): its
+    off-diagonal COO triplets and its summed diagonal, for `_csr`.
 
     inv: (*grid, m, dim, dim) inverse-metric coefficients; alpha: chart
     components of the potential, (*grid, m, dim) or None; an all-zero alpha
-    counts as None and keeps the matrix real. Returns a csr_array of size
-    (n_surface * m), with int32 indices below 2^31 dofs.
+    counts as None and keeps the entries real. Returns a list of (rows,
+    cols, vals) blocks, int32 indices below 2^31 dofs, and the dense
+    (n_surface * m,) diagonal. An edge i <-> j with weight-normalized
+    coefficient c puts -c w_i w_j exp(-i theta) at (i, j), its conjugate at
+    (j, i) and c w_i^2, c w_j^2 on the diagonal, w = |g|^{-1/4} and theta
+    the line integral of the potential along the edge.
     """
     gshape = patch.grid_shape
     ns = patch.n_nodes
@@ -254,13 +236,11 @@ def _surface_operator(patch, inv, alpha, m):
     sg_m = np.broadcast_to(patch.sqrt_g[..., None], gshape + (m,))
     isqrt_sg = 1.0 / np.sqrt(patch.sqrt_g)
     isg2 = isqrt_sg**2
-    # (rows, cols, vals) blocks, duplicates summed by the COO -> CSR build;
-    # the ghost diagonals go after every edge
-    entries, ghosts = [], []
-    slab = np.arange(m, dtype=I.dtype)
+    entries = []
+    diag = np.zeros(ns * m)
 
-    def slabs(surf):
-        return (surf[..., None] * m + slab).reshape(-1)
+    def add_diag(idx, vals):
+        np.add(diag, np.bincount(idx, vals.reshape(-1), minlength=diag.size), out=diag)
 
     def emit_edges(ei, ej, coef, theta, scale, hop_h):
         # ei, ej: (*eshape) surface indices; coef/theta: (*eshape, m)
@@ -269,17 +249,18 @@ def _surface_operator(patch, inv, alpha, m):
         c = scale * coef / hop_h**2
         si = isqrt_sg.reshape(-1)[ei]
         sj = isqrt_sg.reshape(-1)[ej]
-        coff = (c * (si * sj)[..., None]).reshape(-1)
-        di = (c * (si * si)[..., None]).reshape(-1)
-        dj = (c * (sj * sj)[..., None]).reshape(-1)
-        th = None if theta is None else theta.reshape(-1)
-        entries.append(_diag_triplets(slabs(ei), slabs(ej), coff, di, dj, th))
+        off = -(c * (si * sj)[..., None]).reshape(-1)
+        if theta is not None:
+            off = off * np.exp(-1j * theta.reshape(-1))
+        a, b = _slabs(ei, m), _slabs(ej, m)
+        entries.extend([(a, b, off), (b, a, np.conj(off))])
+        add_diag(a, c * (si * si)[..., None])
+        add_diag(b, c * (sj * sj)[..., None])
 
     def ghost(k, node, coef):
         # diagonal of the ghost edge at end node `node` of axis k; coef:
         # (*eshape, m) without the weight normalization
-        idx = slabs(_take(I, k, node))
-        ghosts.append((idx, idx, (coef * _take(isg2, k, node)[..., None]).reshape(-1)))
+        add_diag(_slabs(_take(I, k, node), m), coef * _take(isg2, k, node)[..., None])
 
     for k, ax in enumerate(patch.axes):
         h, n = ax.h, ax.n
@@ -323,13 +304,20 @@ def _surface_operator(patch, inv, alpha, m):
         diag_scale = float(np.max(np.abs(inv)))
         if off_scale > 1e-12 * diag_scale:
             for a, b, v in _mixed_terms(patch, inv, alpha, I, sg_m, isqrt_sg):
-                v = v.reshape(-1)
-                entries += [(slabs(a), slabs(b), v), (slabs(b), slabs(a), np.conj(v))]
+                a, b, v = _slabs(a, m), _slabs(b, m), v.reshape(-1)
+                entries.extend([(a, b, v), (b, a, np.conj(v))])
 
-    rows, cols, vals = [np.concatenate(part) for part in zip(*entries, *ghosts)]
-    del entries[:], ghosts[:]  # freed before the CSR build
-    dtype = np.float64 if alpha is None else np.complex128
-    return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(ns * m,) * 2, dtype=dtype))
+    return entries, diag
+
+
+def _csr(entries, diag):
+    """One COO -> CSR build of the off-diagonal triplet blocks `entries`
+    (emptied, so the parts are freed before the build) plus diag(diag)."""
+    n = diag.size
+    idx = np.arange(n, dtype=entries[0][0].dtype)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries, (idx, idx, diag)))
+    del entries[:]
+    return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
 
 
 def _mixed_terms(patch, inv, alpha, I, sg_m, isqrt_sg):
@@ -464,16 +452,14 @@ def _surface_block(patch, alpha, electric) -> SurfaceBlock:
     or all zeros for no field) plus v_eff and the surface trace of the
     electric potential: the effective operator, and with the trace phases
     a_surf0 the surface factor of the decoupled comparison operators."""
-    S = _surface_operator(
-        patch,
-        patch.metric_inv[..., None, :, :],
-        None if alpha is None else alpha[..., None, :],
-        1,
+    entries, diag = _surface_operator(
+        patch, patch.metric_inv[..., None, :, :], None if alpha is None else alpha[..., None, :], 1
     )
     V = v_eff(patch.kappa)
     if electric is not None:
         V = V + electric.on_surface(patch)
-    return SurfaceBlock(S + sp.csr_array(sp.diags_array(V.reshape(-1))), float(np.min(V)))
+    diag += V.reshape(-1)
+    return SurfaceBlock(_csr(entries, diag), float(np.min(V)))
 
 
 def _check_hermitian(op: AssembledOperator):
@@ -484,15 +470,20 @@ def _check_hermitian(op: AssembledOperator):
         )
 
 
-def _layer_operator(layer, Hsurf, V, kind, field_label, meta, block) -> AssembledOperator:
-    """Hsurf + I (x) T/eps^2 + diag(V) on the product grid, checked Hermitian;
-    meta gets the weight cell."""
+def _layer_operator(layer, entries, diag, V, kind, field_label, meta, block) -> AssembledOperator:
+    """A surface part on the product grid (off-diagonal triplets, dense
+    diagonal) + I (x) T/eps^2 + diag(V), the diagonal summed in that order,
+    in one COO -> CSR build; checked Hermitian, meta gets the weight cell."""
     patch = layer.patch
     m = layer.m_u
     T = transverse_matrix(m) / layer.eps**2
-    Ht = sp.kron(sp.eye_array(patch.n_nodes, format="csr"), sp.csr_array(T), format="csr")
+    i, j = (ix.astype(entries[0][0].dtype) for ix in np.nonzero(~np.eye(m, dtype=bool)))
+    node = np.arange(0, diag.size, m, dtype=i.dtype)[:, None]
+    entries.append(((node + i).ravel(), (node + j).ravel(), np.tile(T[i, j], node.size)))
+    diag += np.tile(np.diag(T), node.size)
+    diag += V.reshape(-1)
     op = AssembledOperator(
-        matrix=Hsurf + Ht + sp.csr_array(sp.diags_array(V.reshape(-1))),
+        matrix=_csr(entries, diag),
         weights=layer.full_weights(),
         dofmap=DofMap(patch.axes, m),
         kind=kind,
@@ -524,7 +515,7 @@ def assemble_full(
         raise AssemblyError("potential was fixed on a different layer")
     patch = layer.patch
     alpha = None if pot.is_zero() else pot.a_surf
-    Hsurf = _surface_operator(patch, layer.metric_inv, alpha, layer.m_u)
+    entries, diag = _surface_operator(patch, layer.metric_inv, alpha, layer.m_u)
     V = _diagonal_potential(layer)
     if electric is not None:
         V = V + electric.on_layer(layer)
@@ -532,7 +523,7 @@ def assemble_full(
     # ground energy: a cheap certified spectral floor
     meta = {"spectral_lower_bound": float(np.min(V)) + TRANSVERSE_GROUND_ENERGY / layer.eps**2}
     block = _surface_block(patch, pot.a_surf0, electric)
-    return _layer_operator(layer, Hsurf, V, "full-H", pot.field_label, meta, block)
+    return _layer_operator(layer, entries, diag, V, "full-H", pot.field_label, meta, block)
 
 
 def assemble_effective(
@@ -582,7 +573,11 @@ def assemble_comparison(
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
     shift = sign * consts.offset
     base = _surface_block(patch, pot.a_surf0, electric)
-    Hsurf = sp.kron(scale * base.matrix, sp.eye_array(layer.m_u, format="csr"), format="csr")
+    # scale * base (x) I: each surface entry on every slab
+    m = layer.m_u
+    S = (scale * base.matrix).tocoo()
+    off = S.row != S.col
+    entries = [(_slabs(S.row[off], m), _slabs(S.col[off], m), np.repeat(S.data[off], m))]
     meta = {
         "scale": scale,
         "offset": consts.offset,
@@ -595,8 +590,9 @@ def assemble_comparison(
         scale * base.floor + shift,
     )
     kind = "H0+" if sign > 0 else "H0-"
-    V = np.full(Hsurf.shape[0], shift)
-    return _layer_operator(layer, Hsurf, V, kind, pot.field_label, meta, block)
+    diag = np.repeat(S.diagonal(), m)
+    V = np.full(diag.size, shift)
+    return _layer_operator(layer, entries, diag, V, kind, pot.field_label, meta, block)
 
 
 def renormalize(op: AssembledOperator) -> AssembledOperator:

@@ -892,8 +892,10 @@ def test_fourier_blocks_match_the_dense_dft_of_the_slice(make):
 def test_surface_path_holds_no_whole_operator_transient():
     # tracemalloc peaks per stored entry of H on the 100x200 sphere h-eff in
     # B = e_z: the assembly, the symmetry test and the Fourier blocks take
-    # 89, 42 and 13 bytes, and 159, 92 and 67 with int64 triplets, a second
-    # and a third whole-size CSR in the test and one CSR of every block
+    # 48, 42 and 13 bytes; the assembly took 89 with each diagonal
+    # contribution its own triplet and M^H built for the Hermiticity check,
+    # the test 92 with a second and a third whole-size CSR and the blocks 67
+    # with one CSR of every block
     import tracemalloc
 
     import thinlayer.eigensolve as es

@@ -12,6 +12,7 @@ from thinlayer import (
     layer_geometry,
     v_eff,
 )
+from thinlayer.geometry import _det_adj
 
 from conftest import hairpin_samples
 
@@ -224,6 +225,36 @@ def test_circle_layer_closed_form_at_edge():
     # evaluated at the layer edge u = 1 via the closed-form helper
     kap = np.array([1.0])
     assert layer_factors(kap, 0.1, 1.0)[0] == pytest.approx(0.9, abs=1e-15)
+
+
+def _spd_stack(dim):
+    # well-conditioned (cond < 2) symmetric positive definite matrices
+    A = np.random.default_rng(dim).uniform(-0.5, 0.5, (2000, dim, dim))
+    return A @ np.swapaxes(A, -1, -2) + np.eye(dim)
+
+
+_METRICS = {
+    "spd-1x1": lambda: _spd_stack(1),
+    "spd-2x2": lambda: _spd_stack(2),
+    "bumped-plane": lambda: build_patch(
+        GeometryFamily("bumped-plane", {"lx": 2.0, "ly": 2.0, "amplitude": 0.3, "width": 0.5}),
+        (30, 30),
+    ).metric,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_METRICS))
+def test_closed_form_metric_inverse_matches_linalg(case):
+    g = _METRICS[case]()
+    if case == "bumped-plane":
+        assert np.max(np.abs(g[..., 0, 1])) > 0.05  # not diagonal
+    u = np.finfo(float).eps / 2
+    det, adj = _det_adj(g)
+    inv = adj / det[..., None, None]
+    ref_det, ref_inv = np.linalg.det(g), np.linalg.inv(g)
+    assert np.all(np.abs(det - ref_det) <= 4 * u * np.abs(ref_det))
+    size = np.max(np.abs(ref_inv), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(inv - ref_inv) <= 4 * u * size)
 
 
 def test_determinant_identity_torus(torus_patch):

@@ -1,13 +1,14 @@
 """The vectorized assembly and clearance kernels against explicit-loop oracles.
 
-``operators._diag_triplets`` emits the COO triplets of the divergence-form
-edges; ``operators._surface_operator`` adds the mixed-metric terms of a 2-D
-chart from the same neighbour windows as the edges; ``geometry._clearance``
-finds the smallest layer clearance over chart-distant node pairs, from the
-point pairs that the cell list ``geometry._close_pairs`` finds within a
-radius. Each is checked here against a plain-Python loop that spells out the
-same triplet slots, the same mixed-term matrix and the same pair scan one
-entry at a time, and the cell list against every pair measured by brute force.
+``operators._surface_operator`` emits the off-diagonal COO triplets and the
+summed diagonal of the divergence-form surface stencil, the mixed-metric
+terms of a 2-D chart from the same neighbour windows as the edges;
+``geometry._clearance`` finds the smallest layer clearance over chart-distant
+node pairs, from the point pairs that the cell list ``geometry._close_pairs``
+finds within a radius. Each is checked here against a plain-Python loop that
+spells out the same stencil, the same mixed-term matrix and the same pair scan
+one entry at a time, and the cell list against every pair measured by brute
+force.
 """
 import numpy as np
 import pytest
@@ -23,22 +24,7 @@ from thinlayer import (
 )
 from thinlayer import geometry
 from thinlayer.geometry import _chart_arclengths, _clearance, _close_pairs
-from thinlayer.operators import _diag_triplets, _surface_operator
-
-
-def _diag_triplets_oracle(gi, gj, coff, di, dj, theta=None):
-    n = gi.size
-    rows = np.empty(4 * n, np.int64)
-    cols = np.empty(4 * n, np.int64)
-    vals = np.empty(4 * n, np.float64 if theta is None else np.complex128)
-    for t in range(n):
-        b = 4 * t
-        off = -coff[t] if theta is None else -coff[t] * np.exp(-1j * theta[t])
-        rows[b], cols[b], vals[b] = gi[t], gj[t], off
-        rows[b + 1], cols[b + 1], vals[b + 1] = gj[t], gi[t], np.conj(off)
-        rows[b + 2], cols[b + 2], vals[b + 2] = gi[t], gi[t], di[t]
-        rows[b + 3], cols[b + 3], vals[b + 3] = gj[t], gj[t], dj[t]
-    return rows, cols, vals
+from thinlayer.operators import _csr, _surface_operator
 
 
 def _mixed_terms_oracle(patch, inv, alpha, m):
@@ -134,28 +120,71 @@ def _clearance_oracle(schart, period, plo, phi, cutoff):
     return (np.sqrt(best) if bi >= 0 else np.inf), bi, bj
 
 
-def _assert_triplets_match(got_cplx, got_real, ref_cplx, ref_real):
-    for a, b in zip(got_cplx, ref_cplx):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-    for a, b in zip(got_real, ref_real):
-        np.testing.assert_array_equal(a, b)
+def _stencil_oracle(patch, inv, alpha, m):
+    # the divergence-form edges of each chart axis, one at a time: a hop
+    # i -> j with coefficient c and phase theta puts -c w_i w_j exp(-i theta)
+    # at (i, j), its conjugate at (j, i), and adds c w_i^2, c w_j^2 to the
+    # diagonal, w = |g|^-1/4; narrow hops take the four-point (periodic or
+    # interior) or two-point edge average of F = sqrt|g| G^kk, double hops F
+    # at the midpoint; each eliminated Dirichlet end adds its ghost
+    # diagonals; the mixed terms of a 2-D chart come from their own oracle
+    gshape = patch.grid_shape
+    w = patch.sqrt_g**-0.5
+    M = np.zeros((patch.n_nodes * m,) * 2, np.complex128)
+    if len(gshape) == 2:
+        M += _mixed_terms_oracle(patch, inv, alpha, m)
 
+    def dof(node, t):
+        return int(np.ravel_multi_index(node, gshape)) * m + t
 
-def test_diag_triplets_backends_agree():
-    rng = np.random.default_rng(0)
-    n = 1000
-    gi = rng.integers(0, 500, n)
-    gj = rng.integers(0, 500, n)
-    coff = rng.uniform(0.1, 2.0, n)
-    di = rng.uniform(0.1, 2.0, n)
-    dj = rng.uniform(0.1, 2.0, n)
-    theta = rng.uniform(-1.0, 1.0, n)
-    _assert_triplets_match(
-        _diag_triplets(gi, gj, coff, di, dj, theta),
-        _diag_triplets(gi, gj, coff, di, dj, None),
-        _diag_triplets_oracle(gi, gj, coff, di, dj, theta),
-        _diag_triplets_oracle(gi, gj, coff, di, dj),
-    )
+    for k, ax in enumerate(patch.axes):
+        n, h = ax.n, ax.h
+        fourth = not ax.pole
+        scale1 = 4.0 / 3.0 if fourth else 1.0
+        for node in np.ndindex(gshape):
+            def at(q):
+                q = q % n if ax.periodic else q
+                return node[:k] + (q,) + node[k + 1:]
+
+            def F(q):
+                return patch.sqrt_g[at(q)] * inv[at(q) + (t, k, k)]
+
+            def a(q):
+                return 0.0 if alpha is None else alpha[at(q) + (t, k)]
+
+            def edge_mean(f, q):
+                # edge q -> q + 1
+                if ax.periodic or (fourth and n >= 4 and 1 <= q <= n - 3):
+                    return (-f(q - 1) + 9.0 * f(q) + 9.0 * f(q + 1) - f(q + 2)) / 16.0
+                return 0.5 * (f(q) + f(q + 1))
+
+            def hop(q, target, c, theta):
+                i, j = dof(at(q), t), dof(at(target), t)
+                off = -c * w[at(q)] * w[at(target)] * np.exp(-1j * theta)
+                M[i, j] += off
+                M[j, i] += np.conj(off)
+                M[i, i] += c * w[at(q)] ** 2
+                M[j, j] += c * w[at(target)] ** 2
+
+            p = node[k]
+            for t in range(m):
+                if ax.periodic or p + 1 < n:
+                    hop(p, p + 1, scale1 * edge_mean(F, p) / h**2, h * edge_mean(a, p))
+                if fourth and (ax.periodic or p + 2 < n):
+                    theta = h * (edge_mean(a, p) + edge_mean(a, p + 1))
+                    hop(p, p + 2, -F(p + 1) / (3.0 * 4.0 * h**2), theta)
+                for side, (end, inner) in enumerate([(0, 1), (n - 1, n - 2)]):
+                    if p != end or side not in ax.dirichlet_ends:
+                        continue
+                    ghost = 1.5 * F(end) - 0.5 * F(inner)
+                    ghost = ghost if ghost > 0 else F(end)
+                    i = dof(at(end), t)
+                    M[i, i] += scale1 * ghost / h**2 * w[at(end)] ** 2
+                    if fourth:
+                        M[i, i] += -2.0 * ghost / (3.0 * 4.0 * h**2) * w[at(end)] ** 2
+                        i = dof(at(inner), t)
+                        M[i, i] += -F(end) / (3.0 * 4.0 * h**2) * w[at(inner)] ** 2
+    return M
 
 
 @pytest.mark.parametrize("chart", sorted(_MIXED_CHARTS))
@@ -175,11 +204,48 @@ def test_mixed_terms_match_loop_oracle(chart, m, field):
     assert np.max(np.abs(inv[..., 0, 1])) > 0.01
     diag_only = np.array(inv)
     diag_only[..., 0, 1] = diag_only[..., 1, 0] = 0.0
-    full = _surface_operator(patch, inv, alpha, m)
-    mixed = full - _surface_operator(patch, diag_only, alpha, m)
+    full = _csr(*_surface_operator(patch, inv, alpha, m))
+    mixed = full - _csr(*_surface_operator(patch, diag_only, alpha, m))
     ref = _mixed_terms_oracle(patch, inv, alpha, m)
     # the difference keeps the rounding of the shared edge entries
     assert np.max(np.abs(mixed.toarray() - ref)) <= 1e-14 * np.max(np.abs(full.data))
+
+
+_STENCIL_CHARTS = {
+    # Dirichlet ghosts on both ends of a curve
+    "segment": (GeometryFamily("segment", {"length": 1.3}), (14,)),
+    "torus": (GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (10, 12)),
+    # a non-diagonal metric: mixed terms and Dirichlet ghosts on both axes
+    "bumped-plane": (
+        GeometryFamily("bumped-plane", {"lx": 2.0, "ly": 2.0, "amplitude": 0.3, "width": 0.5}),
+        (12, 14),
+    ),
+    # a pole axis (second order, no double hops) with a Dirichlet end
+    "sphere-cap": (GeometryFamily("sphere-cap", {"radius": 1.0, "theta_max": 1.2}), (9, 10)),
+}
+
+
+@pytest.mark.parametrize("chart", sorted(_STENCIL_CHARTS))
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("field", [False, True])
+def test_surface_operator_matches_loop_oracle(chart, m, field):
+    family, grid = _STENCIL_CHARTS[chart]
+    patch = build_patch(family, grid)
+    B = None
+    if field:
+        B = constant_field(3, [0.4, -0.3, 0.8]) if patch.dim == 2 else constant_field(2, 1.3)
+    if m == 1:
+        inv = patch.metric_inv[..., None, :, :]
+        alpha = None if B is None else effective_field(B, patch).alpha[..., None, :]
+    else:
+        layer = layer_geometry(patch, 0.25 * min(patch.rho_m, 1.0), m)
+        inv = layer.metric_inv
+        alpha = None if B is None else gauge_fix(pullback(B, layer)).a_surf
+    entries, diag = _surface_operator(patch, inv, alpha, m)
+    assert all(np.all(r != c) for r, c, _ in entries)  # the diagonal is summed apart
+    got = _csr(entries, diag).toarray()
+    ref = _stencil_oracle(patch, inv, alpha, m)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_min_clearance_backends_agree():

@@ -166,6 +166,40 @@ def test_hermiticity_check_rejects_a_nan_entry():
         _check_hermitian(op)
 
 
+@pytest.mark.parametrize("defect", ["perturbed", "no-mirror"])
+def test_hermiticity_check_rejects_a_broken_mirror(defect):
+    M = np.diag([2.0, 2.0, 2.0, 2.0]) - np.eye(4, k=1) - np.eye(4, k=-1)
+    if defect == "perturbed":
+        M[1, 2] += 1e-6
+    else:
+        M[0, 3] = 0.5  # M[3, 0] is not stored
+    op = AssembledOperator.from_matrix(M)
+    # the maximum of M - M^H over the largest entry
+    assert op.hermiticity_residual() == np.max(np.abs(M - M.T)) / np.max(np.abs(M))
+    with pytest.raises(AssemblyError, match="Hermiticity residual"):
+        _check_hermitian(op)
+
+
+def test_layer_assembly_peak_stays_below_four_csr_sizes():
+    # the triplet parts, their concatenation, the COO -> CSR build and the
+    # Hermiticity check's lookups: tracemalloc peaks about 2.3 times the
+    # returned CSR on torus layers; a transverse block added through sp.kron
+    # and CSR sums, with M^H built for the check, takes it to 5.4
+    import tracemalloc
+
+    p = build_patch(GeometryFamily("torus", {"major": 2.0, "minor": 0.5}), (32, 32))
+    lay = layer_geometry(p, 0.05, 9)
+    pot = gauge_fix(pullback(constant_field(3, [0.0, 0.0, 1.0]), lay))
+    tracemalloc.start()
+    try:
+        M = assemble_full(lay, pot).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.dtype == np.complex128
+    assert peak < 4 * (M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+
+
 def test_zero_field_operators_are_real():
     # the zero field takes the general pull-back and gauge fix; only an exact
     # is_zero() keeps the layer operator on real arithmetic
@@ -473,9 +507,9 @@ def test_electric_potential_enters_both_operators(segment_patch):
 def test_singular_electric_potential_rejected(segment_patch):
     from thinlayer import FieldError, ScalarPotential
 
-    w = ScalarPotential("custom", "inverse", lambda p: 1.0 / p[:, 0])
+    w = ScalarPotential("custom", lambda p: 1.0 / p[:, 0])
     lay = layer_geometry(segment_patch, 0.999 * segment_patch.axes[0].node0, 9)
-    bad = ScalarPotential("custom", "nan", lambda p: np.full(p.shape[0], np.nan))
+    bad = ScalarPotential("custom", lambda p: np.full(p.shape[0], np.nan))
     with pytest.raises(FieldError, match="singular"):
         bad.on_surface(segment_patch)
     # finite on this chart: accepted
