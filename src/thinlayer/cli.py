@@ -254,6 +254,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
     if kind == "h-eff":
         eff = effective_field(field, patch)
         op = assemble_effective(patch, eff, electric)
+        weights, weights_cell = patch.surface_weights, patch.cell_area
+        field_name = "zero" if eff.is_zero() else "alpha-eff"
     else:
         eps = spec_cfg.get("epsilon")
         if eps is None:
@@ -269,6 +271,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
             op = assemble_comparison(layer, pot, 1 if kind == "H0+" else -1, electric)
         else:
             raise ConfigError(f"unknown operator kind {kind!r}")
+        weights, weights_cell = layer.full_weights, patch.cell_area * layer.h_u
+        field_name = field.label
 
     n_pairs = cfg.solver_opt("n_eigenpairs", 6)
     spectrum = lowest_eigenpairs(op, n_pairs, **_solver_args(cfg, args.seed))
@@ -297,7 +301,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
                 fh,
                 values=spectrum.values,
                 vectors=spectrum.vectors,
-                weights=op.weights,
+                weights=weights(),
                 grid_shape=np.asarray(op.dofmap.grid_shape),
                 m_u=op.dofmap.m_u,
             )
@@ -311,8 +315,8 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
         sidecar = {
             "kind": op.kind,
             "eps": op.eps,
-            "geometry": op.geometry,
-            "field": op.field_label,
+            "geometry": patch.label(),
+            "field": field_name,
             "n_dof": op.n_dof,
             "nnz": int(op.matrix.nnz),
             "grid_shape": list(op.dofmap.grid_shape),
@@ -321,7 +325,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path, args) -> int:
             "ordering": "surface nodes row-major, transverse index fastest",
             "boundary": op.dofmap.boundary_record(),
             "scaling": "matrix is W^(1/2) A W^(-1/2); weights in this file",
-            "weights_cell": op.meta.get("weights_cell"),
+            "weights_cell": weights_cell,
         }
         _atomic_write(out / f"{base}.json", _json_dump(sidecar))
     return EXIT_OK

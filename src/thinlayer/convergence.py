@@ -18,7 +18,6 @@ from .geometry import (
     check_embedding,
     layer_geometry,
     transverse_nodes,
-    v_eff,
 )
 from .magnetics import (
     AmbientField,
@@ -162,7 +161,7 @@ def gap_bound_report(
     spread of the effective surface energies. Random Rayleigh quotients in the
     excited sector provide an independent sampled verification.
     """
-    if not op.kind.endswith("-renormalized"):
+    if not op.renormalization_shift:
         raise ThinLayerError("gap bound check expects a renormalized operator")
     mode = TransverseMode.from_count(layer.m_u)
     eps = layer.eps
@@ -179,7 +178,6 @@ def gap_bound_report(
         op,
         matrix=sp.csr_array(op.matrix + penalty * P1.astype(op.matrix.dtype)),
         kind="penalized",
-        meta={"spectral_lower_bound": op.meta.get("spectral_lower_bound")},
         surface_block=None,
     )
     spec_q = lowest_eigenpairs(shifted, 1, tol=tol, seed=seed, dense_cutoff=dense_cutoff)
@@ -364,11 +362,12 @@ def run_sweep(spec: SweepSpec) -> ConvergenceReport:
     mode = TransverseMode.from_count(spec.m_u)
     heff, eff_spec = _effective_pairs(spec, patch)
 
-    # k policy: evaluated at the largest width, shared across the sweep
+    # k policy: evaluated at the largest width, shared across the sweep, from
+    # the effective operator's floor, which counts the electric trace
     layer0 = layer_geometry(patch, eps_list[0], spec.m_u)
     pot0 = layer_potential(spec.field, layer0)
-    offset0 = comparison_constants(layer0, pot0).offset
-    k = max(1.0, 2.0 * abs(float(np.min(v_eff(patch.kappa)))) + 1.0 + offset0)
+    offset0 = comparison_constants(layer0, pot0, spec.electric).offset
+    k = max(1.0, 2.0 * abs(heff.spectral_lower_bound) + 1.0 + offset0)
 
     # everything the rows share is built here, before the rows run, and only
     # read afterwards; below the round-off floor a gap or an observable is

@@ -8,12 +8,14 @@ solver.dense_threshold. Otherwise, the first of three paths that applies:
   * LOBPCG (Knyazev 2001) for layer operators on a 2-D chart (operators that
     carry the surface factor S of their decoupled comparison operator, whose
     chart has two axes), with a seeded random start block of n_pairs
-    columns. The preconditioner inverts S (x) I + I (x) T/eps^2 - sigma: the
-    transverse sine basis, the dense sine_modes(m_u), splits it into m_u
-    surface-sized blocks S + d_j I (fast diagonalization). A soft mode block
-    takes a sparse LU that solves the whole LOBPCG block at once; a stiff
-    one, whose Gershgorin ratio max_i sum_{k != i} |S_ik| / (S_ii + d_j) is
-    at most DIAGONAL_MAX_RATIO on positive rows, takes its diagonal. The
+    columns. S, op.surface_block, is the effective operator with the trace
+    link phases, and its spectral_lower_bound its floor. The preconditioner
+    inverts S (x) I + I (x) T/eps^2 - sigma: the transverse sine basis, the
+    dense sine_modes(m_u), splits it into m_u surface-sized blocks S + d_j I
+    (fast diagonalization). A soft mode block takes a sparse LU that solves
+    the whole LOBPCG block at once; a stiff one, whose Gershgorin ratio
+    max_i sum_{k != i} |S_ik| / (S_ii + d_j) is at most DIAGONAL_MAX_RATIO on
+    positive rows, takes its diagonal. The
     O(eps^-2) transverse gap makes every excited mode stiff on the 24x24x17
     torus layer at eps 0.05 (1 LU instead of 17; LOBPCG 0.88 -> 0.35 s, 44
     -> 43 iterations), while the pole rows of a sphere shell keep all its
@@ -339,10 +341,8 @@ def _decoupled_inverse(op, sigma, dtype):
     block = op.surface_block
     m = op.dofmap.m_u
     shifts = np.maximum(
-        transverse_energies(m) / op.eps**2
-        - op.meta.get("renormalization_shift", 0.0)
-        - sigma,
-        1.0 - block.floor,
+        transverse_energies(m) / op.eps**2 - op.renormalization_shift - sigma,
+        1.0 - block.spectral_lower_bound,
     )
     sines = sine_modes(m)
     surface = block.matrix.astype(dtype)
@@ -371,9 +371,9 @@ def _decoupled_inverse(op, sigma, dtype):
 def _certified_shift(op):
     """The certified spectral floor minus 1 (Gershgorin's when the operator
     carries none), so H - sigma >= I."""
-    certified = op.meta.get("spectral_lower_bound")
+    certified = op.spectral_lower_bound
     if certified is not None and np.isfinite(certified):
-        return float(certified) - 1.0
+        return certified - 1.0
     return gershgorin_bounds(op.matrix)[0] - 1.0
 
 

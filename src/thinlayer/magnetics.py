@@ -47,7 +47,6 @@ class AmbientField:
     """Vector potential in Cartesian ambient coordinates with its field."""
 
     dim: int
-    kind: str
     label: str
     _potential: object
     _bfield: object  # d=3: (N,)->(N,3); d=2: (N,)->(N,)
@@ -75,7 +74,7 @@ def zero_field(dim: int) -> AmbientField:
     zero_b = (lambda p: np.zeros((p.shape[0], 3))) if dim == 3 else (
         lambda p: np.zeros(p.shape[0])
     )
-    return AmbientField(dim, "zero", "zero", lambda p: np.zeros_like(p), zero_b)
+    return AmbientField(dim, "zero", lambda p: np.zeros_like(p), zero_b)
 
 
 def constant_field(dim: int, b) -> AmbientField:
@@ -96,7 +95,7 @@ def constant_field(dim: int, b) -> AmbientField:
         def pot(p):
             return 0.5 * np.cross(np.broadcast_to(b, p.shape), p)
 
-        return AmbientField(3, "constant", f"constant(b={b.tolist()})", pot,
+        return AmbientField(3, f"constant(b={b.tolist()})", pot,
                             lambda p: np.broadcast_to(b, (p.shape[0], 3)).copy())
     if dim == 2:
         b = float(b.reshape(()))
@@ -104,7 +103,7 @@ def constant_field(dim: int, b) -> AmbientField:
         def pot(p):
             return 0.5 * b * np.stack([-p[:, 1], p[:, 0]], -1)
 
-        return AmbientField(2, "constant", f"constant(b={b:g})", pot,
+        return AmbientField(2, f"constant(b={b:g})", pot,
                             lambda p: np.full(p.shape[0], b))
     raise FieldError(f"constant field supports d in (2, 3), got {dim}")
 
@@ -156,7 +155,7 @@ def polynomial_field(dim: int, components) -> AmbientField:
         def bfield(p):
             return _eval_polynomial([d1a2], p)[:, 0] - _eval_polynomial([d2a1], p)[:, 0]
 
-    return AmbientField(dim, "linear-gauge", "linear-gauge", pot, bfield)
+    return AmbientField(dim, "linear-gauge", pot, bfield)
 
 
 def sampled_field(dim: int, grid_axes, values) -> AmbientField:
@@ -196,14 +195,13 @@ def sampled_field(dim: int, grid_axes, values) -> AmbientField:
         d = [partial(j) for j in range(2)]
         return d[0][:, 1] - d[1][:, 0]
 
-    return AmbientField(dim, "sampled", "sampled", pot, bfield)
+    return AmbientField(dim, "sampled", pot, bfield)
 
 
 @dataclass(frozen=True)
 class ScalarPotential:
     """Optional ambient electric potential, evaluated on layer or surface."""
 
-    kind: str
     _func: object
 
     def __call__(self, pts):
@@ -225,7 +223,7 @@ class ScalarPotential:
 
 
 def zero_potential() -> ScalarPotential:
-    return ScalarPotential("zero", lambda p: np.zeros(p.shape[0]))
+    return ScalarPotential(lambda p: np.zeros(p.shape[0]))
 
 
 def polynomial_potential(terms) -> ScalarPotential:
@@ -242,7 +240,7 @@ def polynomial_potential(terms) -> ScalarPotential:
                 )
         return _eval_polynomial([tt], p)[:, 0]
 
-    return ScalarPotential("polynomial", func)
+    return ScalarPotential(func)
 
 
 def sampled_potential(grid_axes, values) -> ScalarPotential:
@@ -257,7 +255,7 @@ def sampled_potential(grid_axes, values) -> ScalarPotential:
         _require_inside(axes, p, "scalar potential")
         return interp(p)
 
-    return ScalarPotential("sampled", func)
+    return ScalarPotential(func)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,6 @@ class RawLayerPotential:
     a_surf: np.ndarray  # (*grid, m, dim)
     a_trans: np.ndarray  # (*grid, m)
     a_surf0: np.ndarray  # (*grid, dim): surface trace at u = 0
-    field_label: str = "unknown"
 
 
 @dataclass(frozen=True)
@@ -290,7 +287,6 @@ class GaugeFixedPotential:
     a_surf: np.ndarray  # (*grid, m, dim)
     a_surf0: np.ndarray  # (*grid, dim)
     sup_quad: float
-    field_label: str = "unknown"
 
     def is_zero(self) -> bool:
         # tolerate round-off left behind by the gauge-fix differentiation
@@ -313,7 +309,7 @@ def pullback(field: AmbientField, layer: LayerGeometry) -> RawLayerPotential:
     M = eye - layer.eps * layer.u[:, None, None] * patch.weingarten[..., None, :, :]
     a_surf = np.einsum("...mnk,...mn->...mk", M, p_nu)
     a_trans = layer.eps * np.einsum("...d,...md->...m", patch.normal, A)
-    return RawLayerPotential(layer, a_surf, a_trans, a_surf0, field.label)
+    return RawLayerPotential(layer, a_surf, a_trans, a_surf0)
 
 
 def surface_trace_potential(field: AmbientField, patch: HypersurfacePatch) -> np.ndarray:
@@ -367,7 +363,6 @@ def gauge_fix(raw: RawLayerPotential) -> GaugeFixedPotential:
         a_surf=fixed,
         a_surf0=a_surf0,
         sup_quad=float(np.max(quad)) if quad.size else 0.0,
-        field_label=raw.field_label,
     )
 
 

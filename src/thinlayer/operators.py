@@ -26,7 +26,7 @@ Discretization scheme:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,36 +95,23 @@ class DofMap:
 
 
 @dataclass(frozen=True)
-class SurfaceBlock:
-    """Surface factor S of a decoupled layer operator S (x) I + I (x) T/eps^2.
-
-    floor bounds the spectrum of S from below: the kinetic part is
-    nonnegative, so it is the smallest value of the diagonal potential.
-    """
-
-    matrix: sp.csr_array
-    floor: float
-
-
-@dataclass
 class AssembledOperator:
-    """Hermitian sparse operator with its inner-product weights and metadata.
-
-    Layer operators keep the surface factor of their decoupled comparison
-    operator (exact for the comparison operators themselves), which the
-    eigensolver uses as a preconditioner; surface and explicit operators
-    carry None.
+    """Hermitian sparse operator with what the eigensolver reads of it: a
+    certified spectral floor (None: the solver takes Gershgorin's), the
+    transverse energy `renormalize` subtracted, and for layer operators the
+    surface factor S of their decoupled comparison operator
+    S (x) I + I (x) T/eps^2 (exact for the comparison operators themselves),
+    the effective operator with the trace link phases, which the eigensolver
+    inverts as a preconditioner. Surface and explicit operators carry None.
     """
 
     matrix: sp.csr_array
-    weights: np.ndarray
     dofmap: DofMap
     kind: str
     eps: float | None
-    geometry: str
-    field_label: str
-    meta: dict = field(default_factory=dict)
-    surface_block: SurfaceBlock | None = field(default=None, repr=False)
+    spectral_lower_bound: float | None = None
+    renormalization_shift: float = 0.0
+    surface_block: AssembledOperator | None = field(default=None, repr=False)
 
     @property
     def n_dof(self) -> int:
@@ -147,19 +134,12 @@ class AssembledOperator:
         return float(np.max(np.abs(d), initial=0.0)) / scale
 
     @staticmethod
-    def from_matrix(matrix, weights=None, kind="custom", eps=None) -> "AssembledOperator":
+    def from_matrix(matrix) -> AssembledOperator:
         """Wrap an explicit Hermitian matrix (mainly for tests and harnesses)."""
         M = sp.csr_array(matrix)
         n = M.shape[0]
-        w = np.ones(n) if weights is None else np.asarray(weights, float)
         return AssembledOperator(
-            matrix=M,
-            weights=w,
-            dofmap=DofMap((ChartAxis("i", n, 1.0, 1.0, DIRICHLET),), 1),
-            kind=kind,
-            eps=eps,
-            geometry="explicit",
-            field_label="none",
+            M, DofMap((ChartAxis("i", n, 1.0, 1.0, DIRICHLET),), 1), "custom", None
         )
 
 
@@ -402,13 +382,18 @@ class ComparisonConstants:
     sup_v2_gap: float  # sup |V2 - v_eff|: transverse curvature potential
 
 
-def comparison_constants(layer: LayerGeometry, pot: GaugeFixedPotential) -> ComparisonConstants:
+def comparison_constants(
+    layer: LayerGeometry, pot: GaugeFixedPotential, electric: ScalarPotential | None = None
+) -> ComparisonConstants:
     """Scale factors and offset of the comparison operators H0-/+ of a layer.
 
     The metric sandwich takes the ratio eps/rho_m (0 on a flat chart). The
     offset is the sum of four terms: sup|V1| / c_lower, sup|V2 - v_eff|,
     (eps + eps^2) sup_quad of the gauge-fixed potential's Taylor remainder,
-    and max|scale -/+ - 1| times sup|v_eff|.
+    and max|scale -/+ - 1| times sup|v_eff|. An electric potential V adds
+    two more: sup|V(layer) - V(surface)|, as the layer samples V at
+    x + eps u n, and max|scale -/+ - 1| times sup|V(surface)|, as the
+    comparison operators scale its surface trace.
     """
     eps = layer.eps
     patch = layer.patch
@@ -429,6 +414,10 @@ def comparison_constants(layer: LayerGeometry, pot: GaugeFixedPotential) -> Comp
         + (eps + eps * eps) * pot.sup_quad
         + sup_scale_dev * float(np.max(np.abs(veff)))
     )
+    if electric is not None:
+        trace = electric.on_surface(patch)
+        offset += float(np.max(np.abs(electric.on_layer(layer) - trace[..., None])))
+        offset += sup_scale_dev * float(np.max(np.abs(trace)))
     if not offset >= 0.0:
         raise AssemblyError(f"comparison offset must be nonnegative, got {offset}")
     return ComparisonConstants(
@@ -447,11 +436,13 @@ def comparison_constants(layer: LayerGeometry, pot: GaugeFixedPotential) -> Comp
 # ---------------------------------------------------------------------------
 
 
-def _surface_block(patch, alpha, electric) -> SurfaceBlock:
+def _surface_block(patch, alpha, electric) -> AssembledOperator:
     """Magnetic Laplace-Beltrami operator with link phases from alpha (None
     or all zeros for no field) plus v_eff and the surface trace of the
     electric potential: the effective operator, and with the trace phases
-    a_surf0 the surface factor of the decoupled comparison operators."""
+    a_surf0 the surface factor of the decoupled comparison operators. The
+    kinetic part is nonnegative, so the smallest value of the potential is
+    a spectral floor."""
     entries, diag = _surface_operator(
         patch, patch.metric_inv[..., None, :, :], None if alpha is None else alpha[..., None, :], 1
     )
@@ -459,7 +450,9 @@ def _surface_block(patch, alpha, electric) -> SurfaceBlock:
     if electric is not None:
         V = V + electric.on_surface(patch)
     diag += V.reshape(-1)
-    return SurfaceBlock(_csr(entries, diag), float(np.min(V)))
+    return AssembledOperator(
+        _csr(entries, diag), DofMap(patch.axes, 1), "h-eff", None, float(np.min(V))
+    )
 
 
 def _check_hermitian(op: AssembledOperator):
@@ -470,11 +463,10 @@ def _check_hermitian(op: AssembledOperator):
         )
 
 
-def _layer_operator(layer, entries, diag, V, kind, field_label, meta, block) -> AssembledOperator:
+def _layer_operator(layer, entries, diag, V, kind, floor, block) -> AssembledOperator:
     """A surface part on the product grid (off-diagonal triplets, dense
     diagonal) + I (x) T/eps^2 + diag(V), the diagonal summed in that order,
-    in one COO -> CSR build; checked Hermitian, meta gets the weight cell."""
-    patch = layer.patch
+    in one COO -> CSR build; checked Hermitian."""
     m = layer.m_u
     T = transverse_matrix(m) / layer.eps**2
     i, j = (ix.astype(entries[0][0].dtype) for ix in np.nonzero(~np.eye(m, dtype=bool)))
@@ -483,14 +475,7 @@ def _layer_operator(layer, entries, diag, V, kind, field_label, meta, block) -> 
     diag += np.tile(np.diag(T), node.size)
     diag += V.reshape(-1)
     op = AssembledOperator(
-        matrix=_csr(entries, diag),
-        weights=layer.full_weights(),
-        dofmap=DofMap(patch.axes, m),
-        kind=kind,
-        eps=layer.eps,
-        geometry=patch.label(),
-        field_label=field_label,
-        meta={"weights_cell": patch.cell_area * layer.h_u, **meta},
+        _csr(entries, diag), DofMap(layer.patch.axes, m), kind, layer.eps, floor,
         surface_block=block,
     )
     _check_hermitian(op)
@@ -521,9 +506,9 @@ def assemble_full(
         V = V + electric.on_layer(layer)
     # kinetic part is nonnegative, transverse block bounded below by the
     # ground energy: a cheap certified spectral floor
-    meta = {"spectral_lower_bound": float(np.min(V)) + TRANSVERSE_GROUND_ENERGY / layer.eps**2}
+    floor = float(np.min(V)) + TRANSVERSE_GROUND_ENERGY / layer.eps**2
     block = _surface_block(patch, pot.a_surf0, electric)
-    return _layer_operator(layer, entries, diag, V, "full-H", pot.field_label, meta, block)
+    return _layer_operator(layer, entries, diag, V, "full-H", floor, block)
 
 
 def assemble_effective(
@@ -533,22 +518,7 @@ def assemble_effective(
 ) -> AssembledOperator:
     """Effective surface Hamiltonian: magnetic Laplace-Beltrami plus the
     curvature potential (plus the surface trace of the electric potential)."""
-    alpha = None
-    label = "zero"
-    if eff is not None and not eff.is_zero():
-        alpha = eff.alpha
-        label = "alpha-eff"
-    block = _surface_block(patch, alpha, electric)
-    op = AssembledOperator(
-        matrix=block.matrix,
-        weights=patch.surface_weights(),
-        dofmap=DofMap(patch.axes, 1),
-        kind="h-eff",
-        eps=None,
-        geometry=patch.label(),
-        field_label=label,
-        meta={"weights_cell": patch.cell_area, "spectral_lower_bound": block.floor},
-    )
+    op = _surface_block(patch, None if eff is None or eff.is_zero() else eff.alpha, electric)
     _check_hermitian(op)
     return op
 
@@ -569,7 +539,7 @@ def assemble_comparison(
     if sign not in (1, -1):
         raise AssemblyError("comparison sign must be +1 or -1")
     patch = layer.patch
-    consts = comparison_constants(layer, pot)
+    consts = comparison_constants(layer, pot, electric)
     scale = consts.scale_plus if sign > 0 else consts.scale_minus
     shift = sign * consts.offset
     base = _surface_block(patch, pot.a_surf0, electric)
@@ -578,46 +548,35 @@ def assemble_comparison(
     S = (scale * base.matrix).tocoo()
     off = S.row != S.col
     entries = [(_slabs(S.row[off], m), _slabs(S.col[off], m), np.repeat(S.data[off], m))]
-    meta = {
-        "scale": scale,
-        "offset": consts.offset,
-        "spectral_lower_bound": scale * min(0.0, base.floor)
-        + TRANSVERSE_GROUND_ENERGY / layer.eps**2
-        + shift,
-    }
-    block = SurfaceBlock(
-        sp.csr_array(scale * base.matrix + shift * sp.eye_array(patch.n_nodes, format="csr")),
-        scale * base.floor + shift,
+    ground = TRANSVERSE_GROUND_ENERGY / layer.eps**2
+    floor = scale * min(0.0, base.spectral_lower_bound) + ground + shift
+    block = replace(
+        base,
+        matrix=sp.csr_array(scale * base.matrix + shift * sp.eye_array(patch.n_nodes, format="csr")),
+        spectral_lower_bound=scale * base.spectral_lower_bound + shift,
     )
     kind = "H0+" if sign > 0 else "H0-"
     diag = np.repeat(S.diagonal(), m)
     V = np.full(diag.size, shift)
-    return _layer_operator(layer, entries, diag, V, kind, pot.field_label, meta, block)
+    return _layer_operator(layer, entries, diag, V, kind, floor, block)
 
 
 def renormalize(op: AssembledOperator) -> AssembledOperator:
-    """Subtract the diverging lowest transverse energy eps^-2 (pi/2)^2.
+    """Subtract the diverging lowest transverse energy eps^-2 (pi/2)^2 from a
+    layer operator that has not been renormalized.
 
     The spectrum shifts exactly; eigenvectors are untouched.
     """
-    if op.kind not in ("full-H", "H0+", "H0-"):
-        raise AssemblyError(f"cannot renormalize operator of kind {op.kind!r}")
-    if op.eps is None:
-        raise AssemblyError("operator has no layer half-width")
+    if op.eps is None or op.renormalization_shift:
+        raise AssemblyError(
+            f"cannot renormalize {op.kind} operator: it needs a layer half-width "
+            "and no earlier renormalization"
+        )
     shift = TRANSVERSE_GROUND_ENERGY / op.eps**2
-    H = op.matrix - shift * sp.eye_array(op.n_dof, dtype=op.matrix.dtype, format="csr")
-    meta = dict(op.meta)
-    meta["renormalization_shift"] = shift
-    if meta.get("spectral_lower_bound") is not None:
-        meta["spectral_lower_bound"] = meta["spectral_lower_bound"] - shift
-    return AssembledOperator(
-        matrix=H,
-        weights=op.weights,
-        dofmap=op.dofmap,
+    return replace(
+        op,
+        matrix=op.matrix - shift * sp.eye_array(op.n_dof, dtype=op.matrix.dtype, format="csr"),
         kind=op.kind + "-renormalized",
-        eps=op.eps,
-        geometry=op.geometry,
-        field_label=op.field_label,
-        meta=meta,
-        surface_block=op.surface_block,
+        spectral_lower_bound=op.spectral_lower_bound - shift,
+        renormalization_shift=shift,
     )

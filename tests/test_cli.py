@@ -677,6 +677,56 @@ def test_spectrum_dumps_operator_and_vectors(tmp_path):
     assert dump["vectors"].shape == (64, 2)
 
 
+_TORUS = {"family": "torus", "params": {"major": 2.0, "minor": 0.5}}
+_B_Z = {"kind": "constant", "b": [0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("geometry, field, spectrum, want", [
+    ({**_TORUS, "grid": [16, 16]}, {"kind": "zero"}, {"operator": "h-eff"},
+     {"kind": "h-eff", "eps": None, "geometry": "torus(major=2,minor=0.5)[16x16]",
+      "field": "zero", "n_dof": 256, "nnz": 2304, "m_u": 1,
+      "closures": ["periodic", "periodic"]}),
+    ({**_TORUS, "grid": [16, 16]}, {"kind": "constant", "b": [0.3, 0.0, 1.0]},
+     {"operator": "h-eff"},
+     {"kind": "h-eff", "eps": None, "geometry": "torus(major=2,minor=0.5)[16x16]",
+      "field": "alpha-eff", "n_dof": 256, "nnz": 2304, "m_u": 1,
+      "closures": ["periodic", "periodic"]}),
+    ({**_TORUS, "grid": [12, 12]}, _B_Z,
+     {"operator": "full-H-renormalized", "epsilon": 0.1, "m_u": 5},
+     {"kind": "full-H-renormalized", "eps": 0.1, "geometry": "torus(major=2,minor=0.5)[12x12]",
+      "field": "constant(b=[0.0, 0.0, 1.0])", "n_dof": 720, "nnz": 9360, "m_u": 5,
+      "closures": ["periodic", "periodic"]}),
+    ({"family": "ellipse", "params": {"a": 1.0, "b": 0.7}, "grid": [64]},
+     {"kind": "constant", "b": 0.7}, {"operator": "H0-", "epsilon": 0.1, "m_u": 7},
+     {"kind": "H0-", "eps": 0.1, "geometry": "ellipse(a=1,b=0.7)[64]",
+      "field": "constant(b=0.7)", "n_dof": 448, "nnz": 4928, "m_u": 7,
+      "closures": ["periodic"]}),
+], ids=["heff-zero", "heff-tilted", "full-H-renormalized", "H0-"])
+def test_spectrum_dump_records_the_run(tmp_path, geometry, field, spectrum, want):
+    # every sidecar value, and the weights of the patch or the layer in the npz
+    from thinlayer import GeometryFamily, build_patch, layer_geometry
+
+    cfg = _config(geometry, field=field, solver={"n_eigenpairs": 2},
+                  spectrum={**spectrum, "dump_operator": True, "dump_eigenvectors": True})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", _write(tmp_path / "c.json", cfg),
+                 "--out", str(out)]) == 0
+    sidecar = json.loads((out / "operator.json").read_text())
+    patch = build_patch(GeometryFamily(geometry["family"], geometry["params"]),
+                        tuple(geometry["grid"]))
+    if want["eps"] is None:
+        weights, cell = patch.surface_weights(), patch.cell_area
+    else:
+        layer = layer_geometry(patch, want["eps"], want["m_u"])
+        weights, cell = layer.full_weights(), patch.cell_area * layer.h_u
+    assert {key: sidecar[key] for key in want} == want
+    assert sidecar["grid_shape"] == geometry["grid"]
+    assert sidecar["weights_cell"] == cell
+    dump = np.load(out / "eigenvectors.npz")
+    assert np.array_equal(dump["weights"], weights)
+    assert dump["m_u"] == want["m_u"]
+
+
 @pytest.mark.parametrize("writer, target", [("numpy.savez", "vecs.bin"),
                                             ("scipy.io.mmwrite", "op.mtx")])
 def test_failed_dump_keeps_the_earlier_file(tmp_path, monkeypatch, writer, target):

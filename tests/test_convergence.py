@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -106,6 +107,9 @@ def test_gap_bound_rejects_unrenormalized(circle_patch):
     H = assemble_full(lay, layer_potential(zero_field(2), lay))
     with pytest.raises(ThinLayerError, match="renormalized"):
         gap_bound_report(lay, H)
+    # the record decides, not the label
+    with pytest.raises(ThinLayerError, match="renormalized"):
+        gap_bound_report(lay, dataclasses.replace(H, kind="full-H-renormalized"))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,26 @@ def test_circle_sweep_rates_and_monotonicity():
     assert report.meta["transverse_shift_at_largest_eps"] == pytest.approx(
         (np.pi / 2) ** 2 / 0.2**2
     )
+
+
+def test_sweep_with_a_negative_electric_potential_passes():
+    # V = -5 puts the spectra below -5: the resolvent shift k must come
+    # from a floor that counts the electric trace
+    from thinlayer import polynomial_potential
+
+    spec = SweepSpec(
+        family=GeometryFamily("circle", {"radius": 1.0}),
+        grid=(64,),
+        field=zero_field(2),
+        electric=polynomial_potential([(-5.0, (0, 0))]),
+        epsilons=(0.2, 0.1, 0.05, 0.025),
+        m_u=9,
+        n_pairs=1,
+    )
+    report = run_sweep(spec)
+    assert report.k > 2.0 * 5.25
+    ok, problems = sweep_acceptance(report)
+    assert ok, problems
 
 
 def test_sweep_with_flux_keeps_complex_operator():

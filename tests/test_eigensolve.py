@@ -29,7 +29,7 @@ from thinlayer import (
 from thinlayer.convergence import TransverseMode
 from thinlayer.eigensolve import LOBPCG_MAXITER, RESOLVENT_RTOL, ROUNDOFF_FACTOR
 from thinlayer.geometry import DIRICHLET, ChartAxis
-from thinlayer.operators import DofMap, SurfaceBlock
+from thinlayer.operators import DofMap
 
 
 def test_interval_laplacian_classical_value():
@@ -75,12 +75,9 @@ def test_curve_layer_below_4000_dofs_takes_shift_invert():
 def test_dense_and_iterative_paths_agree():
     H = _curve_layer(*_ELLIPSE, 96, zero_field(2))
     assert H.n_dof < 4000
-    meta = dict(H.meta)
     dense = lowest_eigenpairs(H, 5, dense_cutoff=10_000)
-    assert H.meta == meta  # the solver writes nothing onto its operator
     sparse = lowest_eigenpairs(H, 5, dense_cutoff=100)
     assert sparse.meta["method"] == "shift-invert-lanczos"
-    assert H.meta == meta
     assert np.max(np.abs(dense.values - sparse.values)) < 1e-8
 
 
@@ -265,7 +262,7 @@ def test_lobpcg_on_wrong_surface_block_matches_lu(small_torus, factor, monkeypat
     op = _torus_layer(small_torus, 0.025)
     block = op.surface_block
     wrong = dataclasses.replace(
-        op, surface_block=SurfaceBlock(factor * block.matrix, block.floor)
+        op, surface_block=dataclasses.replace(block, matrix=factor * block.matrix)
     )
     if factor < 0:
         # the mode-0 block -S + d_0 I is indefinite, and its Gershgorin ratio

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +23,7 @@ from thinlayer import (
     layer_potential,
     lowest_eigenpairs,
     polynomial_field,
+    polynomial_potential,
     pullback,
     renormalize,
     transverse_curvature_potential,
@@ -253,7 +256,7 @@ def test_spectral_lower_bound_is_below_the_lowest_eigenvalue(family, params, gri
     # constant curvature attains the floor (constant surface mode), so allow
     # the dense solve's round-off, relative to the operator norm
     slack = 1e-14 * float(np.max(np.sum(np.abs(H), axis=1)))
-    assert op.meta["spectral_lower_bound"] <= lam1 + slack
+    assert op.spectral_lower_bound <= lam1 + slack
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +375,30 @@ def test_renormalize_shifts_spectrum_exactly(circle_patch):
     vr = lowest_eigenpairs(Hren, 5, dense_cutoff=10_000).values
     shift = TRANSVERSE_GROUND_ENERGY / 0.5**2
     assert np.max(np.abs((v - shift) - vr)) < 1e-12
-    with pytest.raises(AssemblyError):
-        renormalize(Hren)
-    with pytest.raises(AssemblyError):
-        renormalize(assemble_effective(circle_patch))
+    assert Hren.renormalization_shift == shift
+    assert Hren.spectral_lower_bound == H.spectral_lower_bound - shift
+
+
+def test_renormalize_refuses_by_record_not_by_label(circle_patch):
+    lay = layer_geometry(circle_patch, 0.5, 9)
+    Hren = renormalize(assemble_full(lay, layer_potential(zero_field(2), lay)))
+    refused = [
+        Hren,
+        dataclasses.replace(Hren, kind="full-H"),  # kind is a label only
+        assemble_effective(circle_patch),
+        AssembledOperator.from_matrix(sp.eye_array(4, format="csr")),
+    ]
+    for op in refused:
+        with pytest.raises(AssemblyError, match="cannot renormalize"):
+            renormalize(op)
+
+
+def test_assembled_operator_is_frozen(circle_patch):
+    op = assemble_effective(circle_patch)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.spectral_lower_bound = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.matrix = op.matrix.copy()
 
 
 def test_flat_renormalized_matches_interval_spectrum(segment_patch):
@@ -402,7 +425,11 @@ def test_comparison_constants_flat_are_unit(segment_patch):
     assert c.offset == pytest.approx(0.0, abs=1e-14)
     op = assemble_comparison(lay, pot, +1)
     assert op.kind == "H0+"
-    assert op.meta["offset"] == c.offset
+    # the surface factor is the scaled effective operator shifted by the offset
+    heff = assemble_effective(segment_patch)
+    assert op.surface_block.spectral_lower_bound == (
+        c.scale_plus * heff.spectral_lower_bound + c.offset
+    )
 
 
 def test_comparison_constants_scale_linearly(circle_patch):
@@ -461,6 +488,31 @@ def test_sandwich_ordering_in_a_magnetic_field(family, params, grid, b, eps):
     assert np.max(vm - vh) <= 1e-12
 
 
+@pytest.mark.parametrize("family,params", [
+    ("circle", {"radius": 1.0}),
+    ("ellipse", {"a": 1.0, "b": 0.7}),
+])
+@pytest.mark.parametrize("terms", [
+    [(-200.0, (0, 0))],  # the comparison scale moves a constant
+    [(20.0, (1, 0))],  # the layer samples it off the surface
+    [(-10.0, (2, 0)), (-10.0, (0, 2))],
+])
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_sandwich_ordering_with_an_electric_potential(family, params, terms, eps):
+    # the comparison operators scale the surface trace of V, and the layer
+    # samples V at x + eps u n: the offset must cover both
+    p = build_patch(GeometryFamily(family, params), (64,))
+    lay = layer_geometry(p, eps, 9)
+    pot = layer_potential(constant_field(2, 0.7), lay)
+    electric = polynomial_potential(terms)
+    ops = (assemble_comparison(lay, pot, -1, electric), assemble_full(lay, pot, electric),
+           assemble_comparison(lay, pot, +1, electric))
+    vl, vm, vh = (lowest_eigenpairs(op, 3, dense_cutoff=10_000).values for op in ops)
+    slack = 1e-10 * max(1.0, float(np.max(np.abs(vm))))
+    assert np.max(vl - vm) <= slack
+    assert np.max(vm - vh) <= slack
+
+
 def test_comparison_gap_shrinks_linearly(circle_patch):
     gaps = []
     for eps in (0.2, 0.1, 0.05):
@@ -507,9 +559,9 @@ def test_electric_potential_enters_both_operators(segment_patch):
 def test_singular_electric_potential_rejected(segment_patch):
     from thinlayer import FieldError, ScalarPotential
 
-    w = ScalarPotential("custom", lambda p: 1.0 / p[:, 0])
+    w = ScalarPotential(lambda p: 1.0 / p[:, 0])
     lay = layer_geometry(segment_patch, 0.999 * segment_patch.axes[0].node0, 9)
-    bad = ScalarPotential("custom", lambda p: np.full(p.shape[0], np.nan))
+    bad = ScalarPotential(lambda p: np.full(p.shape[0], np.nan))
     with pytest.raises(FieldError, match="singular"):
         bad.on_surface(segment_patch)
     # finite on this chart: accepted
@@ -639,7 +691,7 @@ def test_mixed_metric_stencil_exact_on_quadratics():
     psi = a * X1**2 + b * X1 * X2 + c * X2**2 + d * X1
     ginv = p.metric_inv[0, 0]
     exact = -(2 * a * ginv[0, 0] + 2 * b * ginv[0, 1] + 2 * c * ginv[1, 1])
-    w = np.sqrt(op.weights)
+    w = np.sqrt(p.surface_weights())
     applied = (op.matrix @ (w * psi.reshape(-1))) / w
     applied = applied.reshape(n1, n2)
     interior = applied[3:-3, 3:-3]
